@@ -53,13 +53,13 @@ def main():
 
     print("\n4) per-copy exponent estimates, shared fading vs deterministic return")
     surrogate = SystemParams(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5)
-    fading = fading_exponent_trend(surrogate, [1, 2], dim=4, nodes=(16, 33))
-    det = fading_exponent_trend(surrogate, [1, 2], dim=4, nodes=(16, 33),
+    fading = fading_exponent_trend(surrogate, [1, 2, 3], dim=4, nodes=(16, 33))
+    det = fading_exponent_trend(surrogate, [1, 2, 3], dim=4, nodes=(16, 33),
                                 model=FadingModel.deterministic(0.5, 0.0))
-    print("   copies  fading -ln(Pr_e)/M   deterministic Chernoff rate")
+    print("   copies  fading -ln(Pr_e)/M   deterministic Chernoff rate   blocks (largest)")
     for f, d in zip(fading, det):
-        print(f"   {f.copies:>6}  {f.helstrom_exponent:>18.6f}   {d.chernoff_exponent:>16.6f}")
-    print("   (include M=3 for the full trend; it needs a few minutes)")
+        print(f"   {f.copies:>6}  {f.helstrom_exponent:>18.6f}   {d.chernoff_exponent:>27.6f}"
+              f"   {f.blocks:>6} ({f.largest_block})")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Truncated-Fock-space brute-force engine for quantum state discrimination.
 
 Everything here is desk scale by design: states live in an explicitly
-truncated Fock space, minimum error probabilities come from dense Hermitian
-eigendecomposition, and the Chernoff quantity is minimized by golden-section
-search. The point is to cross-validate the closed-form receiver analysis, not
+truncated Fock space, minimum error probabilities come from Hermitian
+eigendecomposition (dense, or block by block for the symmetric M-copy states
+of the exponent trend), and the Chernoff quantity is minimized by
+golden-section search. The point is to cross-validate the closed-form receiver analysis, not
 to scale; background brightness around 1 is the practical ceiling (the
 closed forms under test are generic in N_B, so surrogate noise levels are
 representative).
@@ -30,7 +31,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from ._golden import golden_section_min
-from .params import FadingModel, FadingKind, SystemParams, fading_pdf
+from .params import FadingModel, SystemParams, fading_pdf
 
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
@@ -425,15 +426,12 @@ class _PairwiseAccumulator:
         return acc
 
 
-def quadrature_grid(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(amplitudes, phases, weights[i, j]) for averaging over a random fading model.
+def _amplitude_rule(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, int]:
+    """(amplitudes, amplitude weights, phase node count) for a random fading model.
 
-    Gauss-Legendre in amplitude on [0, 1] with the fading pdf folded into the
-    weights; uniform (trapezoid on a periodic domain) in phase. Weights sum to
-    the pdf mass captured on [0, 1] (all of it for the truncated kind).
+    nodes is n or (n_amp, n_phase). Amplitudes are Gauss-Legendre nodes on
+    [0, 1] with the fading pdf folded into the weights.
     """
-    if not model.is_random:
-        raise ValueError("quadrature over a deterministic fading model")
     if isinstance(nodes, int):
         n_amp = n_phase = nodes
     else:
@@ -443,6 +441,19 @@ def quadrature_grid(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, 
     xs, ws = np.polynomial.legendre.leggauss(n_amp)
     amps = 0.5 * (xs + 1.0)
     amp_w = 0.5 * ws * np.array([fading_pdf(model, a) for a in amps])
+    return amps, amp_w, n_phase
+
+
+def quadrature_grid(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(amplitudes, phases, weights[i, j]) for averaging over a random fading model.
+
+    Gauss-Legendre in amplitude on [0, 1] with the fading pdf folded into the
+    weights; uniform (trapezoid on a periodic domain) in phase. Weights sum to
+    the pdf mass captured on [0, 1] (all of it for the truncated kind).
+    """
+    if not model.is_random:
+        raise ValueError("quadrature over a deterministic fading model")
+    amps, amp_w, n_phase = _amplitude_rule(model, nodes)
     phases = 2.0 * np.pi * np.arange(n_phase) / n_phase
     weights = amp_w[:, None] * np.full(n_phase, 1.0 / n_phase)[None, :]
     return amps, phases, weights
@@ -482,23 +493,45 @@ def helstrom(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float) -> float:
         raise ValueError("states must share a dimension")
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError("pi0 must lie in [0, 1]")
-    pi1 = 1.0 - pi0
-    w = np.linalg.eigvalsh(pi1 * rho1.data - pi0 * rho0.data)
-    pr_e = 0.5 * (1.0 - np.abs(w).sum())
-    return float(min(max(pr_e, 0.0), min(pi0, pi1)))
+    w = np.linalg.eigvalsh((1.0 - pi0) * rho1.data - pi0 * rho0.data)
+    return _helstrom_from_norm(np.abs(w).sum(), pi0)
+
+
+def _helstrom_from_norm(trace_norm: float, pi0: float) -> float:
+    """(1 - ||pi1*rho1 - pi0*rho0||_1)/2, clipped to [0, min(pi0, pi1)]."""
+    pr_e = 0.5 * (1.0 - trace_norm)
+    return float(min(max(pr_e, 0.0), min(pi0, 1.0 - pi0)))
+
+
+def _rank_cut(w: np.ndarray, size: int) -> np.ndarray:
+    """Eigenvalues of a state with the PSD floor checked and roundoff zeroed.
+
+    size is the dimension of the whole space. Eigenvalues below
+    max * size * eps are exact zeros, otherwise w^s injects ~sqrt(eps)
+    garbage at small s.
+    """
+    if w.min() < _EIG_FLOOR:
+        raise ValueError(f"state not PSD after clamping (min eigenvalue {w.min():g})")
+    return np.where(w < w.max() * size * np.finfo(float).eps, 0.0, np.clip(w, 0.0, None))
+
+
+def _chernoff_minimum(q_s, s_tol: float) -> tuple[float, float]:
+    """(optimal s, exponent -ln min_s q(s)) by golden-section search on [0, 1]
+    plus the two endpoints."""
+    s_opt, q_min = golden_section_min(q_s, 0.0, 1.0, tol=s_tol)
+    for s_end in (0.0, 1.0):
+        q_end = q_s(s_end)
+        if q_end < q_min:
+            s_opt, q_min = s_end, q_end
+    exponent = math.inf if q_min <= 0.0 else max(0.0, -math.log(q_min))
+    return float(s_opt), exponent
 
 
 def _chernoff_objective(rho0: DensityMatrix, rho1: DensityMatrix):
     w0, v0 = np.linalg.eigh(rho0.data)
     w1, v1 = np.linalg.eigh(rho1.data)
-    for w in (w0, w1):
-        if w.min() < _EIG_FLOOR:
-            raise ValueError(f"state not PSD after clamping (min eigenvalue {w.min():g})")
-        # numerical-rank cutoff: roundoff-scale eigenvalues are exact zeros,
-        # otherwise w^s injects ~sqrt(eps) garbage at small s
-        w[w < w.max() * w.size * np.finfo(float).eps] = 0.0
-    w0 = np.clip(w0, 0.0, None)
-    w1 = np.clip(w1, 0.0, None)
+    w0 = _rank_cut(w0, w0.size)
+    w1 = _rank_cut(w1, w1.size)
     overlap = np.abs(v0.conj().T @ v1) ** 2
 
     def powers(w: np.ndarray, s: float) -> np.ndarray:
@@ -524,17 +557,11 @@ def qcb(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float = 0.5,
     """
     if rho0.data.shape != rho1.data.shape:
         raise ValueError("states must share a dimension")
-    q_s = _chernoff_objective(rho0, rho1)
-    s_opt, q_min = golden_section_min(q_s, 0.0, 1.0, tol=s_tol)
-    for s_end in (0.0, 1.0):
-        q_end = q_s(s_end)
-        if q_end < q_min:
-            s_opt, q_min = s_end, q_end
-    exponent = math.inf if q_min <= 0.0 else max(0.0, -math.log(q_min))
+    s_opt, exponent = _chernoff_minimum(_chernoff_objective(rho0, rho1), s_tol)
     return DiscriminationReport(
         helstrom_error=helstrom(rho0, rho1, pi0),
         qcb_exponent=exponent,
-        optimal_s=float(s_opt),
+        optimal_s=s_opt,
     )
 
 
@@ -586,10 +613,6 @@ def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int
                            min_slack=min_slack, violations=violations, slack_tol=slack_tol)
 
 
-def _copy_space_bytes(dim: int, m: int) -> int:
-    return 16 * (dim ** (2 * m)) ** 2
-
-
 @dataclass(frozen=True)
 class TrendPoint:
     """Per-copy exponent estimates for M-copy discrimination.
@@ -597,20 +620,117 @@ class TrendPoint:
     helstrom_exponent = -ln(Pr_e)/M carries a 1/M prefactor transient on top
     of the asymptotic rate, so it overshoots at small M for any state pair;
     chernoff_exponent = -ln(min_s tr(rho0^s rho1^(1-s)))/M is the clean rate
-    diagnostic (exactly M-independent for product states).
+    diagnostic (exactly M-independent for product states). blocks and
+    largest_block describe the block-diagonal M-copy states that were solved.
     """
 
     copies: int
     helstrom_exponent: float
     chernoff_exponent: float
+    blocks: int = 0
+    largest_block: int = 0
 
 
-def _total_return_photons(d_ret: int, d_idl: int, m: int) -> np.ndarray:
-    per_copy = np.repeat(np.arange(d_ret), d_idl)
-    total = per_copy
-    for _ in range(m - 1):
-        total = (total[:, None] + per_copy[None, :]).reshape(-1)
-    return total
+def _copy_labels(dim: int, m: int, n_phase) -> np.ndarray:
+    """Block label of each basis state of m (return, idler) copies, in
+    tensor-power order: every copy's n_R - n_I, plus the total n_R mod n_phase
+    unless n_phase is None."""
+    n_ret = np.repeat(np.arange(dim), dim)
+    diff = n_ret - np.tile(np.arange(dim), dim) + dim - 1
+    label = np.zeros(1, dtype=np.int64)
+    total = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        label = (label[:, None] * (2 * dim - 1) + diff).reshape(-1)
+        total = (total[:, None] + n_ret).reshape(-1)
+    if n_phase is None:
+        return label
+    return label * n_phase + total % n_phase
+
+
+def _block_pairs(dim: int, m: int, n_phase) -> float:
+    """Sum of squared block sizes of m copies, without listing the basis: the
+    number of (row, col) pairs whose labels agree, built copy by copy from
+    each copy's n_R shift mod n_phase."""
+    diff = _copy_labels(dim, 1, None)
+    same = diff[:, None] == diff[None, :]
+    if n_phase is None:
+        return float(same.sum()) ** m
+    n_ret = np.repeat(np.arange(dim), dim)
+    shift = (n_ret[:, None] - n_ret[None, :])[same] % n_phase
+    per_copy = np.bincount(shift, minlength=n_phase).astype(float)
+    pairs = np.zeros(n_phase)
+    pairs[0] = 1.0
+    back = np.arange(n_phase)
+    for _ in range(m):
+        pairs = np.array([pairs @ per_copy[(t - back) % n_phase] for t in range(n_phase)])
+    return float(pairs[0])
+
+
+def _block_bytes(dim: int, m: int, n_phase) -> float:
+    """Memory the blocked m-copy solve allocates, as measured with tracemalloc:
+    about 256 bytes per basis state (int64 labels, their sort and the per-copy
+    indices) and 48 per block element (rho1's blocks, |V1|^2 and the Chernoff
+    terms). Blocks are accumulated one amplitude node at a time, so the node
+    count does not enter."""
+    return 256.0 * dim ** (2 * m) + 48.0 * _block_pairs(dim, m, n_phase)
+
+
+def _check_symmetry(data: np.ndarray, label: np.ndarray) -> None:
+    """Raise unless data couples only basis states with equal labels."""
+    if np.any(data[label[:, None] != label[None, :]]):
+        raise ValueError("per-copy state has weight outside its symmetry blocks; "
+                         "the blocked M-copy solve does not apply")
+
+
+def _block_groups(labels: np.ndarray) -> list:
+    """Basis indices of every block, one (blocks, n) array per block size n,
+    in increasing n; indices ascend within a block."""
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == n][:, None] + np.arange(n)] for n in np.unique(sizes)]
+
+
+def _blocked_discrimination(d0s: list, b1s: list, pi0: float, size: int,
+                            s_tol: float = 1e-6) -> tuple[float, float]:
+    """(Helstrom error, Chernoff exponent) of a diagonal rho0 and a
+    block-diagonal rho1 on a space of dimension size.
+
+    d0s[g] (blocks, n) and b1s[g] (blocks, n, n) hold rho0's diagonal and
+    rho1's blocks for the g-th block size. Each block takes one eigvalsh for
+    Helstrom and one eigh for Chernoff; rho0's eigenbasis is the basis
+    itself, so the Chernoff overlaps are |V1|^2 and tr(rho0^s rho1^(1-s)) is
+    one sum over (row, eigenvector) pairs of every block.
+    """
+    trace_norm = 0.0
+    w1s, overlaps = [], []
+    for d0, b1 in zip(d0s, b1s):
+        diag = np.arange(d0.shape[1])
+        h = (1.0 - pi0) * b1
+        h[:, diag, diag] -= pi0 * d0
+        trace_norm += np.abs(np.linalg.eigvalsh(h)).sum()
+        w1, v1 = np.linalg.eigh(b1)
+        w1s.append(w1)
+        overlaps.append(np.abs(v1) ** 2)
+    # rank cutoff against the whole space's largest eigenvalue and dimension
+    cuts = np.cumsum([d0.size for d0 in d0s])[:-1]
+    w0s = np.split(_rank_cut(np.concatenate([d0.ravel() for d0 in d0s]), size), cuts)
+    w1s = np.split(_rank_cut(np.concatenate([w1.ravel() for w1 in w1s]), size), cuts)
+    log0, log1, weight = [], [], []
+    for w0, w1, overlap in zip(w0s, w1s, overlaps):
+        shape = overlap.shape[:2]
+        p0, p1, overlap = np.broadcast_arrays(w0.reshape(shape)[:, :, None],
+                                              w1.reshape(shape)[:, None, :], overlap)
+        live = (p0 > 0.0) & (p1 > 0.0)  # 0^s := 0 on [0, 1] (support convention)
+        log0.append(np.log(p0[live]))
+        log1.append(np.log(p1[live]))
+        weight.append(overlap[live])
+    log0, log1, weight = (np.concatenate(x) for x in (log0, log1, weight))
+
+    def q_s(s: float) -> float:
+        return float(np.exp(s * log0 + (1.0 - s) * log1) @ weight)
+
+    _, exponent = _chernoff_minimum(q_s, s_tol)
+    return _helstrom_from_norm(trace_norm, pi0), exponent
 
 
 def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
@@ -626,67 +746,84 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     signature of the subexponential regime; a deterministic model is the
     constant-rate contrast case (see TrendPoint).
 
-    The phase average uses the identity that a uniform P-node phase grid acts
-    on the same-draw tensor power as a dephasing mask keeping only matrix
-    elements whose total return photon numbers agree mod P; this is exactly
-    the trapezoid rule, evaluated without materializing per-phase states.
-    Amplitude nodes are Gauss-Legendre on [0, 1] against the fading pdf.
+    Amplitude nodes are Gauss-Legendre on [0, 1] against the fading pdf. A
+    uniform P-node phase grid acts on the same-draw tensor power as a
+    dephasing mask keeping only elements whose total return photon numbers
+    agree mod P; this is exactly the trapezoid rule.
 
-    Runs at surrogate (small N_S, N_B, dim) scale only; the copy space must
-    fit the memory cap. Per-copy truncated states are renormalized before
-    tensor powers are taken.
+    The M-copy states are never formed densely. Both hypotheses keep the U(1)
+    symmetry of a two-mode squeezed vacuum under a phase-insensitive channel:
+    every per-copy state couples only basis states with equal n_R - n_I
+    (checked; anything else raises ValueError) and rho0 is diagonal. So the
+    M-copy rho1 is block-diagonal, with blocks labelled by every copy's
+    n_R - n_I and, under random fading, the total n_R mod P. Each block is
+    assembled from the per-copy states and solved on its own; the
+    numerical-rank cutoff still runs over the whole space.
+
+    Runs at surrogate (small N_S, N_B, dim) scale only; the blocks must fit
+    the memory cap. Per-copy truncated states are renormalized first.
     """
     m_list = sorted(int(m) for m in m_list)
     if m_list[0] < 1:
         raise ValueError("copy counts must be >= 1")
-    worst = _copy_space_bytes(dim, m_list[-1])
+    if model is None:
+        model = FadingModel.truncated_rayleigh(params.kappa_bar)
+    if model.is_random:
+        amps, amp_weights, n_phase = _amplitude_rule(model, nodes)
+    else:
+        amp_weights, n_phase = np.array([1.0]), None
+    worst = _block_bytes(dim, m_list[-1], n_phase)
     if worst > memory_cap_bytes:
         raise ResourceGuard(
             f"M={m_list[-1]} copies of a two-mode dim-{dim} state need {worst/2**30:.1f} GiB"
         )
-    if model is None:
-        model = FadingModel.truncated_rayleigh(params.kappa_bar)
-    if isinstance(nodes, int):
-        n_amp = n_phase = nodes
-    else:
-        n_amp, n_phase = nodes
+
+    def conditional(kappa: float) -> DensityMatrix:
+        return hypothesis_state(params, kappa, 0.0, dim, present=True, out_dim=dim,
+                                trace_deficit_tol=per_copy_deficit_tol).renormalized()
 
     rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
                             trace_deficit_tol=per_copy_deficit_tol).renormalized()
-
-    if model.kind is FadingKind.DETERMINISTIC:
-        conditionals = [rotate_return_phase(
-            hypothesis_state(params, model.kappa, 0.0, dim, present=True, out_dim=dim,
-                             trace_deficit_tol=per_copy_deficit_tol).renormalized(),
-            model.phi)]
-        amp_weights = np.array([1.0])
+    if model.is_random:
+        conditionals = [conditional(a * a) for a in amps]
     else:
-        if n_amp < 8 or n_phase < 8:
-            raise ValueError("need at least 8 quadrature nodes per dimension")
-        xs, ws = np.polynomial.legendre.leggauss(n_amp)
-        amps = 0.5 * (xs + 1.0)
-        amp_weights = 0.5 * ws * np.array([fading_pdf(model, a) for a in amps])
-        conditionals = [
-            hypothesis_state(params, a * a, 0.0, dim, present=True, out_dim=dim,
-                             trace_deficit_tol=per_copy_deficit_tol).renormalized()
-            for a in amps
-        ]
+        conditionals = [rotate_return_phase(conditional(model.kappa), model.phi)]
+    _check_symmetry(rho0.data, np.arange(dim * dim))
+    per_copy = _copy_labels(dim, 1, None)
+    for cond in conditionals:
+        _check_symmetry(cond.data, per_copy)
+    diag0 = np.diag(rho0.data).real
+    d2 = dim * dim
 
     results = []
     for m in m_list:
-        rho0_m = tensor_power(rho0, m)
-        acc = amp_weights[0] * tensor_power(conditionals[0], m).data
-        for w, cond in zip(amp_weights[1:], conditionals[1:]):
-            acc += w * tensor_power(cond, m).data
-        if model.is_random:
-            totals = _total_return_photons(dim, dim, m)
-            acc *= (totals[:, None] - totals[None, :]) % n_phase == 0
-        rho1_m = DensityMatrix(acc / np.trace(acc).real, rho0_m.dims)
-        pr_e = helstrom(rho0_m, rho1_m, pi0)
-        report = qcb(rho0_m, rho1_m, pi0)
-        results.append(TrendPoint(copies=m,
-                                  helstrom_exponent=-math.log(pr_e) / m,
-                                  chernoff_exponent=report.qcb_exponent / m))
+        labels = _copy_labels(dim, m, n_phase)
+        groups = _block_groups(labels)
+        d0s, b1s = [], []
+        for idx in groups:
+            # each copy's (row, col) entry for every element of the blocks
+            digits = [idx // d2 ** (m - 1 - i) % d2 for i in range(m)]
+            entries = [dg[:, :, None] * d2 + dg[:, None, :] for dg in digits]
+            d0 = diag0[digits[0]]
+            for dg in digits[1:]:
+                d0 = d0 * diag0[dg]
+            b1 = np.zeros(entries[0].shape, dtype=complex)
+            for w, cond in zip(amp_weights, conditionals):
+                flat = cond.data.ravel()
+                blk = flat[entries[0]]
+                for entry in entries[1:]:
+                    blk *= flat[entry]
+                b1 += w * blk
+            d0s.append(d0)
+            b1s.append(b1)
+        trace = sum(np.trace(b1, axis1=1, axis2=2).real.sum() for b1 in b1s)
+        for b1 in b1s:
+            b1 /= trace
+        pr_e, exponent = _blocked_discrimination(d0s, b1s, pi0, labels.size)
+        results.append(TrendPoint(copies=m, helstrom_exponent=-math.log(pr_e) / m,
+                                  chernoff_exponent=exponent / m,
+                                  blocks=sum(len(idx) for idx in groups),
+                                  largest_block=groups[-1].shape[1]))
     return results
 
 
@@ -736,19 +873,22 @@ def wigner_covariance(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """First moments and symmetrized quadrature covariance of a two-mode state.
 
     Returns (means, cov) over (q_0, p_0, q_1, p_1) with q = (a + a^dag)/2.
+    Same-mode moments come from the single-mode marginals; the cross block,
+    whose quadratures commute, is one contraction with the joint state.
     """
     d0, d1 = dm.dims
-    a0 = np.kron(_destroy(d0), np.eye(d1))
-    a1 = np.kron(np.eye(d0), _destroy(d1))
-    quads = []
-    for a in (a0, a1):
-        quads.append(0.5 * (a + a.conj().T))
-        quads.append((a - a.conj().T) / 2j)
-    rho = dm.data
-    means = np.array([np.trace(q @ rho).real for q in quads])
-    cov = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            sym = 0.5 * (quads[i] @ quads[j] + quads[j] @ quads[i])
-            cov[i, j] = cov[j, i] = np.trace(sym @ rho).real - means[i] * means[j]
-    return means, cov
+    quads, means, cov = [], [], np.zeros((4, 4))
+    for mode, d in enumerate((d0, d1)):
+        a = _destroy(d)
+        q = np.stack([0.5 * (a + a.conj().T), (a - a.conj().T) / 2j])
+        rho = partial_trace(dm, mode).data
+        means.extend(np.einsum("aij,ji->a", q, rho).real)
+        sym = 0.5 * (q[:, None] @ q[None, :] + q[None, :] @ q[:, None])
+        cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = np.einsum("abij,ji->ab", sym, rho).real
+        quads.append(q)
+    cross = np.einsum("aji,blk,ikjl->ab", quads[0], quads[1],
+                      dm.data.reshape(d0, d1, d0, d1)).real
+    cov[:2, 2:] = cross
+    cov[2:, :2] = cross.T
+    means = np.array(means)
+    return means, cov - np.outer(means, means)

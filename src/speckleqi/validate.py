@@ -235,10 +235,19 @@ def check_sfg_fading_average_thermal() -> CheckResult:
     n0, n1 = analytic.sfg_mean_counts(params)
     dim = 30
     scale = (1.0 - params.epsilon) * params.M * params.N_S / params.N_B
+    n = np.arange(dim)
+    displaced = {}
 
     def builder(amplitude, phase):
-        alpha = math.sqrt(scale) * amplitude * complex(math.cos(phase), math.sin(phase))
-        return oracle.coherent_thermal_state(alpha, n0, dim)
+        # D(alpha e^{i phase}) = R D(alpha) R^dag with R = diag(e^{i phase n}),
+        # exactly on the truncated space: one displacement per amplitude node
+        if amplitude not in displaced:
+            displaced[amplitude] = oracle.coherent_thermal_state(math.sqrt(scale) * amplitude,
+                                                                 n0, dim)
+        state = displaced[amplitude]
+        r = np.exp(1j * phase * n)
+        return oracle.DensityMatrix(state.data * r[:, None] * r.conj()[None, :], state.dims,
+                                    state.trace_deficit)
 
     averaged = oracle.fading_average(builder, FadingModel.rayleigh(params.kappa_bar),
                                      (64, 64))

@@ -138,7 +138,7 @@ def test_criterion_6_helstrom_concavity_trials():
 
 
 def test_criterion_7_fading_exponent_phenomenon():
-    with criterion(7, "per-copy exponents fall under fading, stay flat without", 600.0):
+    with criterion(7, "per-copy exponents fall under fading, stay flat without", 30.0):
         params = SystemParams(**SURROGATE)
         fading = fading_exponent_trend(params, [1, 2, 3], dim=4, nodes=(16, 33))
         estimates = [p.helstrom_exponent for p in fading]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,13 +32,20 @@ from speckleqi import (
     tmsv_state,
     wigner_covariance,
 )
+from speckleqi import oracle
 from speckleqi.oracle import (
+    _block_bytes,
+    _block_groups,
+    _block_pairs,
+    _copy_labels,
     _destroy,
     _PairwiseAccumulator,
     _thermal_weights,
     random_density_matrix,
     rotate_return_phase,
 )
+from speckleqi.params import fading_pdf
+from speckleqi.validate import check_sfg_fading_average_thermal
 
 
 def reference_beam_splitter_channel(state, kappa, phi, nbar, d_out, env_tail=1e-13):
@@ -72,6 +80,69 @@ def reference_beam_splitter_channel(state, kappa, phi, nbar, d_out, env_tail=1e-
             slab = vec[:d_out, e, :].reshape(-1)
             out += env_w[k] * np.outer(slab, slab.conj())
     return out
+
+
+def kronecker_wigner_covariance(dm):
+    """Reference moments from dense Kronecker-product quadrature operators on
+    the joint space."""
+    d0, d1 = dm.dims
+    a0 = np.kron(_destroy(d0), np.eye(d1))
+    a1 = np.kron(np.eye(d0), _destroy(d1))
+    quads = []
+    for a in (a0, a1):
+        quads.append(0.5 * (a + a.conj().T))
+        quads.append((a - a.conj().T) / 2j)
+    rho = dm.data
+    means = np.array([np.trace(q @ rho).real for q in quads])
+    cov = np.zeros((4, 4))
+    for i in range(4):
+        for j in range(i, 4):
+            sym = 0.5 * (quads[i] @ quads[j] + quads[j] @ quads[i])
+            cov[i, j] = cov[j, i] = np.trace(sym @ rho).real - means[i] * means[j]
+    return means, cov
+
+
+def dense_fading_exponent_trend(params, m_list, dim, nodes, model=None, pi0=0.5,
+                                per_copy_deficit_tol=0.05):
+    """Reference trend from dense M-copy states: tensor powers of every
+    per-copy state, the phase average as a mask on total return photons mod P,
+    and full helstrom + qcb eigensolves. Feasible up to a few hundred basis
+    states per side."""
+    if model is None:
+        model = FadingModel.truncated_rayleigh(params.kappa_bar)
+    rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
+                            trace_deficit_tol=per_copy_deficit_tol).renormalized()
+    if model.is_random:
+        n_amp, n_phase = nodes
+        xs, ws = np.polynomial.legendre.leggauss(n_amp)
+        amps = 0.5 * (xs + 1.0)
+        amp_weights = 0.5 * ws * np.array([fading_pdf(model, a) for a in amps])
+        conditionals = [hypothesis_state(params, a * a, 0.0, dim, present=True, out_dim=dim,
+                                         trace_deficit_tol=per_copy_deficit_tol).renormalized()
+                        for a in amps]
+    else:
+        conditionals = [rotate_return_phase(
+            hypothesis_state(params, model.kappa, 0.0, dim, present=True, out_dim=dim,
+                             trace_deficit_tol=per_copy_deficit_tol).renormalized(),
+            model.phi)]
+        amp_weights = np.array([1.0])
+    per_copy = np.repeat(np.arange(dim), dim)
+    results = []
+    for m in m_list:
+        rho0_m = tensor_power(rho0, m)
+        acc = amp_weights[0] * tensor_power(conditionals[0], m).data
+        for w, cond in zip(amp_weights[1:], conditionals[1:]):
+            acc += w * tensor_power(cond, m).data
+        if model.is_random:
+            totals = per_copy
+            for _ in range(m - 1):
+                totals = (totals[:, None] + per_copy[None, :]).reshape(-1)
+            acc *= (totals[:, None] - totals[None, :]) % n_phase == 0
+        rho1_m = DensityMatrix(acc / np.trace(acc).real, rho0_m.dims)
+        pr_e = helstrom(rho0_m, rho1_m, pi0)
+        report = qcb(rho0_m, rho1_m, pi0)
+        results.append((m, -math.log(pr_e) / m, report.qcb_exponent / m))
+    return results
 
 
 class TestThermalState:
@@ -198,6 +269,20 @@ class TestCovarianceWeld:
         ref = return_idler_covariance(0.1, 0.5, 0.0, 0.0, present=False)
         assert np.abs(cov - ref.matrix).max() < 1e-6
 
+    def test_marginal_moments_match_kronecker_reference(self, rng):
+        params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
+        displaced = np.kron(coherent_thermal_state(0.7 + 0.3j, 0.2, 20).data,
+                            coherent_thermal_state(-0.4 + 0.5j, 0.1, 15).data)
+        states = [hypothesis_state(params, 0.3, math.pi / 4, 12, present=True),
+                  hypothesis_state(params, 0.0, 0.0, 12, present=False),
+                  DensityMatrix(displaced, (20, 15)),
+                  DensityMatrix(random_density_matrix(30, rng).data, (5, 6))]
+        for state in states:
+            means, cov = wigner_covariance(state)
+            ref_means, ref_cov = kronecker_wigner_covariance(state)
+            assert np.abs(means - ref_means).max() < 1e-12
+            assert np.abs(cov - ref_cov).max() < 1e-12
+
     def test_covariance_structure(self):
         ref = return_idler_covariance(0.1, 0.5, 0.3, 0.7, present=True)
         cov = ref.matrix
@@ -254,6 +339,22 @@ class TestFadingAverage:
         target = thermal_state(n1 + n0, 30).renormalized()
         distance = 0.5 * np.abs(np.linalg.eigvalsh(averaged.data - target.data)).sum()
         assert distance < 1e-4
+
+    def test_validate_check_rotates_one_displacement_per_amplitude(self):
+        # the check builds D(alpha) once per amplitude node and rotates it per
+        # phase; building every (amplitude, phase) node directly gives the same
+        params = SystemParams(M=100.0, N_S=0.01, N_B=0.5, kappa_bar=0.05, epsilon=0.01)
+        n0, n1 = sfg_mean_counts(params)
+        scale = (1 - params.epsilon) * params.M * params.N_S / params.N_B
+
+        def builder(amplitude, phase):
+            alpha = math.sqrt(scale) * amplitude * complex(math.cos(phase), math.sin(phase))
+            return coherent_thermal_state(alpha, n0, 30)
+
+        averaged = fading_average(builder, FadingModel.rayleigh(0.05), (64, 64))
+        target = thermal_state(n1 + n0, 30).renormalized()
+        direct = 0.5 * np.abs(np.linalg.eigvalsh(averaged.data - target.data)).sum()
+        assert check_sfg_fading_average_thermal().measured == pytest.approx(direct, abs=1e-12)
 
     def test_pairwise_accumulator(self, rng):
         acc = _PairwiseAccumulator()
@@ -380,9 +481,85 @@ class TestExponentTrend:
             assert p.chernoff_exponent == pytest.approx(0.0, abs=1e-9)
 
     def test_memory_guard(self):
+        # the blocked solve needs ~0.23 GiB at dim 8, M = 3, and ~53 GiB at M = 4
         params = SystemParams(**self.SURROGATE)
         with pytest.raises(ResourceGuard):
-            fading_exponent_trend(params, [1, 3], dim=8, nodes=(16, 33))
+            fading_exponent_trend(params, [1, 4], dim=8, nodes=(16, 33))
+
+    def test_memory_estimate_tracks_allocation(self):
+        params = SystemParams(**self.SURROGATE)
+        model = FadingModel.deterministic(0.5, 0.7)
+        fading_exponent_trend(params, [1], dim=4, nodes=(16, 33), model=model)
+        tracemalloc.start()
+        try:
+            fading_exponent_trend(params, [3], dim=4, nodes=(16, 33), model=model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2 < _block_bytes(4, 3, None) < 2 * peak
+
+    @pytest.mark.parametrize("dim,m,n_phase", [(3, 3, 33), (4, 2, 8), (5, 2, 8), (3, 3, None)])
+    def test_block_pairs_count_the_blocks(self, dim, m, n_phase):
+        groups = _block_groups(_copy_labels(dim, m, n_phase))
+        assert _block_pairs(dim, m, n_phase) == sum(g.shape[0] * g.shape[1] ** 2 for g in groups)
+        indices = np.sort(np.concatenate([g.ravel() for g in groups]))
+        np.testing.assert_array_equal(indices, np.arange(dim ** (2 * m)))
+
+    @pytest.mark.parametrize("dim,m_max,nodes,model", [
+        (3, 3, (16, 33), None),
+        (4, 2, (16, 33), None),
+        (3, 3, (16, 33), FadingModel.deterministic(0.5, 0.7)),
+        (5, 2, (16, 8), None),    # P = 8 <= largest total return 8: aliasing
+        (5, 2, (16, 33), None),
+    ])
+    def test_blocked_matches_dense(self, dim, m_max, nodes, model):
+        params = SystemParams(**self.SURROGATE)
+        m_list = list(range(1, m_max + 1))
+        blocked = fading_exponent_trend(params, m_list, dim=dim, nodes=nodes, model=model)
+        dense = dense_fading_exponent_trend(params, m_list, dim, nodes, model=model)
+        for point, (m, h, c) in zip(blocked, dense):
+            assert point.copies == m
+            assert point.helstrom_exponent == pytest.approx(h, abs=1e-12)
+            assert point.chernoff_exponent == pytest.approx(c, abs=1e-12)
+
+    def test_phase_grid_aliasing_shows_at_dim_5(self):
+        # at dim 5 the phase grids P = 8 and P = 33 give results ~1e-10 apart,
+        # far above the 1e-12 agreement with the dense reference
+        params = SystemParams(**self.SURROGATE)
+        aliased, exact = (fading_exponent_trend(params, [2], dim=5, nodes=(16, p))[0]
+                          for p in (8, 33))
+        gap = max(abs(aliased.helstrom_exponent - exact.helstrom_exponent),
+                  abs(aliased.chernoff_exponent - exact.chernoff_exponent))
+        assert gap > 1e-11
+        assert aliased.blocks != exact.blocks
+
+    def test_block_layout(self):
+        params = SystemParams(**self.SURROGATE)
+        points = fading_exponent_trend(params, [1, 2, 3], dim=3, nodes=(16, 33))
+        assert [(p.blocks, p.largest_block) for p in points] == [(9, 1), (65, 3), (425, 7)]
+
+    @pytest.mark.parametrize("dim,m_max", [(4, 4), (6, 3)])
+    def test_fading_trend_holds_as_truncation_and_copies_grow(self, dim, m_max):
+        params = SystemParams(**self.SURROGATE)
+        points = fading_exponent_trend(params, range(1, m_max + 1), dim=dim, nodes=(16, 33))
+        estimates = [p.helstrom_exponent for p in points]
+        assert all(b < a for a, b in zip(estimates, estimates[1:]))
+
+    @pytest.mark.parametrize("present", [False, True])
+    def test_weight_outside_the_blocks_is_rejected(self, monkeypatch, present):
+        real = oracle.hypothesis_state
+
+        def leaky(*args, **kwargs):
+            dm = real(*args, **kwargs)
+            if kwargs["present"] is present:
+                # couples (n_R, n_I) = (0, 0) with (0, 1): different n_R - n_I
+                dm.data[0, 1] = dm.data[1, 0] = 1e-9
+            return dm
+
+        monkeypatch.setattr(oracle, "hypothesis_state", leaky)
+        params = SystemParams(**self.SURROGATE)
+        with pytest.raises(ValueError, match="symmetry blocks"):
+            fading_exponent_trend(params, [1, 2], dim=3, nodes=(16, 33))
 
     def test_qcb_vanishes_at_zero_return(self):
         params = SystemParams(**self.SURROGATE)
