@@ -13,13 +13,15 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, oracle
-from .params import ConfigError, FadingModel, InvalidParameter, SystemParams, derived_x, load_config
+from .params import (FIG2A, FIG2B, ConfigError, FadingKind, InvalidParameter, SystemParams,
+                     derived_x, load_config)
 from .validate import run_validation
 
 
@@ -63,22 +65,16 @@ class CurveRecord:
 
 @dataclass(frozen=True)
 class Preset:
-    params: dict
+    params: Mapping
     sweep_log10_m: tuple  # (start exponent, stop exponent, points)
 
 
-# Shared caption values: kappa_bar = 0.01, N_B = 20, epsilon = 0.01, priors 1/2.
-_COMMON = dict(N_B=20.0, kappa_bar=0.01, epsilon=0.01, pi0=0.5)
 PRESETS = {
-    "fig2a": Preset(params=dict(M=10 ** 8.5, N_S=1e-4, **_COMMON),
-                    sweep_log10_m=(7.0, 11.0, 41)),
-    "fig2b": Preset(params=dict(M=10 ** 6.5, N_S=1e-2, **_COMMON),
-                    sweep_log10_m=(5.0, 9.0, 41)),
-    "fig3a": Preset(params=dict(M=10 ** 8.5, N_S=1e-4, **_COMMON),
-                    sweep_log10_m=(7.0, 11.0, 41)),
-    "fig3b": Preset(params=dict(M=10 ** 6.5, N_S=1e-2, **_COMMON),
-                    sweep_log10_m=(5.0, 9.0, 41)),
+    "fig2a": Preset(params=FIG2A, sweep_log10_m=(7.0, 11.0, 41)),
+    "fig2b": Preset(params=FIG2B, sweep_log10_m=(5.0, 9.0, 41)),
 }
+PRESETS["fig3a"] = PRESETS["fig2a"]
+PRESETS["fig3b"] = PRESETS["fig2b"]
 
 
 def _fmt(value) -> str:
@@ -111,10 +107,18 @@ def _csv(header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _load_rayleigh_config(path) -> SystemParams:
+    """Parameters of a config file whose fading model the closed forms cover."""
+    params, model = load_config(path)
+    if model.kind is not FadingKind.RAYLEIGH:
+        raise InvalidParameter("fading.kind", f"{model.kind.value!r} has no closed form; "
+                                              "the analytic receivers assume 'rayleigh'")
+    return params
+
+
 def _resolve_params(args) -> SystemParams:
     if args.config:
-        params, _ = load_config(args.config)
-        return params
+        return _load_rayleigh_config(args.config)
     preset = PRESETS.get(args.preset or "fig2a")
     if preset is None:
         raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
@@ -124,7 +128,7 @@ def _resolve_params(args) -> SystemParams:
 def _resolve_sweep(args) -> SweepSpec:
     preset = PRESETS.get(args.preset or "fig3a")
     if args.config:
-        params, _ = load_config(args.config)
+        params = _load_rayleigh_config(args.config)
         fixed = dict(N_S=params.N_S, N_B=params.N_B, kappa_bar=params.kappa_bar,
                      epsilon=params.epsilon, pi0=params.pi0)
         default_range = (7.0, 11.0, 41)

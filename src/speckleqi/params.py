@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 
 
 class InvalidParameter(ValueError):
@@ -72,6 +73,14 @@ class SystemParams:
     @property
     def high_noise(self) -> bool:
         return self.N_B > 1.0
+
+
+# The paper's two comparison points: shared caption values kappa_bar = 0.01,
+# N_B = 20, epsilon = 0.01 and equal priors, with the same x (see derived_x).
+FIG2A = MappingProxyType(dict(M=10 ** 8.5, N_S=1e-4, N_B=20.0, kappa_bar=0.01,
+                              epsilon=0.01, pi0=0.5))
+FIG2B = MappingProxyType(dict(M=10 ** 6.5, N_S=1e-2, N_B=20.0, kappa_bar=0.01,
+                              epsilon=0.01, pi0=0.5))
 
 
 def derived_x(params: SystemParams) -> float:
@@ -243,4 +252,7 @@ def load_config(path) -> tuple[SystemParams, FadingModel]:
         )
     else:
         raise ConfigError(f"unknown fading.kind: {kind!r}")
+    for key in ("fading.kappa", "fading.phi"):
+        if model.is_random and key in flat:
+            raise ConfigError(f"{key} applies only to fading.kind = deterministic, not {kind!r}")
     return params, model

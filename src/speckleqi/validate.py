@@ -19,10 +19,7 @@ from scipy.integrate import quad
 
 from . import analytic, montecarlo, oracle
 from ._golden import golden_section_min
-from .params import FadingModel, SystemParams, derived_x, fading_pdf
-
-FIG2A = dict(M=10 ** 8.5, N_S=1e-4, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
-FIG2B = dict(M=10 ** 6.5, N_S=1e-2, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
+from .params import FIG2A, FIG2B, FadingModel, SystemParams, derived_x, fading_pdf
 
 
 @dataclass(frozen=True)

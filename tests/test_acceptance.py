@@ -44,9 +44,8 @@ from speckleqi import (
 )
 from speckleqi.cli import main as cli_main
 from speckleqi.montecarlo import _sfg_counts_vector, _stream
+from speckleqi.params import FIG2A, FIG2B
 
-FIG2A = dict(M=10 ** 8.5, N_S=1e-4, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
-FIG2B = dict(M=10 ** 6.5, N_S=1e-2, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
 SURROGATE = dict(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from speckleqi import thermal_state
 from speckleqi.cli import PRESETS, CurveRecord, SweepSpec, main
+from speckleqi.params import FIG2A, FIG2B
 
 
 def run_cli(*argv):
@@ -49,6 +50,14 @@ class TestPresets:
         assert PRESETS["fig2a"].params["M"] == 10 ** 8.5
         assert PRESETS["fig2b"].params["N_S"] == 1e-2
         assert PRESETS["fig2b"].params["M"] == 10 ** 6.5
+
+    def test_one_table_with_fig3_aliases(self):
+        assert PRESETS["fig2a"].params is FIG2A
+        assert PRESETS["fig2b"].params is FIG2B
+        assert PRESETS["fig3a"] is PRESETS["fig2a"]
+        assert PRESETS["fig3b"] is PRESETS["fig2b"]
+        with pytest.raises(TypeError):
+            FIG2A["M"] = 1.0
 
 
 class TestRocCommand:
@@ -195,6 +204,30 @@ class TestExitCodes:
 
     def test_unknown_preset(self):
         assert run_cli("roc", "--preset", "fig9z") == 2
+
+    @pytest.mark.parametrize("command", ["roc", "snr", "bayes-sweep"])
+    @pytest.mark.parametrize("fading", [
+        '"fading.kind": "deterministic", "fading.kappa": 0.01',
+        '"fading.kind": "truncated_rayleigh"',
+    ])
+    def test_fading_kind_without_closed_form(self, tmp_path, capsys, command, fading):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01, %s}' % fading)
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 3
+        assert "fading.kind" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["roc", "snr", "bayes-sweep"])
+    def test_explicit_rayleigh_matches_default(self, tmp_path, command):
+        base = '{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01%s}'
+        outputs = []
+        for extra in ("", ', "fading": {"kind": "rayleigh"}'):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(base % extra)
+            out = tmp_path / f"o{len(outputs)}.csv"
+            assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestValidateCommand:

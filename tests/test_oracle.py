@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 from speckleqi import (
@@ -34,6 +35,7 @@ from speckleqi import (
 )
 from speckleqi import oracle
 from speckleqi.oracle import (
+    _bs_amplitude_matrix,
     _block_bytes,
     _block_groups,
     _block_pairs,
@@ -80,6 +82,71 @@ def reference_beam_splitter_channel(state, kappa, phi, nbar, d_out, env_tail=1e-
             slab = vec[:d_out, e, :].reshape(-1)
             out += env_w[k] * np.outer(slab, slab.conj())
     return out
+
+
+def loop_amplitude_matrix(k, d_sig, r_max, kappa):
+    """Reference beam-splitter amplitudes <r, n+k-r| U |n, k> for one
+    environment level k, each gammaln evaluated on its own grid."""
+    if kappa == 0.0:
+        out = np.zeros((r_max, d_sig))
+        if k < r_max:
+            out[k, :] = (-1.0) ** np.arange(d_sig)
+        return out
+    if kappa == 1.0:
+        out = np.zeros((r_max, d_sig))
+        rng = np.arange(min(d_sig, r_max))
+        out[rng, rng] = 1.0
+        return out
+    lk = 0.5 * math.log(kappa)
+    l1k = 0.5 * math.log1p(-kappa)
+    r = np.arange(r_max)[:, None, None]
+    n = np.arange(d_sig)[None, :, None]
+    p = np.arange(min(d_sig, r_max))[None, None, :]
+    s = n + k - r
+    valid = (s >= 0) & (p <= np.minimum(n, r)) & (p >= np.maximum(0, r - k))
+    pc = np.where(valid, p, 0)
+    log_mag = (
+        gammaln(n + 1) - gammaln(pc + 1) - gammaln(n - pc + 1)
+        + gammaln(k + 1) - gammaln(r - pc + 1) - gammaln(np.maximum(k - r + pc, 0) + 1)
+        + (2 * pc + k - r) * lk + (n + r - 2 * pc) * l1k
+        + 0.5 * (gammaln(r + 1) + gammaln(np.maximum(s, 0) + 1) - gammaln(n + 1) - gammaln(k + 1))
+    )
+    sign = np.where((n - pc) % 2 == 0, 1.0, -1.0)
+    terms = np.where(valid, sign * np.exp(log_mag), 0.0)
+    return terms.sum(axis=2)
+
+
+def loop_return_channel(state, kappa, phi, n_b_eff, out_dim=None, env_tail_tol=1e-12):
+    """Reference return channel: one pass per environment photon number k,
+    and within it one rank-one update per environment output level. Returns
+    the symmetrized output matrix."""
+    d_sig, d_idl = state.dims
+    if kappa == 1.0:
+        return rotate_return_phase(state, phi).data
+    d_env = dim_for_tail(n_b_eff, env_tail_tol)
+    d_out = d_sig + d_env - 1 if out_dim is None else out_dim
+    env_w = _thermal_weights(n_b_eff, d_env)
+    rho_in = state.data.reshape(d_sig, d_idl, d_sig, d_idl)
+    out = np.zeros((d_out, d_idl, d_out, d_idl), dtype=complex)
+    row_phase = np.exp(1j * phi * np.arange(d_out))
+    for k in range(d_env):
+        amp = (loop_amplitude_matrix(k, d_sig, d_out, kappa)
+               * (row_phase * np.exp(-1j * phi * k))[:, None])
+        # environment output level e fixes the (signal -> return) index shift
+        for e in range(max(0, k - d_out + 1), k + d_sig):
+            n_lo = max(0, e - k)
+            n_hi = min(d_sig - 1, e - k + d_out - 1)
+            if n_hi < n_lo:
+                continue
+            ns = np.arange(n_lo, n_hi + 1)
+            rs = ns + k - e
+            v = env_w[k] ** 0.5 * amp[rs, ns]
+            block = rho_in[n_lo:n_hi + 1, :, n_lo:n_hi + 1, :]
+            out[rs[0]:rs[-1] + 1, :, rs[0]:rs[-1] + 1, :] += (
+                v[:, None, None, None] * v.conj()[None, None, :, None] * block
+            )
+    out = out.reshape(d_out * d_idl, d_out * d_idl)
+    return 0.5 * (out + out.conj().T)
 
 
 def kronecker_wigner_covariance(dm):
@@ -247,10 +314,60 @@ class TestReturnChannel:
         with pytest.raises(TruncationTooSmall):
             apply_return_channel(tmsv, 0.5, 0.0, 2.0, out_dim=3)
 
+    def test_output_dim_must_be_positive(self):
+        tmsv = tmsv_state(0.2, 8)
+        with pytest.raises(ValueError, match="out_dim"):
+            apply_return_channel(tmsv, 0.5, 0.0, 0.2, out_dim=0)
+
     def test_environment_guard(self):
         tmsv = tmsv_state(0.2, 8, trace_deficit_tol=1e-4)
         with pytest.raises(TruncationTooSmall):
             apply_return_channel(tmsv, 0.5, 0.0, 1e6, out_dim=8, trace_deficit_tol=0.9)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.989, 1.0])
+    def test_amplitudes_match_per_level_reference(self, kappa):
+        ks = np.array([0, 1, 2, 7, 40, 759])
+        batch = _bs_amplitude_matrix(ks, 5, 9, kappa)
+        assert batch.shape == (ks.size, 9, 5)
+        for k, amp in zip(ks, batch):
+            np.testing.assert_allclose(amp, loop_amplitude_matrix(int(k), 5, 9, kappa),
+                                       rtol=0, atol=1e-14)
+
+    def test_trend_nodes_match_per_level_reference(self):
+        # the 16 Gauss-Legendre amplitudes of the trend: kappa up to 0.989,
+        # environments of up to ~760 photon levels
+        params = SystemParams(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5)
+        tmsv = tmsv_state(params.N_S, 3, trace_deficit_tol=0.05)
+        xs, _ = np.polynomial.legendre.leggauss(16)
+        for amp in 0.5 * (xs + 1.0):
+            kappa = float(amp * amp)
+            n_b_eff = params.N_B / (1.0 - kappa)
+            mine = apply_return_channel(tmsv, kappa, 0.0, n_b_eff, out_dim=3,
+                                        trace_deficit_tol=0.05)
+            ref = loop_return_channel(tmsv, kappa, 0.0, n_b_eff, out_dim=3)
+            assert np.abs(mine.data - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("kappa,phi,n_b_eff", [
+        (0.3, math.pi / 4, 0.5 / 0.7),  # validate's target-present state
+        (0.0, 0.0, 0.5),                # validate's target-absent state
+        (1.0, 0.9, math.inf),
+    ])
+    def test_default_output_matches_per_level_reference(self, kappa, phi, n_b_eff):
+        tmsv = tmsv_state(0.1, 12)
+        mine = apply_return_channel(tmsv, kappa, phi, n_b_eff)
+        ref = loop_return_channel(tmsv, kappa, phi, n_b_eff)
+        assert mine.data.shape == ref.shape
+        assert np.abs(mine.data - ref).max() <= 1e-14
+
+    def test_environment_across_amplitude_chunks(self):
+        # a hot environment: d_env = 2777 levels at dim 3 / out_dim 3 span
+        # several amplitude chunks of 27 grid elements per level
+        tmsv = tmsv_state(0.1, 3, trace_deficit_tol=0.05)
+        assert dim_for_tail(100.0, 1e-12) > oracle._AMPLITUDE_GRID // 27
+        mine = apply_return_channel(tmsv, 0.997, 0.6, 100.0, out_dim=3,
+                                    trace_deficit_tol=0.05)
+        ref = loop_return_channel(tmsv, 0.997, 0.6, 100.0, out_dim=3)
+        assert np.abs(mine.data - ref).max() <= 1e-14
 
 
 class TestCovarianceWeld:
@@ -532,6 +649,17 @@ class TestExponentTrend:
                   abs(aliased.chernoff_exponent - exact.chernoff_exponent))
         assert gap > 1e-11
         assert aliased.blocks != exact.blocks
+
+    def test_trend_converges_in_amplitude_nodes(self):
+        # the node nearest amplitude 1 needs an environment of ~4,700 levels
+        # at 40 nodes and ~12,000 at 64
+        params = SystemParams(**self.SURROGATE)
+        base = fading_exponent_trend(params, [1, 2, 3], dim=3, nodes=(16, 33))
+        for n_amp in (40, 64):
+            points = fading_exponent_trend(params, [1, 2, 3], dim=3, nodes=(n_amp, 33))
+            for p, q in zip(points, base):
+                assert p.helstrom_exponent == pytest.approx(q.helstrom_exponent, abs=1e-12)
+                assert p.chernoff_exponent == pytest.approx(q.chernoff_exponent, abs=1e-12)
 
     def test_block_layout(self):
         params = SystemParams(**self.SURROGATE)

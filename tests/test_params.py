@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -169,6 +170,19 @@ class TestConfigLoading:
         f = tmp_path / "c.json"
         f.write_text('{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, "bogus": 1}')
         with pytest.raises(ConfigError, match="bogus"):
+            load_config(f)
+
+    @pytest.mark.parametrize("kind,key", [
+        (None, "fading.kappa"),
+        ("rayleigh", "fading.kappa"),
+        ("rayleigh", "fading.phi"),
+        ("truncated_rayleigh", "fading.phi"),
+    ])
+    def test_deterministic_keys_rejected_for_random_kinds(self, tmp_path, kind, key):
+        f = tmp_path / "c.json"
+        fading = {key: 0.3} if kind is None else {"fading.kind": kind, key: 0.3}
+        f.write_text(json.dumps({"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, **fading}))
+        with pytest.raises(ConfigError, match=key):
             load_config(f)
 
     def test_unreadable(self, tmp_path):
