@@ -20,10 +20,12 @@ from .params import (
 from .analytic import (
     AsymptoticsInvalid,
     BayesResult,
+    BayesSweep,
     DegenerateDiscrimination,
     OpaConfig,
     RocCurve,
     RocInterpolation,
+    bayes_sweep,
     ci_bayes,
     ci_bayes_asymptotic,
     ci_detection_probability,

@@ -16,17 +16,24 @@ Three receivers are covered:
 
 All probability products are evaluated in log space so thresholds in the
 hundreds and false-alarm probabilities near 1e-15 stay representable.
+
+The Bayes-error closed forms are written once, for an array of operating
+points (``bayes_sweep``); the scalar entry points are one-point uses of the
+same code. Their logarithms, exponentials and powers go through ``math``
+element by element, because numpy's vectorised versions may differ from libm
+in the last ulp, and a sweep must print the same bytes as its points.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .params import SystemParams, derived_x
+from .params import InvalidParameter, SystemParams, derived_x
 
 
 class DegenerateDiscrimination(ValueError):
@@ -113,6 +120,25 @@ class BayesResult:
 
 
 @dataclass(frozen=True)
+class BayesSweep:
+    """Minimum error probabilities over an array of mode counts M, the other
+    parameters fixed; one entry per M.
+
+    sfg_threshold is the integer photon-count threshold (-1: always declare),
+    NaN where the SFG test is degenerate (N1 <= N0, or pi0 in {0, 1});
+    ci_asymptotic is NaN where x <= 1, outside its validity region.
+    """
+
+    M: np.ndarray
+    x: np.ndarray
+    sfg_threshold: np.ndarray
+    sfg_p_error: np.ndarray
+    sfg_limit: np.ndarray
+    ci_p_error: np.ndarray
+    ci_asymptotic: np.ndarray
+
+
+@dataclass(frozen=True)
 class OpaConfig:
     """OPA receiver gain setting G = 1 + gain_minus_one.
 
@@ -130,28 +156,112 @@ class OpaConfig:
             raise ValueError("gain_minus_one must be > 0")
 
 
+def _libm(fn, *arrays) -> np.ndarray:
+    # fn (math.log, math.exp, ...) element by element on the arrays' floats
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
 # =============================================================================
 # SFG receiver
 # =============================================================================
 
-def sfg_mean_counts(params: SystemParams) -> tuple[float, float]:
+def sfg_mean_counts(params: SystemParams, M=None) -> tuple:
     """Mean total photon counts (N0, N1) of the SFG receiver under h=0 / h=1.
 
     N0 = -N_S*ln(epsilon)/2 is the count from the unconverted-signal taps;
     N1 = (1-epsilon)*M*kappa_bar*N_S/N_B is the fading-averaged converted
     signal, which is thermal (Bose-Einstein) because the Rayleigh-fading
-    mixture of coherent states is a thermal state.
+    mixture of coherent states is a thermal state. M, when given, replaces
+    params.M; an array gives N1 element-wise.
     """
     n0 = -params.N_S * math.log(params.epsilon) / 2.0
-    n1 = (1.0 - params.epsilon) * derived_x(params)
+    n1 = (1.0 - params.epsilon) * derived_x(params, M)
     return n0, n1
 
 
-def _log_weight(log_pi: float, mean: float, n: int) -> float:
-    # log[ pi * mean^n / (mean+1)^(n+1) ], with 0^0 = 1
+def _mean_logs(mean):
+    # (log mean, log(mean+1)) of a Bose-Einstein mean, None for a zero mean
+    if isinstance(mean, np.ndarray):
+        return _libm(math.log, mean), _libm(math.log, mean + 1.0)
     if mean == 0.0:
-        return log_pi if n == 0 else -math.inf
-    return log_pi + n * math.log(mean) - (n + 1) * math.log(mean + 1.0)
+        return None
+    return math.log(mean), math.log(mean + 1.0)
+
+
+def _log_weight(log_pi, logs, n):
+    # log[ pi * mean^n / (mean+1)^(n+1) ]; a zero mean (logs None) has 0^0 = 1
+    if logs is None:
+        return np.where(n == 0, log_pi, -np.inf)
+    return log_pi + n * logs[0] - (n + 1) * logs[1]
+
+
+def _log_tail(logs, n_t):
+    # log P(count > n_t) = (n_t+1) * log(mean/(mean+1))
+    if logs is None:
+        return np.where(n_t < 0, 0.0, -np.inf)
+    return (n_t + 1) * (logs[0] - logs[1])
+
+
+def _sfg_thresholds(logs0, logs1, pi0: float) -> np.ndarray:
+    """Minimum-error thresholds n_t (float, integer valued) from the _mean_logs of
+    a scalar n0 and of an array n1 > n0, for 0 < pi0 < 1.
+
+    margin(n) is affine and strictly decreasing in n; each threshold is solved
+    for, then any floating-point off-by-one is repaired against the exact
+    inequalities, the repair loops running over the rows still moving.
+    """
+    log_pi0, log_pi1 = math.log(pi0), math.log1p(-pi0)
+    l1, l1p = logs1
+
+    def margin(n, rows):
+        return _log_weight(log_pi0, logs0, n) - _log_weight(log_pi1, (l1[rows], l1p[rows]), n)
+
+    m0 = margin(0, slice(None))
+    declare = m0 < 0.0
+    if logs0 is None:
+        return np.where(declare, -1.0, 0.0)
+    # where n1 is so close to n0 that the logarithms tie, margin(n) is flat
+    # and no threshold separates the hypotheses: NaN
+    slope = logs0[0] - l1 + l1p - logs0[1]
+    n_t = np.where(declare, -1.0, np.where(slope < 0.0, 0.0, np.nan))
+    rows = np.flatnonzero(~declare & (slope < 0.0))
+    cand = np.maximum(np.floor(-m0[rows] / slope[rows] + 1e-12), 0.0)
+    moving = np.arange(rows.size)
+    while moving.size:
+        moving = moving[margin(cand[moving] + 1, rows[moving]) >= 0.0]
+        cand[moving] += 1
+    moving = np.flatnonzero(cand > 0)
+    while moving.size:
+        moving = moving[margin(cand[moving], rows[moving]) < 0.0]
+        cand[moving] -= 1
+        moving = moving[cand[moving] > 0]
+    n_t[rows] = cand
+    return n_t
+
+
+def _sfg_test(n0: float, n1: np.ndarray, pi0: float) -> tuple:
+    """(threshold, P_F, P_D, P_error) of the minimum-error SFG test for each entry
+    of n1. Where the test is degenerate (N1 <= N0 or indistinguishable from it,
+    or pi0 in {0, 1}) the fixed prior decision leaves P_error = min(pi0, pi1)
+    and the rest NaN."""
+    threshold = np.full(n1.shape, np.nan)
+    p_f, p_d = threshold.copy(), threshold.copy()
+    if 0.0 < pi0 < 1.0:
+        live = n1 > n0
+        logs0, logs1 = _mean_logs(n0), _mean_logs(n1[live])
+        threshold[live] = n_t = _sfg_thresholds(logs0, logs1, pi0)
+        p_f[live] = _libm(math.exp, _log_tail(logs0, n_t))
+        p_d[live] = _libm(math.exp, _log_tail(logs1, n_t))
+    p_error = pi0 * p_f + (1.0 - pi0) * (1.0 - p_d)
+    p_error[np.isnan(threshold)] = min(pi0, 1.0 - pi0)
+    return threshold, p_f, p_d, p_error
+
+
+def _require_test(n0: float, n1: float, pi0: float) -> None:
+    if not 0.0 < pi0 < 1.0:
+        raise ValueError("pi0 must lie in (0, 1)")
+    if n1 <= n0:
+        raise DegenerateDiscrimination(f"N1 = {n1} must exceed N0 = {n0}")
 
 
 def sfg_threshold(n0: float, n1: float, pi0: float) -> int:
@@ -162,35 +272,12 @@ def sfg_threshold(n0: float, n1: float, pi0: float) -> int:
     "absent". Returns -1 in the always-declare corner (possible only for
     strongly skewed priors). Raises DegenerateDiscrimination when n1 <= n0.
     """
-    if not 0.0 < pi0 < 1.0:
-        raise ValueError("pi0 must lie in (0, 1)")
-    if n1 <= n0:
-        raise DegenerateDiscrimination(f"N1 = {n1} must exceed N0 = {n0}")
-    log_pi0, log_pi1 = math.log(pi0), math.log1p(-pi0)
-
-    def margin(n: int) -> float:
-        return _log_weight(log_pi0, n0, n) - _log_weight(log_pi1, n1, n)
-
-    if margin(0) < 0.0:
-        return -1
-    if n0 == 0.0:
-        return 0
-    # margin(n) is affine and strictly decreasing in n; solve then repair
-    # any floating-point off-by-one against the exact inequalities.
-    slope = math.log(n0) - math.log(n1) + math.log(n1 + 1.0) - math.log(n0 + 1.0)
-    cand = max(0, math.floor(-margin(0) / slope + 1e-12))
-    while margin(cand + 1) >= 0.0:
-        cand += 1
-    while cand > 0 and margin(cand) < 0.0:
-        cand -= 1
-    return cand
-
-
-def _log_tail(mean: float, n_t: int) -> float:
-    # log P(count > n_t) = (n_t+1) * log(mean/(mean+1))
-    if mean == 0.0:
-        return 0.0 if n_t < 0 else -math.inf
-    return (n_t + 1) * (math.log(mean) - math.log(mean + 1.0))
+    _require_test(n0, n1, pi0)
+    n_t = _sfg_thresholds(_mean_logs(n0), _mean_logs(np.array([n1], dtype=float)), pi0).item()
+    if math.isnan(n_t):
+        raise DegenerateDiscrimination(f"N1 = {n1} and N0 = {n0} are not distinguishable "
+                                       "in floating point")
+    return int(n_t)
 
 
 def sfg_roc(params: SystemParams, p_f_floor: float = 1e-15) -> RocCurve:
@@ -205,52 +292,45 @@ def sfg_roc(params: SystemParams, p_f_floor: float = 1e-15) -> RocCurve:
         pts = [(0.0, 0.0), (1.0, 1.0)]
         th = [np.inf, -1.0]
         return RocCurve(np.array(pts), RocInterpolation.RANDOMIZED_SEGMENTS, np.array(th))
+    logs0, logs1 = _mean_logs(n0), _mean_logs(n1)
     log_floor = math.log(p_f_floor)
     n_max = 0
-    while _log_tail(n0, n_max) >= log_floor:
+    while _log_tail(logs0, n_max) >= log_floor:
         n_max += 1
-    points = [(0.0, 0.0)]
-    thresholds = [np.inf]
-    for n_t in range(n_max, -1, -1):
-        points.append((math.exp(_log_tail(n0, n_t)), math.exp(_log_tail(n1, n_t))))
-        thresholds.append(float(n_t))
-    points.append((1.0, 1.0))
-    thresholds.append(-1.0)
-    return RocCurve(np.array(points), RocInterpolation.RANDOMIZED_SEGMENTS,
-                    np.array(thresholds))
+    n_t = np.arange(n_max, -1, -1)
+    points = np.column_stack([_libm(math.exp, _log_tail(logs0, n_t)),
+                              _libm(math.exp, _log_tail(logs1, n_t))])
+    points = np.vstack([[0.0, 0.0], points, [1.0, 1.0]])
+    thresholds = np.concatenate([[np.inf], n_t, [-1.0]])
+    return RocCurve(points, RocInterpolation.RANDOMIZED_SEGMENTS, thresholds)
 
 
 def sfg_bayes(params: SystemParams) -> BayesResult:
-    """Minimum error probability of the SFG threshold test for the stored priors."""
-    n0, n1 = sfg_mean_counts(params)
-    pi0, pi1 = params.pi0, params.pi1
-    try:
-        n_t = sfg_threshold(n0, n1, pi0)
-    except DegenerateDiscrimination:
-        return BayesResult(threshold=None, p_false_alarm=None, p_detect=None,
-                           p_error=min(pi0, pi1))
-    except ValueError:
-        # degenerate priors: the fixed decision pi0 >= pi1 ? absent : present
-        return BayesResult(threshold=None, p_false_alarm=None, p_detect=None,
-                           p_error=min(pi0, pi1))
-    p_f = math.exp(_log_tail(n0, n_t))
-    p_d = math.exp(_log_tail(n1, n_t))
-    return BayesResult(threshold=n_t, p_false_alarm=p_f, p_detect=p_d,
-                       p_error=pi0 * p_f + pi1 * (1.0 - p_d))
+    """Minimum error probability of the SFG threshold test for the stored priors.
+
+    Degenerate discrimination (N1 <= N0) and degenerate priors leave the fixed
+    decision by the larger prior: threshold None, error min(pi0, pi1)."""
+    n0, n1 = sfg_mean_counts(params, np.array([params.M]))
+    n_t, p_f, p_d, p_error = (c.item() for c in _sfg_test(n0, n1, params.pi0))
+    if n_t != n_t:  # NaN: no test applies
+        return BayesResult(threshold=None, p_false_alarm=None, p_detect=None, p_error=p_error)
+    return BayesResult(threshold=int(n_t), p_false_alarm=p_f, p_detect=p_d, p_error=p_error)
+
+
+def _sfg_limit(pi1: float, x):
+    return pi1 / (1.0 + x)
 
 
 def sfg_bayes_limit(params: SystemParams) -> float:
     """Vanishing-brightness limit of the SFG error probability, pi1/(1 + x)."""
-    return params.pi1 / (1.0 + derived_x(params))
+    return _sfg_limit(params.pi1, derived_x(params))
 
 
 def threshold_test_error(n0: float, n1: float, pi0: float) -> float:
     """Minimum error of the photon-count threshold test between two
     Bose-Einstein count distributions with means n0 < n1."""
-    n_t = sfg_threshold(n0, n1, pi0)
-    p_f = math.exp(_log_tail(n0, n_t))
-    p_d = math.exp(_log_tail(n1, n_t))
-    return pi0 * p_f + (1.0 - pi0) * (1.0 - p_d)
+    _require_test(n0, n1, pi0)
+    return _sfg_test(n0, np.array([n1], dtype=float), pi0)[3].item()
 
 
 # =============================================================================
@@ -274,28 +354,44 @@ def ci_detection_probability(params: SystemParams, p_f: float) -> float:
     return p_f ** (1.0 / (1.0 + derived_x(params)))
 
 
-def ci_bayes(params: SystemParams) -> BayesResult:
-    """Minimum error probability of the CI receiver; threshold holds the optimal P_F.
+def _ci_test(x: np.ndarray, pi0: float) -> tuple:
+    """(P_F, P_D, P_error) of the minimum-error CI test for each entry of x.
 
     The objective pi0*P_F + pi1*(1 - P_F^(1/(1+x))) is convex in P_F; its
     stationary point P_F* = [pi1/(pi0*(1+x))]^((1+x)/x), clamped to [0, 1],
-    is the exact minimizer.
+    is the exact minimizer. At x = 0 the larger prior decides.
     """
-    x = derived_x(params)
-    pi0, pi1 = params.pi0, params.pi1
+    pi1 = 1.0 - pi0
     if pi1 == 0.0:
-        return BayesResult(threshold=0.0, p_false_alarm=0.0, p_detect=0.0, p_error=0.0)
+        return np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
     if pi0 == 0.0:
-        return BayesResult(threshold=1.0, p_false_alarm=1.0, p_detect=1.0, p_error=0.0)
-    if x == 0.0:
-        p_f = 0.0 if pi0 >= pi1 else 1.0
-        return BayesResult(threshold=p_f, p_false_alarm=p_f, p_detect=p_f,
-                           p_error=min(pi0, pi1))
-    log_pf = (1.0 + x) / x * (math.log(pi1) - math.log(pi0) - math.log1p(x))
-    p_f = math.exp(min(log_pf, 0.0))
-    p_d = p_f ** (1.0 / (1.0 + x))
-    return BayesResult(threshold=p_f, p_false_alarm=p_f, p_detect=p_d,
-                       p_error=pi0 * p_f + pi1 * (1.0 - p_d))
+        return np.ones(x.shape), np.ones(x.shape), np.zeros(x.shape)
+    p_f = np.full(x.shape, 0.0 if pi0 >= pi1 else 1.0)
+    p_d = p_f.copy()
+    p_error = np.full(x.shape, min(pi0, pi1))
+    live = x != 0.0
+    xl = x[live]
+    log_pf = (1.0 + xl) / xl * (math.log(pi1) - math.log(pi0) - _libm(math.log1p, xl))
+    pf = _libm(math.exp, np.minimum(log_pf, 0.0))
+    pd = _libm(operator.pow, pf, 1.0 / (1.0 + xl))
+    p_f[live], p_d[live] = pf, pd
+    p_error[live] = pi0 * pf + pi1 * (1.0 - pd)
+    return p_f, p_d, p_error
+
+
+def ci_bayes(params: SystemParams) -> BayesResult:
+    """Minimum error probability of the CI receiver; threshold holds the optimal P_F."""
+    p_f, p_d, p_error = (c.item() for c in _ci_test(np.array([derived_x(params)]), params.pi0))
+    return BayesResult(threshold=p_f, p_false_alarm=p_f, p_detect=p_d, p_error=p_error)
+
+
+def _ci_asymptotic(pi1: float, x: np.ndarray) -> np.ndarray:
+    # pi1*ln(x)/x where x > 1, NaN elsewhere
+    out = np.full(x.shape, np.nan)
+    valid = x > 1.0
+    xv = x[valid]
+    out[valid] = pi1 * _libm(math.log, xv) / xv
+    return out
 
 
 def ci_bayes_asymptotic(params: SystemParams) -> float:
@@ -303,7 +399,27 @@ def ci_bayes_asymptotic(params: SystemParams) -> float:
     x = derived_x(params)
     if x <= 1.0:
         raise AsymptoticsInvalid(f"requires x > 1, got x = {x}")
-    return params.pi1 * math.log(x) / x
+    return _ci_asymptotic(params.pi1, np.array([x])).item()
+
+
+def bayes_sweep(params: SystemParams, M) -> BayesSweep:
+    """SFG and CI minimum error probabilities, the SFG low-brightness limit and
+    the CI asymptote at every mode count in M, in one array pass.
+
+    params supplies N_S, N_B, kappa_bar, epsilon and the priors; its own M is
+    not used. Every entry equals the scalar sfg_bayes / ci_bayes /
+    sfg_bayes_limit / ci_bayes_asymptotic at that M, bit for bit.
+    """
+    M = np.asarray(M, dtype=float)
+    if not np.all((M > 0) & (M < np.inf)):
+        raise InvalidParameter("M", "must be finite and > 0")
+    x = derived_x(params, M)
+    n0, n1 = sfg_mean_counts(params, M)
+    threshold, _, _, sfg_error = _sfg_test(n0, n1, params.pi0)
+    return BayesSweep(M=M, x=x, sfg_threshold=threshold, sfg_p_error=sfg_error,
+                      sfg_limit=_sfg_limit(params.pi1, x),
+                      ci_p_error=_ci_test(x, params.pi0)[2],
+                      ci_asymptotic=_ci_asymptotic(params.pi1, x))
 
 
 def ci_snr(params: SystemParams) -> float:

@@ -2,7 +2,7 @@
 cross-validation runs, and small-state discrimination reports.
 
 Output is CSV (fixed 17-significant-digit scientific notation, so identical
-configurations diff clean) or JSON. Exit codes: 0 success, 1 a validation
+configurations diff clean) or JSON (null for non-finite values). Exit codes: 0 success, 1 a validation
 check failed, 2 unreadable input, 3 invalid parameters (the message names the
 offending field).
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytic, oracle
 from .params import (FIG2A, FIG2B, ConfigError, FadingKind, InvalidParameter, SystemParams,
-                     derived_x, load_config)
+                     load_config)
 from .validate import run_validation
 
 
@@ -36,7 +36,8 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("sweep values must be nonempty")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        values = np.asarray(self.values)
+        if np.any(values[1:] <= values[:-1]):
             raise ValueError("sweep values must be strictly increasing")
 
     @classmethod
@@ -47,7 +48,7 @@ class SweepSpec:
         if points == 1:
             values = (10.0 ** start_exp,)
         else:
-            values = tuple(np.logspace(start_exp, stop_exp, points))
+            values = tuple(np.logspace(start_exp, stop_exp, points).tolist())
         return cls(axis=axis, values=values, fixed=fixed)
 
 
@@ -77,6 +78,11 @@ PRESETS["fig3a"] = PRESETS["fig2a"]
 PRESETS["fig3b"] = PRESETS["fig2b"]
 
 
+# The one CSV float rule: 17 significant digits, so identical configurations
+# diff clean; it also prints inf, -inf and nan.
+_FLOAT = "%.16e"
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -86,12 +92,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.16e}"
+    return _FLOAT % value
 
 
 def _emit(text: str, out_path) -> None:
@@ -99,6 +100,23 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
     else:
         Path(out_path).write_text(text)
+
+
+def _json_safe(obj):
+    # non-finite floats become null (the CSV's empty field); strict JSON has no NaN
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def _emit_json(payload, out_path) -> None:
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False,
+                      default=lambda v: _json_safe(float(v)))
+    _emit(text + "\n", out_path)
 
 
 def _csv(header: list, rows: list) -> str:
@@ -169,48 +187,62 @@ def cmd_roc(args) -> int:
     rows.sort(key=lambda r: (r[0], r[3], r[1]))
     header = ["receiver", "point_kind", "threshold", "p_false_alarm", "p_detect"]
     if args.format == "json":
-        payload = [dict(zip(header, r)) for r in rows]
-        _emit(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n", args.out)
+        _emit_json([dict(zip(header, r)) for r in rows], args.out)
     else:
         _emit(_csv(header, rows), args.out)
     return 0
 
 
+_SWEEP_HEADER = ["log10_M", "M", "x", "sfg_threshold", "p_error_sfg", "p_error_sfg_limit",
+                 "p_error_ci", "p_error_ci_asymptotic", "threshold_jump"]
+
+
+def _sweep_template(has_threshold: bool, has_asymptotic: bool) -> str:
+    # "%.0s" consumes a blank field's value and prints nothing
+    blank = "%.0s"
+    return ",".join([_FLOAT] * 3 + ["%d" if has_threshold else blank] + [_FLOAT] * 3
+                    + [_FLOAT if has_asymptotic else blank, "%d"])
+
+
+def _sweep_csv(sweep: analytic.BayesSweep) -> str:
+    """CSV text of a sweep, one %-template per row shape (a threshold and an
+    asymptotic value present or blank)."""
+    templates = [_sweep_template(t, a) for t in (False, True) for a in (False, True)]
+    n_t = sweep.sfg_threshold
+    jump = np.zeros(n_t.shape, dtype=bool)
+    jump[1:] = n_t[1:] > n_t[:-1]  # NaN (no threshold) never jumps nor is jumped from
+    shape = 2 * ~np.isnan(n_t) + ~np.isnan(sweep.ci_asymptotic)
+    m = sweep.M.tolist()
+    columns = (sweep.x, n_t, sweep.sfg_p_error, sweep.sfg_limit, sweep.ci_p_error,
+               sweep.ci_asymptotic, jump)
+    rows = zip(map(math.log10, m), m, *(c.tolist() for c in columns))
+    lines = [",".join(_SWEEP_HEADER)]
+    lines.extend(templates[k] % row for k, row in zip(shape.tolist(), rows))
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_records(sweep: analytic.BayesSweep) -> list:
+    records = []
+    for m, sfg, limit, ci, ci_asym in zip(sweep.M.tolist(), sweep.sfg_p_error.tolist(),
+                                          sweep.sfg_limit.tolist(), sweep.ci_p_error.tolist(),
+                                          sweep.ci_asymptotic.tolist()):
+        records.extend([
+            CurveRecord("sfg", m, "p_error", sfg),
+            CurveRecord("sfg", m, "p_error_low_brightness_limit", limit),
+            CurveRecord("ci", m, "p_error", ci),
+            CurveRecord("ci", m, "p_error_asymptotic", ci_asym),
+        ])
+    return records
+
+
 def cmd_bayes_sweep(args) -> int:
     spec = _resolve_sweep(args)
-    rows = []
-    records = []
-    previous_nt = None
-    for m in spec.values:
-        params = SystemParams(M=float(m), **spec.fixed)
-        x = derived_x(params)
-        sfg = analytic.sfg_bayes(params)
-        ci = analytic.ci_bayes(params)
-        limit = analytic.sfg_bayes_limit(params)
-        try:
-            ci_asym = analytic.ci_bayes_asymptotic(params)
-        except analytic.AsymptoticsInvalid:
-            ci_asym = None
-        n_t = sfg.threshold
-        jump = previous_nt is not None and n_t is not None and n_t > previous_nt
-        previous_nt = n_t
-        rows.append((math.log10(m), m, x, n_t, sfg.p_error, limit, ci.p_error,
-                     ci_asym, jump))
-        records.extend([
-            CurveRecord("sfg", float(m), "p_error", sfg.p_error),
-            CurveRecord("sfg", float(m), "p_error_low_brightness_limit", limit),
-            CurveRecord("ci", float(m), "p_error", ci.p_error),
-            CurveRecord("ci", float(m), "p_error_asymptotic",
-                        ci_asym if ci_asym is not None else math.nan),
-        ])
-    header = ["log10_M", "M", "x", "sfg_threshold", "p_error_sfg",
-              "p_error_sfg_limit", "p_error_ci", "p_error_ci_asymptotic",
-              "threshold_jump"]
+    params = SystemParams(M=spec.values[0], **spec.fixed)
+    sweep = analytic.bayes_sweep(params, spec.values)
     if args.format == "json":
-        payload = [r.__dict__ for r in records]
-        _emit(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n", args.out)
+        _emit_json([r.__dict__ for r in _sweep_records(sweep)], args.out)
     else:
-        _emit(_csv(header, rows), args.out)
+        _emit(_sweep_csv(sweep), args.out)
     return 0
 
 
@@ -227,8 +259,7 @@ def cmd_snr(args) -> int:
               "opa_snr_known", "ci_snr", "ratio_known_to_fading",
               "ratio_fading_to_ci"]
     if args.format == "json":
-        _emit(json.dumps(dict(zip(header, rows[0])), indent=2, sort_keys=True,
-                         default=float) + "\n", args.out)
+        _emit_json(dict(zip(header, rows[0])), args.out)
     else:
         _emit(_csv(header, rows), args.out)
     return 0
@@ -249,7 +280,7 @@ def cmd_validate(args) -> int:
         only=only,
         mean_counts_fn=_broken_mean_counts if args.inject_bad_n0 else None,
     )
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(report, args.out)
     return 0 if report["all_pass"] else 1
 
 
@@ -286,7 +317,7 @@ def cmd_oracle(args) -> int:
         "optimal_s": report.optimal_s,
         "single_copy_bound": 0.5 * math.exp(-report.qcb_exponent),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(payload, args.out)
     return 0
 
 

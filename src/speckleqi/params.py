@@ -83,9 +83,13 @@ FIG2B = MappingProxyType(dict(M=10 ** 6.5, N_S=1e-2, N_B=20.0, kappa_bar=0.01,
                               epsilon=0.01, pi0=0.5))
 
 
-def derived_x(params: SystemParams) -> float:
-    """The recurring dimensionless group x = M * kappa_bar * N_S / N_B."""
-    return params.M * params.kappa_bar * params.N_S / params.N_B
+def derived_x(params: SystemParams, M=None):
+    """The recurring dimensionless group x = M * kappa_bar * N_S / N_B.
+
+    M, when given, replaces params.M; an array gives x element-wise.
+    """
+    m = params.M if M is None else M
+    return m * params.kappa_bar * params.N_S / params.N_B
 
 
 class FadingKind(Enum):

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from speckleqi import (
     AsymptoticsInvalid,
     DegenerateDiscrimination,
+    InvalidParameter,
     OpaConfig,
     RocInterpolation,
     SystemParams,
+    bayes_sweep,
     ci_bayes,
     ci_bayes_asymptotic,
     ci_detection_probability,
@@ -82,6 +84,20 @@ class TestSfgThreshold:
             sfg_threshold(2.0, 1.0, 0.5)
         with pytest.raises(DegenerateDiscrimination):
             sfg_threshold(1.0, 1.0, 0.5)
+
+    def test_zero_absent_mean(self):
+        # a zero count favors "absent" unless pi1/2 > pi0; any positive count is "present"
+        assert sfg_threshold(0.0, 1.0, 0.3) == -1
+        assert sfg_threshold(0.0, 1.0, 0.9) == 0
+        assert threshold_test_error(0.0, 1.0, 0.9) == pytest.approx(0.05, rel=1e-12)
+
+    def test_indistinguishable_means_are_degenerate(self):
+        # n1 one ulp above n0: the logarithms tie and no threshold separates them
+        n0 = 1e-6
+        n1 = math.nextafter(n0, 1.0)
+        with pytest.raises(DegenerateDiscrimination):
+            sfg_threshold(n0, n1, 0.5)
+        assert threshold_test_error(n0, n1, 0.5) == 0.5
 
     def test_always_declare_corner(self):
         # priors so lopsided that even a zero count favors "present"
@@ -332,3 +348,110 @@ class TestDominance:
         for p_f, p_d in curve.points:
             if 0.0 < p_f <= 1e-2:
                 assert p_d > ci_detection_probability(p, p_f)
+
+
+# The per-point closed forms as they were before the batched sweep, kept as a
+# bit-for-bit reference: every log, exp and pow is one libm call on a float.
+def per_point_sfg(params):
+    n0 = -params.N_S * math.log(params.epsilon) / 2.0
+    n1 = (1.0 - params.epsilon) * derived_x(params)
+    pi0, pi1 = params.pi0, params.pi1
+    if not 0.0 < pi0 < 1.0 or n1 <= n0:
+        return None, min(pi0, pi1)
+
+    def weight(log_pi, mean, n):
+        if mean == 0.0:
+            return log_pi if n == 0 else -math.inf
+        return log_pi + n * math.log(mean) - (n + 1) * math.log(mean + 1.0)
+
+    def margin(n):
+        return weight(math.log(pi0), n0, n) - weight(math.log1p(-pi0), n1, n)
+
+    def tail(mean, n_t):
+        if mean == 0.0:
+            return 0.0 if n_t < 0 else -math.inf
+        return (n_t + 1) * (math.log(mean) - math.log(mean + 1.0))
+
+    if margin(0) < 0.0:
+        n_t = -1
+    elif n0 == 0.0:
+        n_t = 0
+    else:
+        slope = math.log(n0) - math.log(n1) + math.log(n1 + 1.0) - math.log(n0 + 1.0)
+        n_t = max(0, math.floor(-margin(0) / slope + 1e-12))
+        while margin(n_t + 1) >= 0.0:
+            n_t += 1
+        while n_t > 0 and margin(n_t) < 0.0:
+            n_t -= 1
+    p_f, p_d = math.exp(tail(n0, n_t)), math.exp(tail(n1, n_t))
+    return n_t, pi0 * p_f + pi1 * (1.0 - p_d)
+
+
+def per_point_ci(params):
+    x = derived_x(params)
+    pi0, pi1 = params.pi0, params.pi1
+    if pi1 == 0.0 or pi0 == 0.0:
+        return 0.0
+    if x == 0.0:
+        return min(pi0, pi1)
+    log_pf = (1.0 + x) / x * (math.log(pi1) - math.log(pi0) - math.log1p(x))
+    p_f = math.exp(min(log_pf, 0.0))
+    return pi0 * p_f + pi1 * (1.0 - p_f ** (1.0 / (1.0 + x)))
+
+
+class TestBayesSweep:
+    # examples: N1 <= N0 at small M; pi0 = 0 and 1; margin(0) < 0 (always
+    # declare, pi0 = 0.02); x <= 1 and x > 1 in one sweep
+    @given(log_m=st.lists(st.floats(-3.0, 13.0), min_size=1, max_size=40, unique=True),
+           n_s=st.floats(1e-6, 1.0), n_b=st.floats(0.1, 100.0),
+           kappa_bar=st.floats(1e-4, 1.0), epsilon=st.floats(1e-4, 0.5),
+           pi0=st.one_of(st.sampled_from([0.0, 1.0, 0.02, 0.5]), st.floats(0.0, 1.0)))
+    @example(log_m=[0.0, 3.0, 4.0, 5.0], n_s=1e-2, n_b=20.0, kappa_bar=0.01,
+             epsilon=0.01, pi0=0.5)
+    @example(log_m=[5.0, 6.0, 7.0, 9.0], n_s=1e-2, n_b=20.0, kappa_bar=0.01,
+             epsilon=0.01, pi0=0.02)
+    @example(log_m=[2.0, 6.0, 10.0], n_s=1e-2, n_b=20.0, kappa_bar=0.01,
+             epsilon=0.01, pi0=0.0)
+    @example(log_m=[2.0, 6.0, 10.0], n_s=1e-2, n_b=20.0, kappa_bar=0.01,
+             epsilon=0.01, pi0=1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_scalar_entry_points(self, log_m, n_s, n_b, kappa_bar, epsilon, pi0):
+        fixed = dict(N_S=n_s, N_B=n_b, kappa_bar=kappa_bar, epsilon=epsilon, pi0=pi0)
+        ms = [10.0 ** e for e in sorted(log_m)]
+        sweep = bayes_sweep(SystemParams(M=1.0, **fixed), ms)
+        for i, m in enumerate(ms):
+            p = SystemParams(M=m, **fixed)
+            sfg, ci = sfg_bayes(p), ci_bayes(p)
+            assert sweep.x[i] == derived_x(p)
+            if sfg.threshold is None:
+                assert math.isnan(sweep.sfg_threshold[i])
+            else:
+                assert sweep.sfg_threshold[i] == sfg.threshold
+            assert sweep.sfg_p_error[i] == sfg.p_error
+            assert sweep.sfg_limit[i] == sfg_bayes_limit(p)
+            assert sweep.ci_p_error[i] == ci.p_error
+            if derived_x(p) > 1.0:
+                assert sweep.ci_asymptotic[i] == ci_bayes_asymptotic(p)
+            else:
+                assert math.isnan(sweep.ci_asymptotic[i])
+                with pytest.raises(AsymptoticsInvalid):
+                    ci_bayes_asymptotic(p)
+            assert (sfg.threshold, sfg.p_error) == per_point_sfg(p)
+            assert ci.p_error == per_point_ci(p)
+
+    def test_corners_are_reached(self):
+        fixed = dict(N_S=1e-2, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
+        declare = bayes_sweep(SystemParams(M=1.0, pi0=0.02, **fixed), [1e5, 1e6, 1e7])
+        assert declare.sfg_threshold.tolist() == [-1.0, -1.0, 0.0]
+        degenerate = bayes_sweep(SystemParams(M=1.0, **fixed), [1e3, 1e4])
+        assert math.isnan(degenerate.sfg_threshold[0]) and degenerate.sfg_threshold[1] == 0
+        assert np.isnan(degenerate.ci_asymptotic).all()
+        for pi0 in (0.0, 1.0):
+            edge = bayes_sweep(SystemParams(M=1.0, pi0=pi0, **fixed), [1e6])
+            assert math.isnan(edge.sfg_threshold[0]) and edge.sfg_p_error[0] == 0.0
+
+    def test_rejects_non_positive_mode_count(self):
+        with pytest.raises(InvalidParameter, match="M"):
+            bayes_sweep(SystemParams(M=1.0, N_S=1e-2, N_B=20.0, kappa_bar=0.01), [1.0, 0.0])
+        with pytest.raises(InvalidParameter, match="M"):
+            bayes_sweep(SystemParams(M=1.0, N_S=1e-2, N_B=20.0, kappa_bar=0.01), [1.0, math.inf])

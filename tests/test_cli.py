@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -28,6 +29,10 @@ class TestTypes:
     def test_sweep_spec_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             SweepSpec(axis="M", values=(1.0, 1.0, 2.0), fixed={})
+
+    def test_sweep_spec_rejects_repeated_infinity(self):
+        with pytest.raises(ValueError):
+            SweepSpec(axis="M", values=(1.0, math.inf, math.inf), fixed={})
 
     def test_log_range_single_point(self):
         spec = SweepSpec.log_range("M", 3.0, 5.0, 1, fixed={})
@@ -161,6 +166,68 @@ class TestBayesSweepCommand:
         assert len(keys) == len(payload)  # one record per (receiver, point, metric)
 
 
+# md5 of `bayes-sweep` CSV output, recorded from the per-point implementation
+# the batched sweep replaced; any change to a byte of any row changes them.
+DECLARE_CONFIG = '{"M": 1e5, "N_S": 0.01, "N_B": 20, "kappa_bar": 0.01, "pi0": 0.02}'
+SWEEP_MD5 = {
+    "fig3a": (["--preset", "fig3a"], "7689474d8f6454880616290d5820b871"),
+    "fig3b": (["--preset", "fig3b"], "e6d0e49239a824dc758ae0ee778e745e"),
+    "fig3a-100k": (["--preset", "fig3a", "--points", "100000"],
+                   "1cdc3eebef527fad2fe2600337e131c5"),
+    "fig3b-100k": (["--preset", "fig3b", "--points", "100000"],
+                   "fde7040e3c5a8bfa68c452fcbaf1df9f"),
+    # degenerate rows (N1 <= N0: empty threshold) and blank asymptotic values
+    "fig3b-degenerate": (["--preset", "fig3b", "--log10-start", "3", "--log10-stop", "5",
+                          "--points", "5"], "0a1af5b211626330f1e002ede04af71e"),
+    # always-declare rows (threshold -1) and the CI false-alarm clamp at 1
+    "always-declare": (["--config", None, "--log10-start", "5", "--log10-stop", "9",
+                        "--points", "5"], "7bdc89f69a7d5c9ad2eb815015b642f8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MD5))
+def test_bayes_sweep_csv_bytes(tmp_path, name):
+    argv, digest = SWEEP_MD5[name]
+    cfg = tmp_path / "declare.json"
+    cfg.write_text(DECLARE_CONFIG)
+    argv = [str(cfg) if a is None else a for a in argv]
+    out = tmp_path / "sweep.csv"
+    assert run_cli("bayes-sweep", *argv, "--out", str(out)) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_sweep_missing_asymptote_is_null(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run_cli("bayes-sweep", "--preset", "fig3b", "--log10-start", "3",
+                       "--log10-stop", "5", "--points", "5", "--format", "json",
+                       "--out", str(out)) == 0
+        payload = strict_json(out.read_text())
+        asym = [r["value"] for r in payload if r["metric"] == "p_error_asymptotic"]
+        assert asym == [None] * 5
+
+    def test_roc_never_declare_threshold_is_null(self, tmp_path):
+        out = tmp_path / "roc.json"
+        assert run_cli("roc", "--preset", "fig2a", "--format", "json", "--out", str(out)) == 0
+        payload = strict_json(out.read_text())
+        never = [r for r in payload if r["receiver"] == "sfg" and r["point_kind"] == "vertex"
+                 and r["p_false_alarm"] == 0.0]
+        assert [r["threshold"] for r in never] == [None]
+
+    def test_snr_infinite_ratio_is_null(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 1e-300}')
+        out = tmp_path / "snr.json"
+        assert run_cli("snr", "--config", str(cfg), "--format", "json", "--out", str(out)) == 0
+        assert strict_json(out.read_text())["ratio_known_to_fading"] is None
+
+
 class TestSnrCommand:
     def test_fig2a_values(self, tmp_path):
         out = tmp_path / "snr.csv"
@@ -200,6 +267,12 @@ class TestExitCodes:
         cfg = tmp_path / "c.json"
         cfg.write_text('{"M": -5, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01}')
         assert run_cli("roc", "--config", str(cfg)) == 3
+        assert "M" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    def test_sweep_overflowing_to_infinite_m(self, capsys):
+        assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", "300",
+                       "--log10-stop", "309", "--points", "3") == 3
         assert "M" in capsys.readouterr().err
 
     def test_unknown_preset(self):
