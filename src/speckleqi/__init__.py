@@ -10,7 +10,6 @@ from .params import (
     ConfigError,
     FadingKind,
     FadingModel,
-    FadingSample,
     InvalidParameter,
     SystemParams,
     derived_x,
@@ -74,9 +73,8 @@ from .montecarlo import (
     Receiver,
     estimate_bayes_error,
     estimate_operating_point,
-    sample_fading,
-    simulate_ci_envelope,
-    simulate_sfg_count,
+    sample_ci_envelopes,
+    sample_sfg_counts,
     wilson_interval,
 )
 

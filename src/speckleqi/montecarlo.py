@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import analytic
-from .params import FadingKind, FadingModel, FadingSample, SystemParams, derived_x
+from .params import FadingKind, FadingModel, SystemParams, derived_x
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _NEG_BINOMIAL_M_CAP = 1e7
@@ -101,15 +101,6 @@ def _sample_kappa(model: FadingModel, rng: np.random.Generator, size: int) -> np
     return np.full(size, model.kappa)
 
 
-def sample_fading(model: FadingModel, rng: np.random.Generator) -> FadingSample:
-    """One draw of (amplitude, phase) from the fading model."""
-    if model.kind is FadingKind.DETERMINISTIC:
-        return FadingSample(amplitude=math.sqrt(model.kappa), phase=model.phi)
-    kappa = float(_sample_kappa(model, rng, 1)[0])
-    phase = float(2.0 * np.pi * rng.random())
-    return FadingSample(amplitude=math.sqrt(kappa), phase=phase)
-
-
 # =============================================================================
 # Receiver output statistics
 # =============================================================================
@@ -125,60 +116,34 @@ def _sfg_noise_counts(params: SystemParams, config: McConfig,
     return rng.poisson(n0, size)
 
 
-def _sfg_signal_intensity(params: SystemParams, kappa) -> np.ndarray:
-    return (1.0 - params.epsilon) * params.M * np.asarray(kappa) * params.N_S / params.N_B
+def sample_sfg_counts(params: SystemParams, present: bool, model: FadingModel,
+                      config: McConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size SFG total photon counts under one hypothesis, one fading draw each.
 
-
-def simulate_sfg_count(params: SystemParams, present: bool, fading: FadingSample,
-                       config: McConfig, rng: np.random.Generator) -> int:
-    """One SFG total photon count given the hypothesis and the fading draw.
-
-    Target absent: noise-only count with mean N0. Target present: direct
-    detection of the conditional coherent state, Poisson with mean
-    (1-epsilon)*M*kappa*N_S/N_B, plus the noise floor when the config says to
-    keep it (the idealized reduction neglects it).
+    Target absent: noise-only counts with mean N0 (model is unused). Target
+    present: direct detection of the conditional coherent state, Poisson with
+    mean (1-epsilon)*M*kappa*N_S/N_B, plus the noise floor when the config
+    says to keep it (the idealized reduction neglects it).
     """
-    if not present:
-        return int(_sfg_noise_counts(params, config, rng, 1)[0])
-    count = int(rng.poisson(_sfg_signal_intensity(params, fading.kappa)))
-    if config.floor_model is FloorModel.WITH_THERMAL_FLOOR:
-        count += int(_sfg_noise_counts(params, config, rng, 1)[0])
-    return count
-
-
-def simulate_ci_envelope(params: SystemParams, present: bool, fading: FadingSample,
-                         rng: np.random.Generator) -> float:
-    """One CI matched-filter envelope power R.
-
-    Target absent: R ~ Exponential(1). Target present, conditioned on the
-    fading draw: R = |G + a e^{i phi}|^2 with G unit complex Gaussian noise and
-    a^2 = kappa*x/kappa_bar, whose Rayleigh-fading marginal is exactly
-    Exponential(1 + x), matching the closed-form ROC exponent.
-    """
-    if not present:
-        return float(rng.exponential(1.0))
-    a = fading.amplitude * math.sqrt(derived_x(params) / params.kappa_bar)
-    g1, g2 = rng.normal(0.0, math.sqrt(0.5), 2)
-    return float((g1 + a * math.cos(fading.phase)) ** 2 + (g2 + a * math.sin(fading.phase)) ** 2)
-
-
-# =============================================================================
-# Vectorized estimators
-# =============================================================================
-
-def _sfg_counts_vector(params: SystemParams, present: bool, model: FadingModel,
-                       config: McConfig, rng: np.random.Generator, size: int) -> np.ndarray:
     if not present:
         return _sfg_noise_counts(params, config, rng, size)
     kappa = _sample_kappa(model, rng, size)
-    counts = rng.poisson(_sfg_signal_intensity(params, kappa))
+    counts = rng.poisson((1.0 - params.epsilon) * params.M * kappa * params.N_S / params.N_B)
     if config.floor_model is FloorModel.WITH_THERMAL_FLOOR:
         counts = counts + _sfg_noise_counts(params, config, rng, size)
     return counts
 
 
-def _ci_envelope_vector(params: SystemParams, present: bool, model: FadingModel,
+def sample_ci_envelopes(params: SystemParams, present: bool, model: FadingModel,
                         rng: np.random.Generator, size: int) -> np.ndarray:
+    """size CI matched-filter envelope powers R under one hypothesis.
+
+    Target absent: R ~ Exponential(1) (model is unused). Target present, given
+    each fading draw: R = |G + a e^{i phi}|^2 with G unit complex Gaussian
+    noise, a^2 = kappa*x/kappa_bar and phi uniform (G is circular, so the
+    phase is unobservable), whose Rayleigh-fading marginal is exactly
+    Exponential(1 + x), matching the closed-form ROC exponent.
+    """
     if not present:
         return rng.exponential(1.0, size)
     kappa = _sample_kappa(model, rng, size)
@@ -188,6 +153,10 @@ def _ci_envelope_vector(params: SystemParams, present: bool, model: FadingModel,
     g2 = rng.normal(0.0, math.sqrt(0.5), size)
     return (g1 + a * np.cos(phase)) ** 2 + (g2 + a * np.sin(phase)) ** 2
 
+
+# =============================================================================
+# Estimators
+# =============================================================================
 
 def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold,
                              config: McConfig,
@@ -204,9 +173,9 @@ def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold
         rng = _stream(config.seed, receiver, hypothesis)
         present = hypothesis == 1
         if receiver is Receiver.SFG:
-            stats = _sfg_counts_vector(params, present, model, config, rng, config.trials)
+            stats = sample_sfg_counts(params, present, model, config, rng, config.trials)
         else:
-            stats = _ci_envelope_vector(params, present, model, rng, config.trials)
+            stats = sample_ci_envelopes(params, present, model, rng, config.trials)
         estimates.append(wilson_interval(int(np.count_nonzero(stats > threshold)),
                                          config.trials))
     return estimates[0], estimates[1]

@@ -427,32 +427,6 @@ def hypothesis_state(params: SystemParams, kappa: float, phi: float, dim: int,
 # Fading average (the unconditional states)
 # =============================================================================
 
-class _PairwiseAccumulator:
-    """Binary-counter pairwise summation: order-stable to ~1e-16 per level,
-    O(log n) extra memory."""
-
-    def __init__(self):
-        self._levels = []
-
-    def add(self, arr: np.ndarray) -> None:
-        carry = arr
-        for i, slot in enumerate(self._levels):
-            if slot is None:
-                self._levels[i] = carry
-                return
-            carry = slot + carry
-            self._levels[i] = None
-        self._levels.append(carry)
-
-    def total(self) -> np.ndarray:
-        acc = None
-        for slot in self._levels:
-            if slot is None:
-                continue
-            acc = slot if acc is None else acc + slot
-        return acc
-
-
 def _amplitude_rule(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, int]:
     """(amplitudes, amplitude weights, phase node count) for a random fading model.
 
@@ -471,43 +445,35 @@ def _amplitude_rule(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, 
     return amps, amp_w, n_phase
 
 
-def quadrature_grid(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(amplitudes, phases, weights[i, j]) for averaging over a random fading model.
-
-    Gauss-Legendre in amplitude on [0, 1] with the fading pdf folded into the
-    weights; uniform (trapezoid on a periodic domain) in phase. Weights sum to
-    the pdf mass captured on [0, 1] (all of it for the truncated kind).
-    """
-    if not model.is_random:
-        raise ValueError("quadrature over a deterministic fading model")
-    amps, amp_w, n_phase = _amplitude_rule(model, nodes)
-    phases = 2.0 * np.pi * np.arange(n_phase) / n_phase
-    weights = amp_w[:, None] * np.full(n_phase, 1.0 / n_phase)[None, :]
-    return amps, phases, weights
-
-
 def fading_average(state_builder, model: FadingModel, quadrature_nodes) -> DensityMatrix:
-    """Average state_builder(amplitude, phase) over the fading distribution.
+    """Average the conditional states over a random fading model.
+
+    state_builder(amplitude) returns the conditional state at return phase 0,
+    return mode first. Amplitudes take the Gauss-Legendre rule on [0, 1] with
+    the fading pdf folded into the weights. The phase acts as
+    R(phi) = exp(i phi n) on the first mode, so the uniform P-node phase grid
+    (the trapezoid rule) averages R rho R^dag to exactly the mask keeping the
+    elements whose first-mode photon numbers agree mod P.
 
     Returns the renormalized (trace-1) unconditional state; the
     pre-renormalization trace shortfall (quadrature mass outside [0, 1] plus
     per-node truncation deficits) is recorded as the trace deficit.
     """
-    amps, phases, weights = quadrature_grid(model, quadrature_nodes)
-    acc = _PairwiseAccumulator()
-    dims = None
-    for i, amp in enumerate(amps):
-        for j, ph in enumerate(phases):
-            dm = state_builder(amp, ph)
-            if dims is None:
-                dims = dm.dims
-            elif dm.dims != dims:
-                raise ValueError("state_builder returned inconsistent dimensions")
-            acc.add(weights[i, j] * dm.data)
-    data = acc.total()
+    if not model.is_random:
+        raise ValueError("quadrature over a deterministic fading model")
+    amps, amp_w, n_phase = _amplitude_rule(model, quadrature_nodes)
+    data, dims = 0.0, None
+    for amp, w in zip(amps, amp_w):
+        dm = state_builder(amp)
+        if dims is None:
+            dims = dm.dims
+        elif dm.dims != dims:
+            raise ValueError("state_builder returned inconsistent dimensions")
+        data = data + w * dm.data
+    n = np.arange(len(data)) // (len(data) // dims[0])
+    data = np.where((n[:, None] - n[None, :]) % n_phase == 0, data, 0.0)
     raw_trace = float(np.trace(data).real)
-    out = DensityMatrix(data / raw_trace, dims, abs(1.0 - raw_trace))
-    return out
+    return DensityMatrix(data / raw_trace, dims, abs(1.0 - raw_trace))
 
 
 # =============================================================================

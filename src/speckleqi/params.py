@@ -44,12 +44,9 @@ class SystemParams:
     pi1: float = field(default=None, init=True)  # derived as 1 - pi0 when omitted
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise InvalidParameter("M", "must be > 0")
-        if not self.N_S > 0:
-            raise InvalidParameter("N_S", "must be > 0")
-        if not self.N_B > 0:
-            raise InvalidParameter("N_B", "must be > 0")
+        for name in ("M", "N_S", "N_B"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidParameter(name, "must be finite and > 0")
         if not 0.0 < self.kappa_bar <= 1.0:
             raise InvalidParameter("kappa_bar", "must lie in (0, 1]")
         if not 0.0 < self.epsilon < 1.0:
@@ -141,18 +138,6 @@ class FadingModel:
     @property
     def is_random(self) -> bool:
         return self.kind is not FadingKind.DETERMINISTIC
-
-
-@dataclass(frozen=True)
-class FadingSample:
-    """One draw of the return: amplitude = sqrt(kappa) >= 0, phase in [0, 2pi)."""
-
-    amplitude: float
-    phase: float
-
-    @property
-    def kappa(self) -> float:
-        return self.amplitude * self.amplitude
 
 
 def fading_pdf(model: FadingModel, amplitude: float) -> float:

@@ -96,12 +96,19 @@ def check_sfg_limit_convergence() -> CheckResult:
                    "SFG error approaches its vanishing-brightness limit as N_S -> 0")
 
 
+def _log_sweep(xs, **fixed) -> tuple[SystemParams, analytic.BayesSweep]:
+    """Closed forms at the mode counts M = x * N_B / (kappa_bar * N_S) that put
+    N_S = 1e-3, N_B = 20, kappa_bar = 0.01 at each x in xs."""
+    ms = [x * 20.0 / (0.01 * 1e-3) for x in xs]
+    params = SystemParams(M=ms[0], N_S=1e-3, N_B=20.0, kappa_bar=0.01, **fixed)
+    return params, analytic.bayes_sweep(params, ms)
+
+
 def check_ci_bayes_minimizer() -> CheckResult:
+    xs = (0.5, 15.811388300841898, 1e2, 1e4)
+    params, sweep = _log_sweep(xs)
     worst = 0.0
-    for x in (0.5, 15.811388300841898, 1e2, 1e4):
-        params = SystemParams(M=x * 20.0 / (0.01 * 1e-3), N_S=1e-3, N_B=20.0,
-                              kappa_bar=0.01)
-        closed = analytic.ci_bayes(params).p_error
+    for x, closed in zip(xs, sweep.ci_p_error.tolist()):
 
         def objective(p_f):
             return params.pi0 * p_f + params.pi1 * (1.0 - p_f ** (1.0 / (1.0 + x)))
@@ -113,12 +120,10 @@ def check_ci_bayes_minimizer() -> CheckResult:
 
 
 def check_ci_vs_sfg_log_factor() -> CheckResult:
-    worst = 0.0
-    for x in (1e2, 1e3, 1e4):
-        params = SystemParams(M=x * 20.0 / (0.01 * 1e-3), N_S=1e-3, N_B=20.0,
-                              kappa_bar=0.01, epsilon=0.01)
-        ratio = analytic.ci_bayes(params).p_error / analytic.sfg_bayes_limit(params)
-        worst = max(worst, abs(ratio / math.log(x) - 1.0))
+    xs = (1e2, 1e3, 1e4)
+    _, sweep = _log_sweep(xs, epsilon=0.01)
+    ratios = (sweep.ci_p_error / sweep.sfg_limit).tolist()
+    worst = max(abs(ratio / math.log(x) - 1.0) for x, ratio in zip(xs, ratios))
     return _result("ci-vs-sfg-log-factor", worst, 0.25,
                    "CI/SFG error ratio tracks ln(x) at large x")
 
@@ -232,19 +237,9 @@ def check_sfg_fading_average_thermal() -> CheckResult:
     n0, n1 = analytic.sfg_mean_counts(params)
     dim = 30
     scale = (1.0 - params.epsilon) * params.M * params.N_S / params.N_B
-    n = np.arange(dim)
-    displaced = {}
 
-    def builder(amplitude, phase):
-        # D(alpha e^{i phase}) = R D(alpha) R^dag with R = diag(e^{i phase n}),
-        # exactly on the truncated space: one displacement per amplitude node
-        if amplitude not in displaced:
-            displaced[amplitude] = oracle.coherent_thermal_state(math.sqrt(scale) * amplitude,
-                                                                 n0, dim)
-        state = displaced[amplitude]
-        r = np.exp(1j * phase * n)
-        return oracle.DensityMatrix(state.data * r[:, None] * r.conj()[None, :], state.dims,
-                                    state.trace_deficit)
+    def builder(amplitude):
+        return oracle.coherent_thermal_state(math.sqrt(scale) * amplitude, n0, dim)
 
     averaged = oracle.fading_average(builder, FadingModel.rayleigh(params.kappa_bar),
                                      (64, 64))

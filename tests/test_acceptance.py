@@ -34,6 +34,7 @@ from speckleqi import (
     opa_snr_known,
     qcb_exponent_at_zero_return,
     return_idler_covariance,
+    sample_sfg_counts,
     sfg_bayes,
     sfg_bayes_limit,
     sfg_mean_counts,
@@ -43,7 +44,7 @@ from speckleqi import (
     wigner_covariance,
 )
 from speckleqi.cli import main as cli_main
-from speckleqi.montecarlo import _sfg_counts_vector, _stream
+from speckleqi.montecarlo import _stream
 from speckleqi.params import FIG2A, FIG2B
 
 SURROGATE = dict(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5)
@@ -166,9 +167,9 @@ def test_criterion_8_monte_carlo_coverage():
             assert estimate_bayes_error(Receiver.CI, params, config).covers(ci.p_error)
             # target-present counts are Bose-Einstein(N1) at the 1% level
             rng = _stream(config.seed, Receiver.SFG, 1)
-            counts = _sfg_counts_vector(params, True,
-                                        FadingModel.rayleigh(params.kappa_bar),
-                                        config, rng, config.trials)
+            counts = sample_sfg_counts(params, True,
+                                       FadingModel.rayleigh(params.kappa_bar),
+                                       config, rng, config.trials)
             _, n1 = sfg_mean_counts(params)
             k = np.arange(120)
             pmf = np.exp(k * math.log(n1) - (k + 1) * math.log(n1 + 1))

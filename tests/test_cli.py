@@ -269,6 +269,18 @@ class TestExitCodes:
         assert run_cli("roc", "--config", str(cfg)) == 3
         assert "M" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["roc", "snr"])
+    @pytest.mark.parametrize("field", ["M", "N_S", "N_B"])
+    def test_non_finite_parameter_names_field(self, tmp_path, capsys, command, field):
+        # JSON reads 1e400 as inf
+        values = {"M": "1e8", "N_S": "1e-4", "N_B": "20", field: "1e400"}
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"M": %(M)s, "N_S": %(N_S)s, "N_B": %(N_B)s, "kappa_bar": 0.01}'
+                       % values)
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 3
+        assert f"invalid parameter {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in power")
     def test_sweep_overflowing_to_infinite_m(self, capsys):
         assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", "300",

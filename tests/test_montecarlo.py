@@ -10,20 +10,21 @@ from speckleqi import (
     FadingModel,
     FloorModel,
     McConfig,
+    McEstimate,
     Receiver,
     SystemParams,
     ci_bayes,
     derived_x,
     estimate_bayes_error,
     estimate_operating_point,
-    sample_fading,
+    sample_ci_envelopes,
+    sample_sfg_counts,
     sfg_bayes,
     sfg_mean_counts,
-    simulate_ci_envelope,
-    simulate_sfg_count,
     wilson_interval,
 )
-from speckleqi.montecarlo import _sample_kappa, _sfg_counts_vector, _stream
+from speckleqi.montecarlo import _sample_kappa, _stream
+from speckleqi.params import FIG2A, FIG2B
 
 # analytic values frozen in test_analytic.py
 SFG_VERTEX_A = (2.3020550252356094e-4, 0.9399517491329434)
@@ -53,11 +54,15 @@ class TestConfigAndIntervals:
 
 
 class TestFadingSampler:
-    def test_deterministic_passthrough(self, rng):
+    def test_deterministic_passthrough(self, fig2a, rng):
+        # a known target passes its kappa through unchanged, so its SFG counts
+        # are Poisson with a fixed mean and carry no fading spread
         model = FadingModel.deterministic(0.36, 1.25)
-        s = sample_fading(model, rng)
-        assert s.amplitude == pytest.approx(0.6)
-        assert s.phase == pytest.approx(1.25)
+        assert np.all(_sample_kappa(model, rng, 1000) == 0.36)
+        counts = sample_sfg_counts(fig2a, True, model, McConfig(trials=100), rng, 20000)
+        mean = (1 - fig2a.epsilon) * fig2a.M * 0.36 * fig2a.N_S / fig2a.N_B
+        assert abs(counts.mean() - mean) < 3 * math.sqrt(mean / 20000)
+        assert counts.var() < 1.1 * mean
 
     def test_rayleigh_moment(self):
         rng = np.random.default_rng(11)
@@ -78,26 +83,29 @@ class TestFadingSampler:
         cdf = lambda t: -np.expm1(-t / 0.5) / -math.expm1(-1 / 0.5)
         assert sps.kstest(kappa, cdf).pvalue > 0.01
 
-    def test_phase_uniform(self):
+    def test_deterministic_envelope_is_noncentral_chi2(self, fig2a):
+        # known amplitude a, a^2 = kappa*x/kappa_bar: 2R ~ ncx2(2, 2a^2)
         rng = np.random.default_rng(14)
-        phases = np.array([sample_fading(FadingModel.rayleigh(0.1), rng).phase
-                           for _ in range(2000)])
-        assert sps.kstest(phases / (2 * np.pi), "uniform").pvalue > 0.01
+        r = sample_ci_envelopes(fig2a, True, FadingModel.deterministic(0.01, 1.25), rng,
+                                20000)
+        a2 = 0.01 * derived_x(fig2a) / fig2a.kappa_bar
+        assert sps.kstest(2 * r, "ncx2", args=(2, 2 * a2)).pvalue > 0.01
 
 
 class TestSfgCounts:
     def test_vanishing_brightness_gives_zero(self, rng):
         p = SystemParams(M=1e4, N_S=1e-12, N_B=20.0, kappa_bar=0.01)
         cfg = McConfig(trials=100, seed=1)
-        s = sample_fading(FadingModel.rayleigh(0.01), rng)
-        assert all(simulate_sfg_count(p, False, s, cfg, rng) == 0 for _ in range(200))
+        for present in (False, True):
+            counts = sample_sfg_counts(p, present, FadingModel.rayleigh(0.01), cfg, rng, 200)
+            assert np.all(counts == 0)
 
     def test_h1_counts_are_bose_einstein(self, fig2a):
         # the load-bearing reduction: Rayleigh-mixed Poisson = thermal counts
         cfg = McConfig(trials=100_000, seed=20260810)
         rng = _stream(cfg.seed, Receiver.SFG, 1)
-        counts = _sfg_counts_vector(fig2a, True, FadingModel.rayleigh(0.01), cfg, rng,
-                                    100_000)
+        counts = sample_sfg_counts(fig2a, True, FadingModel.rayleigh(0.01), cfg, rng,
+                                   100_000)
         _, n1 = sfg_mean_counts(fig2a)
         kmax = 120
         k = np.arange(kmax)
@@ -117,8 +125,8 @@ class TestSfgCounts:
         cfg_nb = McConfig(trials=100, seed=3, count_model=CountModel.EXACT_NEGATIVE_BINOMIAL)
         cfg_po = McConfig(trials=100, seed=3, count_model=CountModel.POISSON_APPROX)
         draws = 10 ** 6
-        nb = _sfg_counts_vector(p, False, None, cfg_nb, np.random.default_rng(3), draws)
-        po = _sfg_counts_vector(p, False, None, cfg_po, np.random.default_rng(4), draws)
+        nb = sample_sfg_counts(p, False, None, cfg_nb, np.random.default_rng(3), draws)
+        po = sample_sfg_counts(p, False, None, cfg_po, np.random.default_rng(4), draws)
         top = max(nb.max(), po.max()) + 1
         pmf_nb = np.bincount(nb, minlength=top) / draws
         pmf_po = np.bincount(po, minlength=top) / draws
@@ -128,34 +136,29 @@ class TestSfgCounts:
         # large-floor point so the N0 offset dominates sampling noise
         p = SystemParams(M=1e3, N_S=0.5, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
         n0, _ = sfg_mean_counts(p)
-        s = sample_fading(FadingModel.deterministic(0.01, 0.0), np.random.default_rng(0))
+        model = FadingModel.deterministic(0.01, 0.0)
         cfg_on = McConfig(trials=100, seed=5, floor_model=FloorModel.WITH_THERMAL_FLOOR)
         cfg_off = McConfig(trials=100, seed=5, floor_model=FloorModel.IDEAL)
-        rng_on, rng_off = np.random.default_rng(6), np.random.default_rng(6)
-        on = [simulate_sfg_count(p, True, s, cfg_on, rng_on) for _ in range(5000)]
-        off = [simulate_sfg_count(p, True, s, cfg_off, rng_off) for _ in range(5000)]
+        on = sample_sfg_counts(p, True, model, cfg_on, np.random.default_rng(6), 5000)
+        off = sample_sfg_counts(p, True, model, cfg_off, np.random.default_rng(6), 5000)
         assert np.mean(on) - np.mean(off) == pytest.approx(n0, abs=0.15)
 
 
 class TestCiEnvelope:
     def test_null_hypothesis_unit_mean(self, fig2a):
         rng = np.random.default_rng(21)
-        r = np.array([simulate_ci_envelope(fig2a, False, None, rng) for _ in range(20000)])
+        r = sample_ci_envelopes(fig2a, False, None, rng, 20000)
         assert abs(r.mean() - 1.0) < 3 / math.sqrt(20000)
 
     def test_marginal_mean_under_target(self, fig2a):
         rng = np.random.default_rng(22)
-        model = FadingModel.rayleigh(0.01)
-        r = np.array([simulate_ci_envelope(fig2a, True, sample_fading(model, rng), rng)
-                      for _ in range(20000)])
+        r = sample_ci_envelopes(fig2a, True, FadingModel.rayleigh(0.01), rng, 20000)
         x = derived_x(fig2a)
         assert abs(r.mean() - (1 + x)) < 3 * (1 + x) / math.sqrt(20000)
 
     def test_marginal_is_exponential(self, fig2a):
         rng = np.random.default_rng(23)
-        model = FadingModel.rayleigh(0.01)
-        r = np.array([simulate_ci_envelope(fig2a, True, sample_fading(model, rng), rng)
-                      for _ in range(20000)])
+        r = sample_ci_envelopes(fig2a, True, FadingModel.rayleigh(0.01), rng, 20000)
         x = derived_x(fig2a)
         assert sps.kstest(r, "expon", args=(0, 1 + x)).pvalue > 0.01
 
@@ -212,3 +215,87 @@ class TestOperatingPointEstimates:
             hits_d += p_d.covers(target.p_detect)
         assert hits_f >= 93
         assert hits_d >= 93
+
+
+# Frozen McEstimate (value, ci_low, ci_high) of P_F, P_D and the Bayes error at
+# seed 20261018, 1e4 trials, per (preset, receiver, count model, floor model):
+# any change to the random streams or to the order of draws shows here.
+PINNED_ESTIMATES = {
+    ("fig2a", Receiver.SFG, CountModel.POISSON_APPROX, FloorModel.IDEAL): (
+        (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
+        (0.9368, 0.9318612058051992, 0.9414033332181777),
+        (0.03170000000000002, 0.02914593141758373, 0.03425406858241631),
+    ),
+    ("fig2a", Receiver.SFG, CountModel.POISSON_APPROX, FloorModel.WITH_THERMAL_FLOOR): (
+        (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
+        (0.9369, 0.9319646833316131, 0.9414997788920896),
+        (0.031650000000000025, 0.029097689380709252, 0.0342023106192908),
+    ),
+    ("fig2a", Receiver.SFG, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.IDEAL): (
+        (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
+        (0.9368, 0.9318612058051992, 0.9414033332181777),
+        (0.03170000000000002, 0.02914593141758373, 0.03425406858241631),
+    ),
+    ("fig2a", Receiver.SFG, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.WITH_THERMAL_FLOOR): (
+        (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
+        (0.9369, 0.9319646833316131, 0.9414997788920896),
+        (0.031650000000000025, 0.029097689380709252, 0.0342023106192908),
+    ),
+    ("fig2a", Receiver.CI, CountModel.POISSON_APPROX, FloorModel.IDEAL): (
+        (0.0514, 0.04724182497055032, 0.05590269836762071),
+        (0.8335, 0.8260707838854023, 0.8406730892013564),
+        (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
+    ),
+    ("fig2a", Receiver.CI, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.IDEAL): (
+        (0.0514, 0.04724182497055032, 0.05590269836762071),
+        (0.8335, 0.8260707838854023, 0.8406730892013564),
+        (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
+    ),
+    ("fig2b", Receiver.SFG, CountModel.POISSON_APPROX, FloorModel.IDEAL): (
+        (0.0242, 0.021365877393778255, 0.02739953545575759),
+        (0.9368, 0.9318612058051992, 0.9414033332181777),
+        (0.04370000000000002, 0.039806053631260545, 0.04759394636873949),
+    ),
+    ("fig2b", Receiver.SFG, CountModel.POISSON_APPROX, FloorModel.WITH_THERMAL_FLOOR): (
+        (0.0242, 0.021365877393778255, 0.02739953545575759),
+        (0.9382, 0.9333102033988203, 0.9427532604291187),
+        (0.04299999999999998, 0.03913082122693056, 0.046869178773069405),
+    ),
+    ("fig2b", Receiver.SFG, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.IDEAL): (
+        (0.0228, 0.020052523375582592, 0.025913964669391148),
+        (0.9368, 0.9318612058051992, 0.9414033332181777),
+        (0.04300000000000002, 0.03914910782330324, 0.046850892176696794),
+    ),
+    ("fig2b", Receiver.SFG, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.WITH_THERMAL_FLOOR): (
+        (0.0228, 0.020052523375582592, 0.025913964669391148),
+        (0.9386, 0.9337243278086323, 0.9431388288206101),
+        (0.042100000000000005, 0.03828101442355344, 0.045918985576446573),
+    ),
+    ("fig2b", Receiver.CI, CountModel.POISSON_APPROX, FloorModel.IDEAL): (
+        (0.0514, 0.04724182497055032, 0.05590269836762071),
+        (0.8335, 0.8260707838854023, 0.8406730892013564),
+        (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
+    ),
+    ("fig2b", Receiver.CI, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.IDEAL): (
+        (0.0514, 0.04724182497055032, 0.05590269836762071),
+        (0.8335, 0.8260707838854023, 0.8406730892013564),
+        (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
+    ),
+}
+
+
+class TestPinnedEstimates:
+    @pytest.mark.parametrize("key", list(PINNED_ESTIMATES), ids=lambda k: "-".join(
+        getattr(part, "value", part) for part in k))
+    def test_estimates_are_bit_identical(self, key):
+        preset, receiver, count_model, floor_model = key
+        params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
+        cfg = McConfig(trials=10_000, seed=20261018, count_model=count_model,
+                       floor_model=floor_model)
+        if receiver is Receiver.SFG:
+            threshold = sfg_bayes(params).threshold
+        else:
+            threshold = -math.log(ci_bayes(params).threshold)
+        got = (*estimate_operating_point(receiver, params, threshold, cfg),
+               estimate_bayes_error(receiver, params, cfg))
+        assert got == tuple(McEstimate(*e, trials=10_000) for e in PINNED_ESTIMATES[key])

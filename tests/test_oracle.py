@@ -41,7 +41,6 @@ from speckleqi.oracle import (
     _block_pairs,
     _copy_labels,
     _destroy,
-    _PairwiseAccumulator,
     _thermal_weights,
     random_density_matrix,
     rotate_return_phase,
@@ -426,59 +425,82 @@ class TestCovarianceWeld:
         assert exact.matrix[0, 0] - limit.matrix[0, 0] == pytest.approx(0.3 * 0.1 / 2)
 
 
+def direct_grid_average(builder, model, nodes):
+    """Reference fading average: builder(amplitude, phase) at every node of a
+    Gauss-Legendre amplitude x uniform phase grid, weighted and summed, then
+    renormalized."""
+    n_amp, n_phase = nodes
+    xs, ws = np.polynomial.legendre.leggauss(n_amp)
+    amps = 0.5 * (xs + 1.0)
+    amp_w = 0.5 * ws * np.array([fading_pdf(model, a) for a in amps])
+    total = sum(w / n_phase * builder(a, 2.0 * np.pi * j / n_phase).data
+                for a, w in zip(amps, amp_w) for j in range(n_phase))
+    return total / np.trace(total).real
+
+
+SFG_AVERAGE = SystemParams(M=100.0, N_S=0.01, N_B=0.5, kappa_bar=0.05, epsilon=0.01)
+
+
+def sfg_conditional(amplitude, phase=0.0):
+    """Conditional coherent state of the SFG reduction on the thermal floor."""
+    n0, _ = sfg_mean_counts(SFG_AVERAGE)
+    scale = (1 - SFG_AVERAGE.epsilon) * SFG_AVERAGE.M * SFG_AVERAGE.N_S / SFG_AVERAGE.N_B
+    alpha = math.sqrt(scale) * amplitude * complex(math.cos(phase), math.sin(phase))
+    return coherent_thermal_state(alpha, n0, 30)
+
+
 class TestFadingAverage:
     def test_constant_builder_is_identity(self):
         fixed = thermal_state(0.3, 10)
-        out = fading_average(lambda a, p: fixed, FadingModel.rayleigh(0.05), (16, 16))
+        out = fading_average(lambda a: fixed, FadingModel.rayleigh(0.05), (16, 16))
         np.testing.assert_allclose(out.data, fixed.renormalized().data, atol=1e-10)
 
     def test_deterministic_model_rejected(self):
         with pytest.raises(ValueError):
-            fading_average(lambda a, p: thermal_state(0.1, 5),
+            fading_average(lambda a: thermal_state(0.1, 5),
                            FadingModel.deterministic(0.3, 0.0), 16)
 
     def test_minimum_nodes_enforced(self):
         with pytest.raises(ValueError):
-            fading_average(lambda a, p: thermal_state(0.1, 5),
+            fading_average(lambda a: thermal_state(0.1, 5),
                            FadingModel.rayleigh(0.05), (4, 16))
 
     def test_sfg_conditional_average_is_thermal(self):
         # Rayleigh mixture of conditional coherent states = thermal(N1 + floor)
-        params = SystemParams(M=100.0, N_S=0.01, N_B=0.5, kappa_bar=0.05, epsilon=0.01)
-        n0, n1 = sfg_mean_counts(params)
-        scale = (1 - params.epsilon) * params.M * params.N_S / params.N_B
-
-        def builder(amplitude, phase):
-            alpha = math.sqrt(scale) * amplitude * np.exp(1j * phase)
-            return coherent_thermal_state(alpha, n0, 30)
-
-        averaged = fading_average(builder, FadingModel.rayleigh(0.05), (64, 64))
+        n0, n1 = sfg_mean_counts(SFG_AVERAGE)
+        averaged = fading_average(sfg_conditional, FadingModel.rayleigh(0.05), (64, 64))
         target = thermal_state(n1 + n0, 30).renormalized()
         distance = 0.5 * np.abs(np.linalg.eigvalsh(averaged.data - target.data)).sum()
         assert distance < 1e-4
 
-    def test_validate_check_rotates_one_displacement_per_amplitude(self):
-        # the check builds D(alpha) once per amplitude node and rotates it per
-        # phase; building every (amplitude, phase) node directly gives the same
-        params = SystemParams(M=100.0, N_S=0.01, N_B=0.5, kappa_bar=0.05, epsilon=0.01)
-        n0, n1 = sfg_mean_counts(params)
-        scale = (1 - params.epsilon) * params.M * params.N_S / params.N_B
+    @pytest.mark.parametrize("dim,nodes", [(9, (16, 8)), (5, (16, 33))])
+    def test_phase_mask_matches_direct_grid_two_mode(self, dim, nodes):
+        # the return mode of a (return, idler) pair, rotated by the channel
+        # itself at every phase node; at dim 9, P = 8 keeps the n - n' = 8
+        # coherences that a uniform phase would remove, on both sides
+        params = SystemParams(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5)
+        model = FadingModel.truncated_rayleigh(params.kappa_bar)
 
         def builder(amplitude, phase):
-            alpha = math.sqrt(scale) * amplitude * complex(math.cos(phase), math.sin(phase))
-            return coherent_thermal_state(alpha, n0, 30)
+            return hypothesis_state(params, amplitude ** 2, phase, dim, present=True,
+                                    out_dim=dim, trace_deficit_tol=0.05)
 
-        averaged = fading_average(builder, FadingModel.rayleigh(0.05), (64, 64))
+        averaged = fading_average(lambda a: builder(a, 0.0), model, nodes)
+        assert averaged.dims == (dim, dim)
+        assert np.abs(averaged.data - direct_grid_average(builder, model, nodes)).max() <= 1e-12
+
+    def test_validate_check_matches_direct_grid(self):
+        # the check builds one displacement per amplitude node and leaves the
+        # phase to the mask; building every (amplitude, phase) node directly
+        # gives the same state and the same measured distance
+        n0, n1 = sfg_mean_counts(SFG_AVERAGE)
+        model = FadingModel.rayleigh(SFG_AVERAGE.kappa_bar)
+        direct = direct_grid_average(sfg_conditional, model, (64, 64))
+        averaged = fading_average(sfg_conditional, model, (64, 64))
+        assert np.abs(averaged.data - direct).max() <= 1e-12
         target = thermal_state(n1 + n0, 30).renormalized()
-        direct = 0.5 * np.abs(np.linalg.eigvalsh(averaged.data - target.data)).sum()
-        assert check_sfg_fading_average_thermal().measured == pytest.approx(direct, abs=1e-12)
-
-    def test_pairwise_accumulator(self, rng):
-        acc = _PairwiseAccumulator()
-        terms = [rng.standard_normal((6, 6)) for _ in range(37)]
-        for t in terms:
-            acc.add(t)
-        np.testing.assert_allclose(acc.total(), np.sum(terms, axis=0), atol=1e-12)
+        distance = 0.5 * np.abs(np.linalg.eigvalsh(direct - target.data)).sum()
+        assert check_sfg_fading_average_thermal().measured == pytest.approx(distance, abs=1e-12)
 
 
 class TestHelstrom:
@@ -638,6 +660,23 @@ class TestExponentTrend:
             assert point.copies == m
             assert point.helstrom_exponent == pytest.approx(h, abs=1e-12)
             assert point.chernoff_exponent == pytest.approx(c, abs=1e-12)
+
+    def test_single_copy_matches_fading_average(self):
+        # one quadrature rule: at m = 1 the blocked trend is helstrom/qcb of
+        # fading_average over the same renormalized conditional states
+        params = SystemParams(**self.SURROGATE)
+        model = FadingModel.truncated_rayleigh(params.kappa_bar)
+        point, = fading_exponent_trend(params, [1], dim=3, nodes=(16, 33), model=model)
+        rho0 = hypothesis_state(params, 0.0, 0.0, 3, present=False, out_dim=3,
+                                trace_deficit_tol=0.05).renormalized()
+        rho1 = fading_average(
+            lambda a: hypothesis_state(params, a * a, 0.0, 3, present=True, out_dim=3,
+                                       trace_deficit_tol=0.05).renormalized(),
+            model, (16, 33))
+        assert point.helstrom_exponent == pytest.approx(-math.log(helstrom(rho0, rho1, 0.5)),
+                                                        abs=1e-12)
+        assert point.chernoff_exponent == pytest.approx(qcb(rho0, rho1).qcb_exponent,
+                                                        abs=1e-12)
 
     def test_phase_grid_aliasing_shows_at_dim_5(self):
         # at dim 5 the phase grids P = 8 and P = 33 give results ~1e-10 apart,

@@ -10,7 +10,6 @@ from speckleqi import (
     ConfigError,
     FadingKind,
     FadingModel,
-    FadingSample,
     InvalidParameter,
     SystemParams,
     derived_x,
@@ -45,6 +44,10 @@ class TestSystemParams:
         ("pi0", dict(pi0=-0.1)),
         ("pi0", dict(pi0=1.1)),
         ("pi1", dict(pi0=0.4, pi1=0.7)),
+        ("M", dict(M=math.inf)),
+        ("M", dict(M=math.nan)),
+        ("N_S", dict(N_S=math.inf)),
+        ("N_B", dict(N_B=math.inf)),
     ])
     def test_rejects_out_of_range(self, field, kwargs):
         base = dict(M=10, N_S=0.1, N_B=1.0, kappa_bar=0.5)
@@ -121,10 +124,6 @@ class TestFadingModel:
         assert FadingModel.rayleigh(0.1).is_random
         assert not FadingModel.deterministic(0.1, 1.0).is_random
         assert FadingModel.truncated_rayleigh(0.1).kind is FadingKind.TRUNCATED_RAYLEIGH
-
-    def test_sample_kappa_accessor(self):
-        s = FadingSample(amplitude=0.6, phase=1.0)
-        assert s.kappa == pytest.approx(0.36)
 
     def test_constructor_validation(self):
         with pytest.raises(InvalidParameter):
