@@ -1,13 +1,13 @@
 """Truncated-Fock-space brute-force engine for quantum state discrimination.
 
 Everything here is desk scale by design: states live in an explicitly
-truncated Fock space, minimum error probabilities come from Hermitian
-eigendecomposition (dense, or block by block for the symmetric M-copy states
-of the exponent trend), and the Chernoff quantity is minimized by
-golden-section search. The point is to cross-validate the closed-form receiver analysis, not
-to scale; background brightness around 1 is the practical ceiling (the
-closed forms under test are generic in N_B, so surrogate noise levels are
-representative).
+truncated Fock space, and one discrimination kernel takes a pair of states as
+stacks of Hermitian blocks (a dense pair is one block; the symmetric M-copy
+states of the exponent trend are many) and returns the Helstrom error and the
+Chernoff exponent, minimized over s by golden-section search. The point is to
+cross-validate the closed-form receiver analysis, not to scale; background
+brightness around 1 is the practical ceiling (the closed forms under test are
+generic in N_B, so surrogate noise levels are representative).
 
 Conventions:
 - Single-mode operators are dim x dim in the photon-number basis.
@@ -484,16 +484,16 @@ def helstrom(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float) -> float:
     """Minimum error probability (1 - ||pi1*rho1 - pi0*rho0||_1)/2."""
     if rho0.data.shape != rho1.data.shape:
         raise ValueError("states must share a dimension")
+    w = np.linalg.eigvalsh((1.0 - pi0) * rho1.data - pi0 * rho0.data)
+    return float(_helstrom_from_norm(np.abs(w).sum(), pi0))
+
+
+def _helstrom_from_norm(trace_norm, pi0: float):
+    """(1 - ||pi1*rho1 - pi0*rho0||_1)/2, clipped to [0, min(pi0, pi1)];
+    elementwise over an array of trace norms."""
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError("pi0 must lie in [0, 1]")
-    w = np.linalg.eigvalsh((1.0 - pi0) * rho1.data - pi0 * rho0.data)
-    return _helstrom_from_norm(np.abs(w).sum(), pi0)
-
-
-def _helstrom_from_norm(trace_norm: float, pi0: float) -> float:
-    """(1 - ||pi1*rho1 - pi0*rho0||_1)/2, clipped to [0, min(pi0, pi1)]."""
-    pr_e = 0.5 * (1.0 - trace_norm)
-    return float(min(max(pr_e, 0.0), min(pi0, 1.0 - pi0)))
+    return np.clip(0.5 * (1.0 - trace_norm), 0.0, min(pi0, 1.0 - pi0))
 
 
 def _rank_cut(w: np.ndarray, size: int) -> np.ndarray:
@@ -520,50 +520,80 @@ def _chernoff_minimum(q_s, s_tol: float) -> tuple[float, float]:
     return float(s_opt), exponent
 
 
-def _chernoff_objective(rho0: DensityMatrix, rho1: DensityMatrix):
-    w0, v0 = np.linalg.eigh(rho0.data)
-    w1, v1 = np.linalg.eigh(rho1.data)
-    w0 = _rank_cut(w0, w0.size)
-    w1 = _rank_cut(w1, w1.size)
-    overlap = np.abs(v0.conj().T @ v1) ** 2
+def _discriminate(b0s: list, b1s: list, pi0: float, size: int,
+                  s_tol: float = 1e-6) -> tuple[float, float, float]:
+    """(Helstrom error, optimal s, Chernoff exponent) of two block-diagonal
+    states on a space of dimension size.
 
-    def powers(w: np.ndarray, s: float) -> np.ndarray:
-        # 0^s := 0 on [0, 1] (support convention)
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        out[pos] = np.exp(s * np.log(w[pos]))
-        return out
+    b0s[g] and b1s[g] are same-shaped (blocks, n, n) stacks holding the two
+    states' blocks of the g-th block size; a dense pair is one block. Per
+    block size this takes one eigvalsh of pi1*B1 - pi0*B0 for Helstrom and
+    one eigh per state for Chernoff, whose overlaps are |V0^dag V1|^2. The
+    numerical-rank cutoff runs over the whole space, and
+    tr(rho0^s rho1^(1-s)) is one sum over the (eigenvector, eigenvector)
+    pairs of every block where both eigenvalues are nonzero, minimized by
+    golden-section search on s in [0, 1] (it is log-convex in s).
+    """
+    trace_norm = 0.0
+    w0s, w1s, overlaps = [], [], []
+    for b0, b1 in zip(b0s, b1s):
+        trace_norm += np.abs(np.linalg.eigvalsh((1.0 - pi0) * b1 - pi0 * b0)).sum()
+        (w0, v0), (w1, v1) = np.linalg.eigh(b0), np.linalg.eigh(b1)
+        w0s.append(w0)
+        w1s.append(w1)
+        overlaps.append(np.abs(v0.conj().swapaxes(1, 2) @ v1) ** 2)
+    pr_e = float(_helstrom_from_norm(trace_norm, pi0))
+    cuts = np.cumsum([w.size for w in w0s])[:-1]
+    w0s = np.split(_rank_cut(np.concatenate([w.ravel() for w in w0s]), size), cuts)
+    w1s = np.split(_rank_cut(np.concatenate([w.ravel() for w in w1s]), size), cuts)
+    log0, log1, weight = [], [], []
+    for w0, w1, overlap in zip(w0s, w1s, overlaps):
+        shape = overlap.shape[:2]
+        p0, p1, overlap = np.broadcast_arrays(w0.reshape(shape)[:, :, None],
+                                              w1.reshape(shape)[:, None, :], overlap)
+        live = (p0 > 0.0) & (p1 > 0.0)  # 0^s := 0 on [0, 1] (support convention)
+        log0.append(np.log(p0[live]))
+        log1.append(np.log(p1[live]))
+        weight.append(overlap[live])
+    log0, log1, weight = (np.concatenate(x) for x in (log0, log1, weight))
 
     def q_s(s: float) -> float:
-        return float(powers(w0, s) @ overlap @ powers(w1, 1.0 - s))
+        return float(np.exp(s * log0 + (1.0 - s) * log1) @ weight)
 
-    return q_s
+    s_opt, exponent = _chernoff_minimum(q_s, s_tol)
+    return pr_e, s_opt, exponent
 
 
 def qcb(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float = 0.5,
         s_tol: float = 1e-6) -> DiscriminationReport:
     """Quantum Chernoff bound report: Q = min_s tr(rho0^s rho1^(1-s)).
 
-    Both states should be (re)normalized. The minimization uses golden-section
-    search on s in [0, 1]; tr(rho0^s rho1^(1-s)) is log-convex in s, so the
-    search is valid. helstrom_error is evaluated at the given priors.
+    Both states should be (re)normalized. The pair is solved as one dense
+    block by _discriminate, the kernel of the blocked M-copy trend;
+    helstrom_error is evaluated at the given priors. optimal_s is unique only
+    when the minimum is strict: for two pure states tr(rho0^s rho1^(1-s)) is
+    |<psi0|psi1>|^2 at every s in (0, 1), so any such s is optimal.
     """
     if rho0.data.shape != rho1.data.shape:
         raise ValueError("states must share a dimension")
-    s_opt, exponent = _chernoff_minimum(_chernoff_objective(rho0, rho1), s_tol)
-    return DiscriminationReport(
-        helstrom_error=helstrom(rho0, rho1, pi0),
-        qcb_exponent=exponent,
-        optimal_s=s_opt,
-    )
+    pr_e, s_opt, exponent = _discriminate([rho0.data[None]], [rho1.data[None]], pi0,
+                                          rho0.dim, s_tol)
+    return DiscriminationReport(helstrom_error=pr_e, qcb_exponent=exponent, optimal_s=s_opt)
+
+
+def _ginibre(rng: np.random.Generator, shape: tuple, dim: int, rank: int = None) -> np.ndarray:
+    """Trace-one Ginibre random states of shape (*shape, dim, dim), drawn in
+    C order one state at a time: each state's real, then imaginary parts."""
+    rank = dim if rank is None else rank
+    g = rng.standard_normal((*shape, 2, dim, rank))
+    g = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int = None) -> DensityMatrix:
     """Haar-generic (Ginibre) random state of the given dimension."""
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    return DensityMatrix(rho / np.trace(rho).real, (dim,))
+    return DensityMatrix(_ginibre(rng, (), dim, rank), (dim,))
 
 
 # =============================================================================
@@ -586,24 +616,33 @@ class ConcavityReport:
 def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int,
                              pi0: float = 0.5, slack_tol: float = 1e-9) -> ConcavityReport:
     """Randomized numeric check that averaging states cannot decrease the
-    minimum discrimination error. Reports the worst slack seen."""
+    minimum discrimination error. Reports the worst slack seen.
+
+    Each trial draws its mixture weights, then its mixture_size Ginibre
+    (rho0, rho1) pairs; the trials x (mixture_size + 1) Helstrom problems
+    (every pair plus the mixed pair) are solved by one batched eigvalsh.
+    """
     rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    violations = 0
-    for _ in range(trials):
-        f = rng.dirichlet(np.ones(mixture_size))
-        pairs = [(random_density_matrix(dim, rng), random_density_matrix(dim, rng))
-                 for _ in range(mixture_size)]
-        mix0 = DensityMatrix(sum(fi * p[0].data for fi, p in zip(f, pairs)), (dim,))
-        mix1 = DensityMatrix(sum(fi * p[1].data for fi, p in zip(f, pairs)), (dim,))
-        mixed = helstrom(mix0, mix1, pi0)
-        averaged = sum(fi * helstrom(p0, p1, pi0) for fi, (p0, p1) in zip(f, pairs))
-        slack = mixed - averaged
-        min_slack = min(min_slack, slack)
-        if slack < -slack_tol:
-            violations += 1
+    f = np.empty((trials, mixture_size))
+    pairs = np.empty((trials, mixture_size + 1, 2, dim, dim), dtype=complex)
+    for t in range(trials):
+        f[t] = rng.dirichlet(np.ones(mixture_size))
+        pairs[t, :-1] = _ginibre(rng, (mixture_size, 2), dim)
+    # both mixtures are summed one component at a time, in order, so every
+    # trial rounds exactly as a scalar sum over its components would
+    mixed = 0.0
+    for i in range(mixture_size):
+        mixed = mixed + f[:, i, None, None, None] * pairs[:, i]
+    pairs[:, -1] = mixed
+    w = np.linalg.eigvalsh((1.0 - pi0) * pairs[:, :, 1] - pi0 * pairs[:, :, 0])
+    pr_e = _helstrom_from_norm(np.abs(w).sum(axis=-1), pi0)
+    averaged = 0.0
+    for i in range(mixture_size):
+        averaged = averaged + f[:, i] * pr_e[:, i]
+    slack = pr_e[:, -1] - averaged
     return ConcavityReport(trials=trials, dim=dim, mixture_size=mixture_size,
-                           min_slack=min_slack, violations=violations, slack_tol=slack_tol)
+                           min_slack=float(slack.min(initial=math.inf)),
+                           violations=int((slack < -slack_tol).sum()), slack_tol=slack_tol)
 
 
 @dataclass(frozen=True)
@@ -662,10 +701,10 @@ def _block_pairs(dim: int, m: int, n_phase) -> float:
 def _block_bytes(dim: int, m: int, n_phase) -> float:
     """Memory the blocked m-copy solve allocates, as measured with tracemalloc:
     about 256 bytes per basis state (int64 labels, their sort and the per-copy
-    indices) and 48 per block element (rho1's blocks, |V1|^2 and the Chernoff
-    terms). Blocks are accumulated one amplitude node at a time, so the node
-    count does not enter."""
-    return 256.0 * dim ** (2 * m) + 48.0 * _block_pairs(dim, m, n_phase)
+    indices) and 56 per block element (both states' blocks, the overlaps
+    |V0^dag V1|^2 and the Chernoff terms). Blocks are accumulated one
+    amplitude node at a time, so the node count does not enter."""
+    return 256.0 * dim ** (2 * m) + 56.0 * _block_pairs(dim, m, n_phase)
 
 
 def _check_symmetry(data: np.ndarray, label: np.ndarray) -> None:
@@ -681,49 +720,6 @@ def _block_groups(labels: np.ndarray) -> list:
     order = np.argsort(labels, kind="stable")
     _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
     return [order[starts[sizes == n][:, None] + np.arange(n)] for n in np.unique(sizes)]
-
-
-def _blocked_discrimination(d0s: list, b1s: list, pi0: float, size: int,
-                            s_tol: float = 1e-6) -> tuple[float, float]:
-    """(Helstrom error, Chernoff exponent) of a diagonal rho0 and a
-    block-diagonal rho1 on a space of dimension size.
-
-    d0s[g] (blocks, n) and b1s[g] (blocks, n, n) hold rho0's diagonal and
-    rho1's blocks for the g-th block size. Each block takes one eigvalsh for
-    Helstrom and one eigh for Chernoff; rho0's eigenbasis is the basis
-    itself, so the Chernoff overlaps are |V1|^2 and tr(rho0^s rho1^(1-s)) is
-    one sum over (row, eigenvector) pairs of every block.
-    """
-    trace_norm = 0.0
-    w1s, overlaps = [], []
-    for d0, b1 in zip(d0s, b1s):
-        diag = np.arange(d0.shape[1])
-        h = (1.0 - pi0) * b1
-        h[:, diag, diag] -= pi0 * d0
-        trace_norm += np.abs(np.linalg.eigvalsh(h)).sum()
-        w1, v1 = np.linalg.eigh(b1)
-        w1s.append(w1)
-        overlaps.append(np.abs(v1) ** 2)
-    # rank cutoff against the whole space's largest eigenvalue and dimension
-    cuts = np.cumsum([d0.size for d0 in d0s])[:-1]
-    w0s = np.split(_rank_cut(np.concatenate([d0.ravel() for d0 in d0s]), size), cuts)
-    w1s = np.split(_rank_cut(np.concatenate([w1.ravel() for w1 in w1s]), size), cuts)
-    log0, log1, weight = [], [], []
-    for w0, w1, overlap in zip(w0s, w1s, overlaps):
-        shape = overlap.shape[:2]
-        p0, p1, overlap = np.broadcast_arrays(w0.reshape(shape)[:, :, None],
-                                              w1.reshape(shape)[:, None, :], overlap)
-        live = (p0 > 0.0) & (p1 > 0.0)  # 0^s := 0 on [0, 1] (support convention)
-        log0.append(np.log(p0[live]))
-        log1.append(np.log(p1[live]))
-        weight.append(overlap[live])
-    log0, log1, weight = (np.concatenate(x) for x in (log0, log1, weight))
-
-    def q_s(s: float) -> float:
-        return float(np.exp(s * log0 + (1.0 - s) * log1) @ weight)
-
-    _, exponent = _chernoff_minimum(q_s, s_tol)
-    return _helstrom_from_norm(trace_norm, pi0), exponent
 
 
 def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
@@ -750,7 +746,8 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     (checked; anything else raises ValueError) and rho0 is diagonal. So the
     M-copy rho1 is block-diagonal, with blocks labelled by every copy's
     n_R - n_I and, under random fading, the total n_R mod P. Each block is
-    assembled from the per-copy states and solved on its own; the
+    assembled from the per-copy states (rho0's the same way: they come out
+    diagonal) and solved on its own by the kernel qcb uses; the
     numerical-rank cutoff still runs over the whole space.
 
     Runs at surrogate (small N_S, N_B, dim) scale only; the blocks must fit
@@ -785,34 +782,31 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     per_copy = _copy_labels(dim, 1, None)
     for cond in conditionals:
         _check_symmetry(cond.data, per_copy)
-    diag0 = np.diag(rho0.data).real
     d2 = dim * dim
 
     results = []
     for m in m_list:
         labels = _copy_labels(dim, m, n_phase)
         groups = _block_groups(labels)
-        d0s, b1s = [], []
+        b0s, b1s = [], []
         for idx in groups:
             # each copy's (row, col) entry for every element of the blocks
             digits = [idx // d2 ** (m - 1 - i) % d2 for i in range(m)]
             entries = [dg[:, :, None] * d2 + dg[:, None, :] for dg in digits]
-            d0 = diag0[digits[0]]
-            for dg in digits[1:]:
-                d0 = d0 * diag0[dg]
-            b1 = np.zeros(entries[0].shape, dtype=complex)
-            for w, cond in zip(amp_weights, conditionals):
-                flat = cond.data.ravel()
-                blk = flat[entries[0]]
-                for entry in entries[1:]:
-                    blk *= flat[entry]
-                b1 += w * blk
-            d0s.append(d0)
-            b1s.append(b1)
+            for blocks, weights, states in ((b0s, [1.0], [rho0]),
+                                            (b1s, amp_weights, conditionals)):
+                acc = np.zeros(entries[0].shape, dtype=complex)
+                for w, state in zip(weights, states):
+                    flat = state.data.ravel()
+                    blk = flat[entries[0]]
+                    for entry in entries[1:]:
+                        blk *= flat[entry]
+                    acc += w * blk
+                blocks.append(acc)
         trace = sum(np.trace(b1, axis1=1, axis2=2).real.sum() for b1 in b1s)
         for b1 in b1s:
             b1 /= trace
-        pr_e, exponent = _blocked_discrimination(d0s, b1s, pi0, labels.size)
+        pr_e, _, exponent = _discriminate(b0s, b1s, pi0, labels.size)
         results.append(TrendPoint(copies=m, helstrom_exponent=-math.log(pr_e) / m,
                                   chernoff_exponent=exponent / m,
                                   blocks=sum(len(idx) for idx in groups),

@@ -133,6 +133,8 @@ class FadingModel:
     def deterministic(cls, kappa: float, phi: float = 0.0) -> "FadingModel":
         if not 0.0 <= kappa <= 1.0:
             raise InvalidParameter("kappa", "must lie in [0, 1]")
+        if not math.isfinite(phi):
+            raise InvalidParameter("phi", "must be finite")
         return cls(kind=FadingKind.DETERMINISTIC, kappa=kappa, phi=phi % (2 * math.pi))
 
     @property
@@ -216,13 +218,13 @@ def load_config(path) -> tuple[SystemParams, FadingModel]:
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
 
-    kwargs = {}
-    for key in _PARAM_KEYS:
-        if key in flat:
-            try:
-                kwargs[key] = float(flat[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"key {key}: not a number: {flat[key]!r}") from exc
+    def number(key: str) -> float:
+        try:
+            return float(flat[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"key {key}: not a number: {flat[key]!r}") from exc
+
+    kwargs = {key: number(key) for key in _PARAM_KEYS if key in flat}
     missing = {"M", "N_S", "N_B", "kappa_bar"} - set(kwargs)
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
@@ -237,7 +239,7 @@ def load_config(path) -> tuple[SystemParams, FadingModel]:
         if "fading.kappa" not in flat:
             raise ConfigError("deterministic fading requires fading.kappa")
         model = FadingModel.deterministic(
-            float(flat["fading.kappa"]), float(flat.get("fading.phi", 0.0))
+            number("fading.kappa"), number("fading.phi") if "fading.phi" in flat else 0.0
         )
     else:
         raise ConfigError(f"unknown fading.kind: {kind!r}")

@@ -281,6 +281,25 @@ class TestExitCodes:
         assert f"invalid parameter {field}:" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_non_finite_phase_names_field(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01,'
+                       ' "fading.kind": "deterministic", "fading.kappa": 0.5,'
+                       ' "fading.phi": 1e400}')
+        assert run_cli("roc", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 3
+        assert "invalid parameter phi:" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("key", ["fading.kappa", "fading.phi"])
+    def test_non_numeric_fading_value_names_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "c.cfg"
+        values = {"fading.kappa": "0.5", "fading.phi": "0.7", key: "abc"}
+        cfg.write_text("M = 1e8\nN_S = 1e-4\nN_B = 20\nkappa_bar = 0.01\n"
+                       "fading.kind = deterministic\n"
+                       + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert run_cli("roc", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+        assert f"key {key}: not a number" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in power")
     def test_sweep_overflowing_to_infinite_m(self, capsys):
         assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", "300",
@@ -364,6 +383,16 @@ class TestOracleCommand:
                        "--out", str(out)) == 0
         report = json.loads(out.read_text())
         assert report["helstrom_error"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_prior_outside_unit_interval_rejected(self, tmp_path, capsys):
+        r0, r1 = tmp_path / "r0.json", tmp_path / "r1.json"
+        r0.write_text(json.dumps({"re": [[0.7, 0.0], [0.0, 0.3]]}))
+        r1.write_text(json.dumps({"re": [[0.2, 0.0], [0.0, 0.8]]}))
+        out = tmp_path / "report.json"
+        assert run_cli("oracle", "--rho0", str(r0), "--rho1", str(r1), "--pi0", "1.5",
+                       "--out", str(out)) == 3
+        assert "pi0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_hermitian_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -131,6 +131,13 @@ class TestFadingModel:
         with pytest.raises(InvalidParameter):
             FadingModel.deterministic(1.2, 0.0)
 
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phase_names_field(self, phi):
+        # phi % 2pi would turn these into NaN
+        with pytest.raises(InvalidParameter) as exc:
+            FadingModel.deterministic(0.5, phi)
+        assert exc.value.field_name == "phi"
+
 
 class TestConfigLoading:
     def test_nested_json(self, tmp_path):
@@ -187,6 +194,17 @@ class TestConfigLoading:
     def test_unreadable(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize("key", ["fading.kappa", "fading.phi"])
+    @pytest.mark.parametrize("value", ['"abc"', "[0.5]"])
+    def test_non_numeric_fading_value_names_key(self, tmp_path, key, value):
+        f = tmp_path / "c.json"
+        fading = {"fading.kappa": "0.3", "fading.phi": "0.7", key: value}
+        f.write_text('{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
+                     ' "fading.kind": "deterministic", "fading.kappa": %(fading.kappa)s,'
+                     ' "fading.phi": %(fading.phi)s}' % fading)
+        with pytest.raises(ConfigError, match=f"key {key}: not a number"):
+            load_config(f)
 
     def test_invalid_value_names_field(self, tmp_path):
         f = tmp_path / "c.json"
