@@ -50,7 +50,6 @@ from .oracle import (
     apply_return_channel,
     check_helstrom_concavity,
     coherent_thermal_state,
-    default_dim,
     dim_for_tail,
     fading_average,
     fading_exponent_trend,
@@ -66,7 +65,6 @@ from .oracle import (
     wigner_covariance,
 )
 from .montecarlo import (
-    CountModel,
     FloorModel,
     McConfig,
     McEstimate,

@@ -280,11 +280,11 @@ def sfg_threshold(n0: float, n1: float, pi0: float) -> int:
     return int(n_t)
 
 
-def sfg_roc(params: SystemParams, p_f_floor: float = 1e-15) -> RocCurve:
+def sfg_roc(params: SystemParams) -> RocCurve:
     """SFG receiver ROC: deterministic-threshold vertices joined by randomized tests.
 
     Vertices sit at integer thresholds n_t = 0, 1, ..., n_max with n_max the
-    first threshold pushing P_F below p_f_floor; the endpoints (0,0)
+    first threshold pushing P_F below 1e-15; the endpoints (0,0)
     (never declare) and (1,1) (always declare) are included explicitly.
     """
     n0, n1 = sfg_mean_counts(params)
@@ -293,7 +293,7 @@ def sfg_roc(params: SystemParams, p_f_floor: float = 1e-15) -> RocCurve:
         th = [np.inf, -1.0]
         return RocCurve(np.array(pts), RocInterpolation.RANDOMIZED_SEGMENTS, np.array(th))
     logs0, logs1 = _mean_logs(n0), _mean_logs(n1)
-    log_floor = math.log(p_f_floor)
+    log_floor = math.log(1e-15)
     n_max = 0
     while _log_tail(logs0, n_max) >= log_floor:
         n_max += 1
@@ -337,12 +337,12 @@ def threshold_test_error(n0: float, n1: float, pi0: float) -> float:
 # CI receiver
 # =============================================================================
 
-def ci_roc(params: SystemParams, n_points: int = 200, p_f_min: float = 1e-12) -> RocCurve:
+def ci_roc(params: SystemParams) -> RocCurve:
     """Heterodyne-plus-envelope-detection ROC, P_D = P_F^(1/(1+x)).
 
-    Sampled on a log-spaced grid plus the exact (0, 0) endpoint."""
+    Sampled at 200 log-spaced P_F from 1e-12 to 1, plus the exact (0, 0) endpoint."""
     x = derived_x(params)
-    p_f = np.logspace(math.log10(p_f_min), 0.0, n_points)
+    p_f = np.logspace(-12.0, 0.0, 200)
     p_f[-1] = 1.0
     p_d = p_f ** (1.0 / (1.0 + x))
     points = np.vstack([[0.0, 0.0], np.column_stack([p_f, p_d])])

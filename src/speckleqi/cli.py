@@ -3,8 +3,8 @@ cross-validation runs, and small-state discrimination reports.
 
 Output is CSV (fixed 17-significant-digit scientific notation, so identical
 configurations diff clean) or JSON (null for non-finite values). Exit codes: 0 success, 1 a validation
-check failed, 2 unreadable input, 3 invalid parameters (the message names the
-offending field).
+check failed, 2 unreadable input or a usage error (such as --config with
+--preset), 3 invalid parameters (the message names the offending field).
 """
 
 from __future__ import annotations
@@ -23,45 +23,6 @@ from . import analytic, oracle
 from .params import (FIG2A, FIG2B, ConfigError, FadingKind, InvalidParameter, SystemParams,
                      load_config)
 from .validate import run_validation
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept axis: explicit values or a log10 range over a named parameter."""
-
-    axis: str
-    values: tuple
-    fixed: dict
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("sweep values must be nonempty")
-        values = np.asarray(self.values)
-        if np.any(values[1:] <= values[:-1]):
-            raise ValueError("sweep values must be strictly increasing")
-
-    @classmethod
-    def log_range(cls, axis: str, start_exp: float, stop_exp: float, points: int,
-                  fixed: dict) -> "SweepSpec":
-        if points < 1:
-            raise ValueError("points must be >= 1")
-        if points == 1:
-            values = (10.0 ** start_exp,)
-        else:
-            values = tuple(np.logspace(start_exp, stop_exp, points).tolist())
-        return cls(axis=axis, values=values, fixed=fixed)
-
-
-@dataclass(frozen=True)
-class CurveRecord:
-    """One (receiver, parameter point, metric) value, with optional CI bounds."""
-
-    receiver: str
-    point: float
-    metric: str
-    value: float
-    ci_low: float = None
-    ci_high: float = None
 
 
 @dataclass(frozen=True)
@@ -125,40 +86,19 @@ def _csv(header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_rayleigh_config(path) -> SystemParams:
-    """Parameters of a config file whose fading model the closed forms cover."""
-    params, model = load_config(path)
-    if model.kind is not FadingKind.RAYLEIGH:
-        raise InvalidParameter("fading.kind", f"{model.kind.value!r} has no closed form; "
-                                              "the analytic receivers assume 'rayleigh'")
-    return params
-
-
-def _resolve_params(args) -> SystemParams:
-    if args.config:
-        return _load_rayleigh_config(args.config)
-    preset = PRESETS.get(args.preset or "fig2a")
+def _resolve(args) -> tuple[SystemParams, tuple]:
+    """Parameters of --config or --preset (default fig2a), and the default
+    log10(M) sweep range: the preset's own, or fig2a's for a config file."""
+    if args.config is not None:
+        params, model = load_config(args.config)
+        if model.kind is not FadingKind.RAYLEIGH:
+            raise InvalidParameter("fading.kind", f"{model.kind.value!r} has no closed form; "
+                                                  "the analytic receivers assume 'rayleigh'")
+        return params, PRESETS["fig2a"].sweep_log10_m
+    preset = PRESETS.get("fig2a" if args.preset is None else args.preset)
     if preset is None:
         raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-    return SystemParams(**preset.params)
-
-
-def _resolve_sweep(args) -> SweepSpec:
-    preset = PRESETS.get(args.preset or "fig3a")
-    if args.config:
-        params = _load_rayleigh_config(args.config)
-        fixed = dict(N_S=params.N_S, N_B=params.N_B, kappa_bar=params.kappa_bar,
-                     epsilon=params.epsilon, pi0=params.pi0)
-        default_range = (7.0, 11.0, 41)
-    elif preset is not None:
-        fixed = {k: v for k, v in preset.params.items() if k != "M"}
-        default_range = preset.sweep_log10_m
-    else:
-        raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-    start = args.log10_start if args.log10_start is not None else default_range[0]
-    stop = args.log10_stop if args.log10_stop is not None else default_range[1]
-    points = args.points if args.points is not None else default_range[2]
-    return SweepSpec.log_range("M", start, stop, points, fixed)
+    return SystemParams(**preset.params), preset.sweep_log10_m
 
 
 # =============================================================================
@@ -166,11 +106,12 @@ def _resolve_sweep(args) -> SweepSpec:
 # =============================================================================
 
 def cmd_roc(args) -> int:
-    params = _resolve_params(args)
-    receivers = [r.strip().lower() for r in (args.receivers or "sfg,ci").split(",") if r.strip()]
+    params, _ = _resolve(args)
+    receivers = [r.strip().lower() for r in args.receivers.split(",") if r.strip()]
     unknown = set(receivers) - {"sfg", "ci"}
-    if unknown:
-        raise InvalidParameter("receivers", f"no ROC for {sorted(unknown)}")
+    if unknown or not receivers:
+        raise InvalidParameter("receivers",
+                               f"choose one or more of sfg, ci, not {args.receivers!r}")
     rows = []
     if "sfg" in receivers:
         curve = analytic.sfg_roc(params)
@@ -222,32 +163,36 @@ def _sweep_csv(sweep: analytic.BayesSweep) -> str:
 
 
 def _sweep_records(sweep: analytic.BayesSweep) -> list:
-    records = []
-    for m, sfg, limit, ci, ci_asym in zip(sweep.M.tolist(), sweep.sfg_p_error.tolist(),
-                                          sweep.sfg_limit.tolist(), sweep.ci_p_error.tolist(),
-                                          sweep.ci_asymptotic.tolist()):
-        records.extend([
-            CurveRecord("sfg", m, "p_error", sfg),
-            CurveRecord("sfg", m, "p_error_low_brightness_limit", limit),
-            CurveRecord("ci", m, "p_error", ci),
-            CurveRecord("ci", m, "p_error_asymptotic", ci_asym),
-        ])
-    return records
+    """One JSON record per (mode count, receiver, metric), without intervals."""
+    columns = [("sfg", "p_error", sweep.sfg_p_error.tolist()),
+               ("sfg", "p_error_low_brightness_limit", sweep.sfg_limit.tolist()),
+               ("ci", "p_error", sweep.ci_p_error.tolist()),
+               ("ci", "p_error_asymptotic", sweep.ci_asymptotic.tolist())]
+    return [dict(receiver=receiver, point=m, metric=metric, value=values[i],
+                 ci_low=None, ci_high=None)
+            for i, m in enumerate(sweep.M.tolist()) for receiver, metric, values in columns]
 
 
 def cmd_bayes_sweep(args) -> int:
-    spec = _resolve_sweep(args)
-    params = SystemParams(M=spec.values[0], **spec.fixed)
-    sweep = analytic.bayes_sweep(params, spec.values)
+    params, default_range = _resolve(args)
+    given = (args.log10_start, args.log10_stop, args.points)
+    start, stop, points = (d if g is None else g for g, d in zip(given, default_range))
+    if points < 1:
+        raise InvalidParameter("points", "must be >= 1")
+    m = np.logspace(start, stop, points)
+    if np.any(m[1:] <= m[:-1]):
+        raise InvalidParameter("log10-stop", "M must be strictly increasing: log10-stop must "
+                                             "exceed log10-start, and no two M may overflow")
+    sweep = analytic.bayes_sweep(params, m)
     if args.format == "json":
-        _emit_json([r.__dict__ for r in _sweep_records(sweep)], args.out)
+        _emit_json(_sweep_records(sweep), args.out)
     else:
         _emit(_sweep_csv(sweep), args.out)
     return 0
 
 
 def cmd_snr(args) -> int:
-    params = _resolve_params(args)
+    params, _ = _resolve(args)
     opa = analytic.opa_default_gain(params)
     fading = analytic.opa_snr_fading(params, opa)
     known = analytic.opa_snr_known(params, params.kappa_bar)
@@ -275,7 +220,7 @@ def cmd_validate(args) -> int:
     if args.only:
         only = [name for chunk in args.only for name in chunk.split(",") if name]
     report = run_validation(
-        trials=args.trials if args.trials is not None else 200,
+        trials=args.trials,
         seed=args.seed,
         only=only,
         mean_counts_fn=_broken_mean_counts if args.inject_bad_n0 else None,
@@ -334,8 +279,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, sweep=False):
-        p.add_argument("--config", help="parameter file (JSON or key=value text)")
-        p.add_argument("--preset", help=f"named parameter set: {', '.join(sorted(PRESETS))}")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="parameter file (JSON or key=value text)")
+        source.add_argument("--preset",
+                            help=f"named parameter set: {', '.join(sorted(PRESETS))}")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if sweep:
@@ -358,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the cross-validation check suite")
     p.add_argument("--out", default="-")
-    p.add_argument("--trials", type=int, help="trial count for randomized checks")
+    p.add_argument("--trials", type=int, default=200,
+                   help="trial count for randomized checks (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", action="append",
                    help="run only the named checks (comma list, repeatable)")

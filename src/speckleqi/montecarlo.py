@@ -35,11 +35,6 @@ class FloorModel(Enum):
     WITH_THERMAL_FLOOR = "with_thermal_floor"
 
 
-class CountModel(Enum):
-    POISSON_APPROX = "poisson_approx"
-    EXACT_NEGATIVE_BINOMIAL = "exact_negative_binomial"
-
-
 class Receiver(Enum):
     SFG = "sfg"
     CI = "ci"
@@ -50,7 +45,6 @@ class McConfig:
     trials: int
     seed: int = 0
     floor_model: FloorModel = FloorModel.IDEAL
-    count_model: CountModel = CountModel.EXACT_NEGATIVE_BINOMIAL
 
     def __post_init__(self):
         if self.trials < 100:
@@ -105,11 +99,10 @@ def _sample_kappa(model: FadingModel, rng: np.random.Generator, size: int) -> np
 # Receiver output statistics
 # =============================================================================
 
-def _sfg_noise_counts(params: SystemParams, config: McConfig,
-                      rng: np.random.Generator, size: int) -> np.ndarray:
+def _sfg_noise_counts(params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Total counts with mean N0: a sum of M iid Bose-Einstein variables."""
     n0, _ = analytic.sfg_mean_counts(params)
-    if config.count_model is CountModel.EXACT_NEGATIVE_BINOMIAL and params.M <= _NEG_BINOMIAL_M_CAP:
+    if params.M <= _NEG_BINOMIAL_M_CAP:
         # sum of M geometrics of mean n0/M, i.e. negative binomial
         p = 1.0 / (1.0 + n0 / params.M)
         return rng.negative_binomial(params.M, p, size)
@@ -126,11 +119,11 @@ def sample_sfg_counts(params: SystemParams, present: bool, model: FadingModel,
     says to keep it (the idealized reduction neglects it).
     """
     if not present:
-        return _sfg_noise_counts(params, config, rng, size)
+        return _sfg_noise_counts(params, rng, size)
     kappa = _sample_kappa(model, rng, size)
     counts = rng.poisson((1.0 - params.epsilon) * params.M * kappa * params.N_S / params.N_B)
     if config.floor_model is FloorModel.WITH_THERMAL_FLOOR:
-        counts = counts + _sfg_noise_counts(params, config, rng, size)
+        counts = counts + _sfg_noise_counts(params, rng, size)
     return counts
 
 

@@ -35,6 +35,12 @@ from .params import FadingModel, SystemParams, fading_pdf
 
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
+# golden-section tolerance on the Chernoff parameter s
+_S_TOL = 1e-6
+# per-copy truncation deficit the exponent-trend states may drop before renormalizing
+_PER_COPY_DEFICIT_TOL = 0.05
+# a concavity trial whose slack is below -_SLACK_TOL counts as a violation
+_SLACK_TOL = 1e-9
 
 
 class TruncationTooSmall(ValueError):
@@ -48,7 +54,7 @@ class TruncationTooSmall(ValueError):
 
 
 class ResourceGuard(RuntimeError):
-    """A brute-force computation would exceed the configured memory budget."""
+    """A brute-force computation would exceed the memory budget."""
 
 
 @dataclass
@@ -135,11 +141,6 @@ def dim_for_tail(nbar: float, tail_tol: float) -> int:
         return 2
     q = nbar / (nbar + 1.0)
     return max(2, math.ceil(math.log(tail_tol) / math.log(q)))
-
-
-def default_dim(nbar: float) -> int:
-    """Moment-safe default truncation: mean + 8 standard deviations + margin."""
-    return math.ceil(nbar + 8.0 * math.sqrt(nbar * (nbar + 1.0)) + 6.0)
 
 
 # =============================================================================
@@ -275,6 +276,11 @@ def rotate_return_phase(dm: DensityMatrix, angle: float) -> DensityMatrix:
 # (k, r, n, p) elements per amplitude chunk: each of the few grid temporaries
 # alive at once is 64 KiB; 8x larger chunks ran no faster and raised peak RSS
 _AMPLITUDE_GRID = 1 << 13
+# the environment is truncated where its thermal tail drops below _ENV_TAIL_TOL;
+# a hotter environment, or a wider default output mode, raises TruncationTooSmall
+_ENV_TAIL_TOL = 1e-12
+_MAX_ENV_DIM = 65536
+_MAX_OUT_DIM = 256
 
 
 def _bs_amplitude_matrix(ks: np.ndarray, d_sig: int, r_max: int, kappa: float) -> np.ndarray:
@@ -319,9 +325,7 @@ def _bs_amplitude_matrix(ks: np.ndarray, d_sig: int, r_max: int, kappa: float) -
 
 
 def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff: float,
-                         out_dim: int = None, trace_deficit_tol: float = 1e-6,
-                         env_tail_tol: float = 1e-12, max_env_dim: int = 65536,
-                         max_out_dim: int = 256) -> DensityMatrix:
+                         out_dim: int = None, trace_deficit_tol: float = 1e-6) -> DensityMatrix:
     """Mix the signal mode of a two-mode state with a thermal environment.
 
     The signal mode passes a transmissivity-kappa beam splitter with phase phi
@@ -346,8 +350,8 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
 
     if not n_b_eff >= 0.0 or not math.isfinite(n_b_eff):
         raise ValueError("n_b_eff must be finite and >= 0")
-    d_env = dim_for_tail(n_b_eff, env_tail_tol)
-    if d_env > max_env_dim:
+    d_env = dim_for_tail(n_b_eff, _ENV_TAIL_TOL)
+    if d_env > _MAX_ENV_DIM:
         raise TruncationTooSmall(
             f"environment at n_b_eff={n_b_eff:g} needs dim {d_env} on the enlarged space",
             suggested_dim=d_env,
@@ -356,10 +360,10 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
     d_out = full_out if out_dim is None else int(out_dim)
     if d_out < 1:
         raise ValueError("out_dim must be >= 1")
-    if d_out > max_out_dim:
+    if d_out > _MAX_OUT_DIM:
         raise TruncationTooSmall(
-            f"output mode dim {d_out} exceeds the cap {max_out_dim}; pass out_dim explicitly",
-            suggested_dim=max_out_dim,
+            f"output mode dim {d_out} exceeds the cap {_MAX_OUT_DIM}; pass out_dim explicitly",
+            suggested_dim=_MAX_OUT_DIM,
         )
 
     # shift t = n - r runs over [1 - d_out, d_sig); its (r, n) pairs are
@@ -508,10 +512,10 @@ def _rank_cut(w: np.ndarray, size: int) -> np.ndarray:
     return np.where(w < w.max() * size * np.finfo(float).eps, 0.0, np.clip(w, 0.0, None))
 
 
-def _chernoff_minimum(q_s, s_tol: float) -> tuple[float, float]:
+def _chernoff_minimum(q_s) -> tuple[float, float]:
     """(optimal s, exponent -ln min_s q(s)) by golden-section search on [0, 1]
     plus the two endpoints."""
-    s_opt, q_min = golden_section_min(q_s, 0.0, 1.0, tol=s_tol)
+    s_opt, q_min = golden_section_min(q_s, 0.0, 1.0, tol=_S_TOL)
     for s_end in (0.0, 1.0):
         q_end = q_s(s_end)
         if q_end < q_min:
@@ -520,8 +524,7 @@ def _chernoff_minimum(q_s, s_tol: float) -> tuple[float, float]:
     return float(s_opt), exponent
 
 
-def _discriminate(b0s: list, b1s: list, pi0: float, size: int,
-                  s_tol: float = 1e-6) -> tuple[float, float, float]:
+def _discriminate(b0s: list, b1s: list, pi0: float, size: int) -> tuple[float, float, float]:
     """(Helstrom error, optimal s, Chernoff exponent) of two block-diagonal
     states on a space of dimension size.
 
@@ -560,12 +563,11 @@ def _discriminate(b0s: list, b1s: list, pi0: float, size: int,
     def q_s(s: float) -> float:
         return float(np.exp(s * log0 + (1.0 - s) * log1) @ weight)
 
-    s_opt, exponent = _chernoff_minimum(q_s, s_tol)
+    s_opt, exponent = _chernoff_minimum(q_s)
     return pr_e, s_opt, exponent
 
 
-def qcb(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float = 0.5,
-        s_tol: float = 1e-6) -> DiscriminationReport:
+def qcb(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float = 0.5) -> DiscriminationReport:
     """Quantum Chernoff bound report: Q = min_s tr(rho0^s rho1^(1-s)).
 
     Both states should be (re)normalized. The pair is solved as one dense
@@ -577,7 +579,7 @@ def qcb(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float = 0.5,
     if rho0.data.shape != rho1.data.shape:
         raise ValueError("states must share a dimension")
     pr_e, s_opt, exponent = _discriminate([rho0.data[None]], [rho1.data[None]], pi0,
-                                          rho0.dim, s_tol)
+                                          rho0.dim)
     return DiscriminationReport(helstrom_error=pr_e, qcb_exponent=exponent, optimal_s=s_opt)
 
 
@@ -610,13 +612,12 @@ class ConcavityReport:
     mixture_size: int
     min_slack: float
     violations: int
-    slack_tol: float = 1e-9
 
 
-def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int,
-                             pi0: float = 0.5, slack_tol: float = 1e-9) -> ConcavityReport:
+def check_helstrom_concavity(trials: int, dim: int, mixture_size: int,
+                             seed: int) -> ConcavityReport:
     """Randomized numeric check that averaging states cannot decrease the
-    minimum discrimination error. Reports the worst slack seen.
+    minimum discrimination error at equal priors. Reports the worst slack seen.
 
     Each trial draws its mixture weights, then its mixture_size Ginibre
     (rho0, rho1) pairs; the trials x (mixture_size + 1) Helstrom problems
@@ -634,15 +635,15 @@ def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int
     for i in range(mixture_size):
         mixed = mixed + f[:, i, None, None, None] * pairs[:, i]
     pairs[:, -1] = mixed
-    w = np.linalg.eigvalsh((1.0 - pi0) * pairs[:, :, 1] - pi0 * pairs[:, :, 0])
-    pr_e = _helstrom_from_norm(np.abs(w).sum(axis=-1), pi0)
+    w = np.linalg.eigvalsh(0.5 * pairs[:, :, 1] - 0.5 * pairs[:, :, 0])
+    pr_e = _helstrom_from_norm(np.abs(w).sum(axis=-1), 0.5)
     averaged = 0.0
     for i in range(mixture_size):
         averaged = averaged + f[:, i] * pr_e[:, i]
     slack = pr_e[:, -1] - averaged
     return ConcavityReport(trials=trials, dim=dim, mixture_size=mixture_size,
                            min_slack=float(slack.min(initial=math.inf)),
-                           violations=int((slack < -slack_tol).sum()), slack_tol=slack_tol)
+                           violations=int((slack < -_SLACK_TOL).sum()))
 
 
 @dataclass(frozen=True)
@@ -723,11 +724,9 @@ def _block_groups(labels: np.ndarray) -> list:
 
 
 def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
-                          model: FadingModel = None, pi0: float = 0.5,
-                          per_copy_deficit_tol: float = 0.05,
-                          memory_cap_bytes: int = 2 << 30) -> list:
+                          model: FadingModel = None) -> list:
     """Per-copy error-probability exponent estimates for M-copy discrimination
-    of the unconditional (fading-averaged) hypothesis states.
+    of the unconditional (fading-averaged) hypothesis states, at equal priors.
 
     The fading draw is shared across all M copies, so the M-copy average is
     taken of the tensor powers (not the tensor power of the average). Under a
@@ -751,7 +750,8 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     numerical-rank cutoff still runs over the whole space.
 
     Runs at surrogate (small N_S, N_B, dim) scale only; the blocks must fit
-    the memory cap. Per-copy truncated states are renormalized first.
+    in 2 GiB (else ResourceGuard). Per-copy truncated states may drop 5% of
+    their weight to truncation and are renormalized first.
     """
     m_list = sorted(int(m) for m in m_list)
     if m_list[0] < 1:
@@ -763,17 +763,17 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     else:
         amp_weights, n_phase = np.array([1.0]), None
     worst = _block_bytes(dim, m_list[-1], n_phase)
-    if worst > memory_cap_bytes:
+    if worst > 2 << 30:
         raise ResourceGuard(
             f"M={m_list[-1]} copies of a two-mode dim-{dim} state need {worst/2**30:.1f} GiB"
         )
 
     def conditional(kappa: float) -> DensityMatrix:
         return hypothesis_state(params, kappa, 0.0, dim, present=True, out_dim=dim,
-                                trace_deficit_tol=per_copy_deficit_tol).renormalized()
+                                trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
 
     rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
-                            trace_deficit_tol=per_copy_deficit_tol).renormalized()
+                            trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
     if model.is_random:
         conditionals = [conditional(a * a) for a in amps]
     else:
@@ -806,7 +806,7 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
         trace = sum(np.trace(b1, axis1=1, axis2=2).real.sum() for b1 in b1s)
         for b1 in b1s:
             b1 /= trace
-        pr_e, _, exponent = _discriminate(b0s, b1s, pi0, labels.size)
+        pr_e, _, exponent = _discriminate(b0s, b1s, 0.5, labels.size)
         results.append(TrendPoint(copies=m, helstrom_exponent=-math.log(pr_e) / m,
                                   chernoff_exponent=exponent / m,
                                   blocks=sum(len(idx) for idx in groups),
@@ -818,9 +818,9 @@ def qcb_exponent_at_zero_return(params: SystemParams, dim: int) -> float:
     """Chernoff exponent of the conditional hypothesis pair at vanishing return
     amplitude; the two states coincide there, so the exponent is ~0."""
     rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
-                            trace_deficit_tol=0.05).renormalized()
+                            trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
     rho1 = hypothesis_state(params, 0.0, 0.0, dim, present=True, out_dim=dim,
-                            trace_deficit_tol=0.05).renormalized()
+                            trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
     return qcb(rho0, rho1).qcb_exponent
 
 

@@ -9,15 +9,15 @@ Conventions:
 - kappa_bar is the mean target-return intensity E[kappa]; the return amplitude
   sqrt(kappa) is Rayleigh distributed with that mean intensity, the return
   phase is uniform on [0, 2pi).
-- pi0, pi1 are the prior probabilities of target absence / presence and are
-  normalized at construction.
+- pi0 is the prior probability of target absence; the presence prior pi1 is
+  derived as 1 - pi0.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -41,7 +41,6 @@ class SystemParams:
     kappa_bar: float
     epsilon: float = 0.01
     pi0: float = 0.5
-    pi1: float = field(default=None, init=True)  # derived as 1 - pi0 when omitted
 
     def __post_init__(self):
         for name in ("M", "N_S", "N_B"):
@@ -53,23 +52,11 @@ class SystemParams:
             raise InvalidParameter("epsilon", "must lie in (0, 1)")
         if not 0.0 <= self.pi0 <= 1.0:
             raise InvalidParameter("pi0", "must lie in [0, 1]")
-        if self.pi1 is None:
-            object.__setattr__(self, "pi1", 1.0 - self.pi0)
-        else:
-            if not 0.0 <= self.pi1 <= 1.0:
-                raise InvalidParameter("pi1", "must lie in [0, 1]")
-            if abs(self.pi0 + self.pi1 - 1.0) > 1e-9:
-                raise InvalidParameter("pi1", "pi0 + pi1 must equal 1")
-            # store exactly normalized priors
-            object.__setattr__(self, "pi1", 1.0 - self.pi0)
 
     @property
-    def low_brightness(self) -> bool:
-        return self.N_S < 0.1
-
-    @property
-    def high_noise(self) -> bool:
-        return self.N_B > 1.0
+    def pi1(self) -> float:
+        """Prior of target presence, 1 - pi0."""
+        return 1.0 - self.pi0
 
 
 # The paper's two comparison points: shared caption values kappa_bar = 0.01,

@@ -19,7 +19,8 @@ from scipy.integrate import quad
 
 from . import analytic, montecarlo, oracle
 from ._golden import golden_section_min
-from .params import FIG2A, FIG2B, FadingModel, SystemParams, derived_x, fading_pdf
+from .params import (FIG2A, FIG2B, FadingModel, InvalidParameter, SystemParams, derived_x,
+                     fading_pdf)
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,8 @@ class CheckResult:
         return asdict(self)
 
 
-def _result(name: str, measured: float, tolerance: float, description: str,
-            larger_is_worse: bool = True) -> CheckResult:
-    passed = measured <= tolerance if larger_is_worse else measured >= tolerance
-    return CheckResult(name=name, passed=bool(passed), measured=float(measured),
+def _result(name: str, measured: float, tolerance: float, description: str) -> CheckResult:
+    return CheckResult(name=name, passed=bool(measured <= tolerance), measured=float(measured),
                        tolerance=float(tolerance), description=description)
 
 
@@ -177,8 +176,9 @@ def check_roc_invariants() -> CheckResult:
                    "ROC curves are monotone, bounded, properly terminated, concave")
 
 
-def check_thermal_weld(seed: int, pairs: int = 6, mean_counts_fn=None) -> CheckResult:
-    """helstrom of the two count distributions vs the analytic threshold test.
+def check_thermal_weld(seed: int, mean_counts_fn=None) -> CheckResult:
+    """helstrom of the two count distributions vs the analytic threshold test,
+    at 6 random parameter points.
 
     Commuting (diagonal) states make photon counting optimal, so the two
     routes must agree. States are built through mean_counts_fn (the
@@ -189,7 +189,7 @@ def check_thermal_weld(seed: int, pairs: int = 6, mean_counts_fn=None) -> CheckR
         mean_counts_fn = analytic.sfg_mean_counts
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(6):
         n_s = 10 ** rng.uniform(-3, -0.8)
         n_b = rng.uniform(0.3, 1.0)
         x_target = rng.uniform(0.5, 4.5 / 0.99)
@@ -205,10 +205,10 @@ def check_thermal_weld(seed: int, pairs: int = 6, mean_counts_fn=None) -> CheckR
                    "eigendecomposition Helstrom error vs analytic SFG threshold test")
 
 
-def check_qcb_single_copy_bound(seed: int, pairs: int = 30) -> CheckResult:
+def check_qcb_single_copy_bound(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = -math.inf  # max helstrom - bound; must be <= slack
-    for _ in range(pairs):
+    worst = -math.inf  # max helstrom - bound over 30 random pairs; must be <= slack
+    for _ in range(30):
         dim = int(rng.integers(2, 7))
         rep = oracle.qcb(oracle.random_density_matrix(dim, rng),
                          oracle.random_density_matrix(dim, rng))
@@ -294,6 +294,8 @@ def check_mc_coverage(trials: int, seed: int) -> CheckResult:
 def run_validation(trials: int = 200, seed: int = 0, only=None,
                    mean_counts_fn=None) -> dict:
     """Run the named checks (all when only is None); returns a JSON-ready report."""
+    if trials < 1:
+        raise InvalidParameter("trials", f"must be >= 1, got {trials}")
     registry = {
         "fading-pdf-normalization": lambda: check_pdf_normalization(),
         "fading-mean-intensity": lambda: check_mean_intensity(),
@@ -314,9 +316,12 @@ def run_validation(trials: int = 200, seed: int = 0, only=None,
         "mc-coverage": lambda: check_mc_coverage(trials, seed),
     }
     names = list(registry) if only is None else list(only)
+    if not names:
+        raise InvalidParameter("only", "selects no checks")
     unknown = [n for n in names if n not in registry]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {sorted(registry)}")
+        raise InvalidParameter("only", f"unknown checks: {unknown}; "
+                                       f"available: {sorted(registry)}")
     checks = [registry[name]() for name in names]
     return {
         "seed": seed,

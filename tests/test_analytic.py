@@ -147,7 +147,7 @@ class TestSfgRoc:
         assert curve.thresholds[-1] == -1.0
 
     def test_floor_controls_depth(self, fig2a):
-        curve = sfg_roc(fig2a, p_f_floor=1e-15)
+        curve = sfg_roc(fig2a)
         positive = curve.points[curve.points[:, 0] > 0, 0]
         assert positive.min() < 1e-15
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from speckleqi import thermal_state
-from speckleqi.cli import PRESETS, CurveRecord, SweepSpec, main
+from speckleqi.cli import PRESETS, main
 from speckleqi.params import FIG2A, FIG2B
 
 
@@ -19,28 +19,6 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
-
-
-class TestTypes:
-    def test_sweep_spec_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SweepSpec(axis="M", values=(), fixed={})
-
-    def test_sweep_spec_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            SweepSpec(axis="M", values=(1.0, 1.0, 2.0), fixed={})
-
-    def test_sweep_spec_rejects_repeated_infinity(self):
-        with pytest.raises(ValueError):
-            SweepSpec(axis="M", values=(1.0, math.inf, math.inf), fixed={})
-
-    def test_log_range_single_point(self):
-        spec = SweepSpec.log_range("M", 3.0, 5.0, 1, fixed={})
-        assert spec.values == (1000.0,)
-
-    def test_curve_record_defaults(self):
-        rec = CurveRecord(receiver="sfg", point=1.0, metric="p_error", value=0.1)
-        assert rec.ci_low is None and rec.ci_high is None
 
 
 class TestPresets:
@@ -107,6 +85,13 @@ class TestRocCommand:
     def test_unknown_receiver_is_invalid_parameter(self, tmp_path):
         assert run_cli("roc", "--preset", "fig2a", "--receivers", "opa") == 3
 
+    @pytest.mark.parametrize("receivers", [",", "", " , "])
+    def test_empty_receiver_list_names_field(self, tmp_path, capsys, receivers):
+        out = tmp_path / "roc.csv"
+        assert run_cli("roc", "--receivers", receivers, "--out", str(out)) == 3
+        assert "invalid parameter receivers:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBayesSweepCommand:
     def test_fig3a_row_at_log10m_8p5(self, tmp_path):
@@ -144,6 +129,37 @@ class TestBayesSweepCommand:
         _, rows = read_csv(out)
         assert len(rows) == 1
 
+    def test_single_point_is_the_start(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", "3",
+                       "--log10-stop", "5", "--points", "1", "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert [float(r["M"]) for r in rows] == [1000.0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    @pytest.mark.parametrize("start,stop,points", [
+        ("9", "5", "5"),        # start > stop
+        ("8", "8", "3"),        # start == stop with several points
+        ("300", "1000", "3"),   # the last two M overflow to the same infinity
+    ])
+    def test_non_increasing_m_names_log10_stop(self, tmp_path, capsys, start, stop, points):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", start,
+                       "--log10-stop", stop, "--points", points, "--out", str(out)) == 3
+        assert "invalid parameter log10-stop:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_points_below_one_names_points(self, capsys, points):
+        assert run_cli("bayes-sweep", "--preset", "fig3a", "--points", points) == 3
+        assert "invalid parameter points:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    def test_single_overflowing_point_names_m(self, capsys):
+        assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", "400",
+                       "--points", "1") == 3
+        assert "invalid parameter M:" in capsys.readouterr().err
+
     def test_asymptotic_blank_below_validity(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_cli("bayes-sweep", "--preset", "fig3b", "--log10-start", "3",
@@ -164,6 +180,7 @@ class TestBayesSweepCommand:
         payload = json.loads(out.read_text())
         keys = {(r["receiver"], r["point"], r["metric"]) for r in payload}
         assert len(keys) == len(payload)  # one record per (receiver, point, metric)
+        assert all(r["ci_low"] is None and r["ci_high"] is None for r in payload)
 
 
 # md5 of `bayes-sweep` CSV output, recorded from the per-point implementation
@@ -185,15 +202,34 @@ SWEEP_MD5 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_MD5))
-def test_bayes_sweep_csv_bytes(tmp_path, name):
-    argv, digest = SWEEP_MD5[name]
+# md5 of `bayes-sweep --format json`, recorded from the per-record
+# implementation the column-built records replaced.
+SWEEP_JSON_MD5 = {
+    "fig3a": (["--preset", "fig3a"], "ac129704e665ecd013c639c543986f5a"),
+    "fig3b": (["--preset", "fig3b"], "f14a161c46530602d4e910a67da7be59"),
+    "config": (["--config", None], "29a52b992b868a674c0c9cce63b9f083"),
+}
+
+
+def _sweep_digest(tmp_path, argv, fmt):
     cfg = tmp_path / "declare.json"
     cfg.write_text(DECLARE_CONFIG)
     argv = [str(cfg) if a is None else a for a in argv]
-    out = tmp_path / "sweep.csv"
-    assert run_cli("bayes-sweep", *argv, "--out", str(out)) == 0
-    assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+    out = tmp_path / f"sweep.{fmt}"
+    assert run_cli("bayes-sweep", *argv, "--format", fmt, "--out", str(out)) == 0
+    return hashlib.md5(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MD5))
+def test_bayes_sweep_csv_bytes(tmp_path, name):
+    argv, digest = SWEEP_MD5[name]
+    assert _sweep_digest(tmp_path, argv, "csv") == digest
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_JSON_MD5))
+def test_bayes_sweep_json_bytes(tmp_path, name):
+    argv, digest = SWEEP_JSON_MD5[name]
+    assert _sweep_digest(tmp_path, argv, "json") == digest
 
 
 def strict_json(text):
@@ -309,6 +345,23 @@ class TestExitCodes:
     def test_unknown_preset(self):
         assert run_cli("roc", "--preset", "fig9z") == 2
 
+    @pytest.mark.parametrize("option", ["--config", "--preset"])
+    def test_empty_parameter_source_rejected(self, tmp_path, option):
+        out = tmp_path / "o.csv"
+        assert run_cli("snr", option, "", "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["roc", "snr", "bayes-sweep"])
+    def test_config_and_preset_together_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01}')
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", str(cfg), "--preset", "fig2b", "--out", str(out))
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["roc", "snr", "bayes-sweep"])
     @pytest.mark.parametrize("fading", [
         '"fading.kind": "deterministic", "fading.kappa": 0.01',
@@ -358,8 +411,24 @@ class TestValidateCommand:
         # measured is -min_slack; the concavity slack never dips below -1e-9
         assert check["measured"] <= 1e-9
 
-    def test_unknown_check_rejected(self):
+    def test_unknown_check_rejected(self, capsys):
         assert run_cli("validate", "--only", "nonsense") == 3
+        assert "invalid parameter only:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("only", [",", ""])
+    def test_empty_selection_names_only(self, tmp_path, capsys, only):
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--only", only, "--out", str(out)) == 3
+        assert "invalid parameter only:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_names_trials(self, tmp_path, capsys, trials):
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--only", "helstrom-concavity", "--trials", trials,
+                       "--out", str(out)) == 3
+        assert "invalid parameter trials:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCommand:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from speckleqi import (
-    CountModel,
     FadingModel,
     FloorModel,
     McConfig,
@@ -120,13 +119,14 @@ class TestSfgCounts:
         assert sps.chi2.sf(chi2, len(expected) - 1) > 0.01
 
     def test_count_model_agreement_at_large_m(self):
-        # sum of 1e6 geometrics vs its Poisson limit, via empirical pmfs
+        # the sampler's sum of 1e6 geometrics vs numpy's Poisson limit, via
+        # empirical pmfs
         p = SystemParams(M=1e6, N_S=1e-4, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
-        cfg_nb = McConfig(trials=100, seed=3, count_model=CountModel.EXACT_NEGATIVE_BINOMIAL)
-        cfg_po = McConfig(trials=100, seed=3, count_model=CountModel.POISSON_APPROX)
+        n0, _ = sfg_mean_counts(p)
         draws = 10 ** 6
-        nb = sample_sfg_counts(p, False, None, cfg_nb, np.random.default_rng(3), draws)
-        po = sample_sfg_counts(p, False, None, cfg_po, np.random.default_rng(4), draws)
+        nb = sample_sfg_counts(p, False, None, McConfig(trials=100, seed=3),
+                               np.random.default_rng(3), draws)
+        po = np.random.default_rng(4).poisson(n0, draws)
         top = max(nb.max(), po.max()) + 1
         pmf_nb = np.bincount(nb, minlength=top) / draws
         pmf_po = np.bincount(po, minlength=top) / draws
@@ -218,65 +218,37 @@ class TestOperatingPointEstimates:
 
 
 # Frozen McEstimate (value, ci_low, ci_high) of P_F, P_D and the Bayes error at
-# seed 20261018, 1e4 trials, per (preset, receiver, count model, floor model):
-# any change to the random streams or to the order of draws shows here.
+# seed 20261018, 1e4 trials, per (preset, receiver, floor model): any change to
+# the random streams or to the order of draws shows here. fig2a's SFG noise
+# counts come from the Poisson limit (M > 1e7), fig2b's from the exact
+# negative binomial.
 PINNED_ESTIMATES = {
-    ("fig2a", Receiver.SFG, CountModel.POISSON_APPROX, FloorModel.IDEAL): (
+    ("fig2a", Receiver.SFG, FloorModel.IDEAL): (
         (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
         (0.9368, 0.9318612058051992, 0.9414033332181777),
         (0.03170000000000002, 0.02914593141758373, 0.03425406858241631),
     ),
-    ("fig2a", Receiver.SFG, CountModel.POISSON_APPROX, FloorModel.WITH_THERMAL_FLOOR): (
+    ("fig2a", Receiver.SFG, FloorModel.WITH_THERMAL_FLOOR): (
         (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
         (0.9369, 0.9319646833316131, 0.9414997788920896),
         (0.031650000000000025, 0.029097689380709252, 0.0342023106192908),
     ),
-    ("fig2a", Receiver.SFG, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.IDEAL): (
-        (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
-        (0.9368, 0.9318612058051992, 0.9414033332181777),
-        (0.03170000000000002, 0.02914593141758373, 0.03425406858241631),
-    ),
-    ("fig2a", Receiver.SFG, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.WITH_THERMAL_FLOOR): (
-        (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
-        (0.9369, 0.9319646833316131, 0.9414997788920896),
-        (0.031650000000000025, 0.029097689380709252, 0.0342023106192908),
-    ),
-    ("fig2a", Receiver.CI, CountModel.POISSON_APPROX, FloorModel.IDEAL): (
+    ("fig2a", Receiver.CI, FloorModel.IDEAL): (
         (0.0514, 0.04724182497055032, 0.05590269836762071),
         (0.8335, 0.8260707838854023, 0.8406730892013564),
         (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
     ),
-    ("fig2a", Receiver.CI, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.IDEAL): (
-        (0.0514, 0.04724182497055032, 0.05590269836762071),
-        (0.8335, 0.8260707838854023, 0.8406730892013564),
-        (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
-    ),
-    ("fig2b", Receiver.SFG, CountModel.POISSON_APPROX, FloorModel.IDEAL): (
-        (0.0242, 0.021365877393778255, 0.02739953545575759),
-        (0.9368, 0.9318612058051992, 0.9414033332181777),
-        (0.04370000000000002, 0.039806053631260545, 0.04759394636873949),
-    ),
-    ("fig2b", Receiver.SFG, CountModel.POISSON_APPROX, FloorModel.WITH_THERMAL_FLOOR): (
-        (0.0242, 0.021365877393778255, 0.02739953545575759),
-        (0.9382, 0.9333102033988203, 0.9427532604291187),
-        (0.04299999999999998, 0.03913082122693056, 0.046869178773069405),
-    ),
-    ("fig2b", Receiver.SFG, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.IDEAL): (
+    ("fig2b", Receiver.SFG, FloorModel.IDEAL): (
         (0.0228, 0.020052523375582592, 0.025913964669391148),
         (0.9368, 0.9318612058051992, 0.9414033332181777),
         (0.04300000000000002, 0.03914910782330324, 0.046850892176696794),
     ),
-    ("fig2b", Receiver.SFG, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.WITH_THERMAL_FLOOR): (
+    ("fig2b", Receiver.SFG, FloorModel.WITH_THERMAL_FLOOR): (
         (0.0228, 0.020052523375582592, 0.025913964669391148),
         (0.9386, 0.9337243278086323, 0.9431388288206101),
         (0.042100000000000005, 0.03828101442355344, 0.045918985576446573),
     ),
-    ("fig2b", Receiver.CI, CountModel.POISSON_APPROX, FloorModel.IDEAL): (
-        (0.0514, 0.04724182497055032, 0.05590269836762071),
-        (0.8335, 0.8260707838854023, 0.8406730892013564),
-        (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
-    ),
-    ("fig2b", Receiver.CI, CountModel.EXACT_NEGATIVE_BINOMIAL, FloorModel.IDEAL): (
+    ("fig2b", Receiver.CI, FloorModel.IDEAL): (
         (0.0514, 0.04724182497055032, 0.05590269836762071),
         (0.8335, 0.8260707838854023, 0.8406730892013564),
         (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
@@ -288,10 +260,9 @@ class TestPinnedEstimates:
     @pytest.mark.parametrize("key", list(PINNED_ESTIMATES), ids=lambda k: "-".join(
         getattr(part, "value", part) for part in k))
     def test_estimates_are_bit_identical(self, key):
-        preset, receiver, count_model, floor_model = key
+        preset, receiver, floor_model = key
         params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
-        cfg = McConfig(trials=10_000, seed=20261018, count_model=count_model,
-                       floor_model=floor_model)
+        cfg = McConfig(trials=10_000, seed=20261018, floor_model=floor_model)
         if receiver is Receiver.SFG:
             threshold = sfg_bayes(params).threshold
         else:

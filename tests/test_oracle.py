@@ -16,7 +16,6 @@ from speckleqi import (
     apply_return_channel,
     check_helstrom_concavity,
     coherent_thermal_state,
-    default_dim,
     dim_for_tail,
     fading_average,
     fading_exponent_trend,
@@ -273,7 +272,6 @@ class TestThermalState:
         nbar = 5.0
         d = dim_for_tail(nbar, 1e-12)
         assert (nbar / (nbar + 1)) ** d <= 1e-12 < (nbar / (nbar + 1)) ** (d - 1)
-        assert default_dim(1.0) == math.ceil(1 + 8 * math.sqrt(2) + 6)
 
 
 class TestCoherentThermalState:
@@ -589,9 +587,9 @@ class TestQcb:
         objectives = []
         real_minimum = oracle._chernoff_minimum
 
-        def capture(q_s, s_tol):
+        def capture(q_s):
             objectives.append(q_s)
-            return real_minimum(q_s, s_tol)
+            return real_minimum(q_s)
 
         monkeypatch.setattr(oracle, "_chernoff_minimum", capture)
         report = qcb(r0, r1)

@@ -43,7 +43,6 @@ class TestSystemParams:
         ("epsilon", dict(epsilon=1.0)),
         ("pi0", dict(pi0=-0.1)),
         ("pi0", dict(pi0=1.1)),
-        ("pi1", dict(pi0=0.4, pi1=0.7)),
         ("M", dict(M=math.inf)),
         ("M", dict(M=math.nan)),
         ("N_S", dict(N_S=math.inf)),
@@ -56,11 +55,11 @@ class TestSystemParams:
             SystemParams(**base)
         assert exc.value.field_name == field
 
-    def test_regime_flags(self):
-        p = SystemParams(M=10, N_S=0.01, N_B=20.0, kappa_bar=0.5)
-        assert p.low_brightness and p.high_noise
-        q = SystemParams(M=10, N_S=0.5, N_B=0.5, kappa_bar=0.5)
-        assert not q.low_brightness and not q.high_noise
+    def test_pi1_is_derived_not_settable(self):
+        p = SystemParams(M=10, N_S=0.1, N_B=1.0, kappa_bar=0.5, pi0=0.4)
+        assert p.pi1 == 1.0 - 0.4
+        with pytest.raises(TypeError):
+            SystemParams(M=10, N_S=0.1, N_B=1.0, kappa_bar=0.5, pi0=0.4, pi1=0.7)
 
     def test_immutable(self, fig2a):
         with pytest.raises(AttributeError):
