@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it on first use; load it with the package)
 
 from . import analytic
 from .params import FadingKind, FadingModel, SystemParams, derived_x

@@ -153,6 +153,7 @@ def fading_pdf(model: FadingModel, amplitude: float) -> float:
 #             or flat with dotted keys: {"fading.kind": "rayleigh"}
 #   text   -- one "key = value" per line, '#' starts a comment, dotted keys
 #             address the fading block.
+# A key given twice (including a nested key and its dotted form) is an error.
 #
 # Keys: M, N_S, N_B, kappa_bar, epsilon, pi0,
 #       fading.kind   in {rayleigh, truncated_rayleigh, deterministic}
@@ -166,19 +167,27 @@ class ConfigError(ValueError):
     """Unreadable or malformed configuration file."""
 
 
-def _flatten(obj: dict, prefix: str = "") -> dict:
+def _unique_keys(pairs) -> dict:
+    """dict of (key, value) pairs; a key given twice is an error, never a
+    silent override."""
     out = {}
-    for k, v in obj.items():
-        key = f"{prefix}{k}"
-        if isinstance(v, dict):
-            out.update(_flatten(v, prefix=f"{key}."))
-        else:
-            out[key] = v
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"key {key}: given more than once")
+        out[key] = value
     return out
 
 
-def _parse_text_config(text: str) -> dict:
-    out = {}
+def _flat_pairs(obj: dict, prefix: str = ""):
+    for k, v in obj.items():
+        key = f"{prefix}{k}"
+        if isinstance(v, dict):
+            yield from _flat_pairs(v, prefix=f"{key}.")
+        else:
+            yield key, v
+
+
+def _text_pairs(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -186,8 +195,7 @@ def _parse_text_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
-    return out
+        yield key, value
 
 
 def load_config(path) -> tuple[SystemParams, FadingModel]:
@@ -197,9 +205,13 @@ def load_config(path) -> tuple[SystemParams, FadingModel]:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        flat = _flatten(json.loads(text))
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
-        flat = _parse_text_config(text)
+        flat = _unique_keys(_text_pairs(text))
+    else:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a JSON config is one object, not {type(obj).__name__}")
+        flat = _unique_keys(_flat_pairs(obj))
 
     unknown = set(flat) - _PARAM_KEYS - {"fading.kind", "fading.kappa", "fading.phi"}
     if unknown:

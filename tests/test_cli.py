@@ -1,13 +1,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from speckleqi import thermal_state
+import speckleqi
+from speckleqi import thermal_state, validate
 from speckleqi.cli import PRESETS, main
-from speckleqi.params import FIG2A, FIG2B
+from speckleqi.params import FIG2A, FIG2B, fading_pdf
 
 
 def run_cli(*argv):
@@ -299,6 +305,14 @@ class TestExitCodes:
     def test_unreadable_config(self):
         assert run_cli("roc", "--config", "/nonexistent/path.json") == 2
 
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("M = 1e8\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\nM = 1e9\n")
+        out = tmp_path / "snr.csv"
+        assert run_cli("snr", "--config", str(cfg), "--out", str(out)) == 2
+        assert "key M: given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_parameter_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"M": -5, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01}')
@@ -430,6 +444,24 @@ class TestValidateCommand:
         assert "invalid parameter trials:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_names_seed(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--seed", "-1", "--only", "derived-x-scaling",
+                       "--out", str(out)) == 3
+        assert "invalid parameter seed:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check", ["fading-pdf-normalization", "fading-mean-intensity"])
+    def test_planted_pdf_scale_fails_quadrature_check(self, tmp_path, monkeypatch, check):
+        # a pdf one part in 1e9 too large must fail at the unchanged 1e-10 tolerance
+        monkeypatch.setattr(validate, "fading_pdf",
+                            lambda model, t: (1.0 + 1e-9) * fading_pdf(model, t))
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--only", check, "--out", str(out)) == 1
+        (result,) = json.loads(out.read_text())["checks"]
+        assert not result["passed"]
+        assert result["tolerance"] == 1e-10
+
 
 class TestOracleCommand:
     def test_npy_states(self, tmp_path):
@@ -475,3 +507,34 @@ class TestOracleCommand:
         good.write_text(json.dumps({"re": [[1.0]]}))
         assert run_cli("oracle", "--rho0", str(tmp_path / "no.npy"),
                        "--rho1", str(good)) == 2
+
+
+IMPORT_BUDGET = textwrap.dedent("""
+    import json, sys
+    import speckleqi.cli
+    scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded = set(sys.modules)
+    import speckleqi
+    from speckleqi import montecarlo
+    from speckleqi.params import FIG2A
+    from speckleqi.validate import run_validation
+    speckleqi.fading_exponent_trend(
+        speckleqi.SystemParams(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5), [1], dim=3,
+        nodes=(16, 33))
+    run_validation(only=["thermal-weld", "fading-pdf-normalization", "helstrom-concavity"])
+    montecarlo.estimate_bayes_error(montecarlo.Receiver.SFG, speckleqi.SystemParams(**FIG2A),
+                                    montecarlo.McConfig(trials=1000))
+    new = sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "numpy")
+    print(json.dumps({"scipy": scipy, "numpy_after_import": new}))
+""")
+
+
+def test_import_budget():
+    """The CLI imports numpy alone, and loads at import every numpy module that
+    a first trend, validate or Monte Carlo operation uses."""
+    src = str(Path(speckleqi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"scipy": [], "numpy_after_import": []}

@@ -190,6 +190,26 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=key):
             load_config(f)
 
+    @pytest.mark.parametrize("name,text,key", [
+        ("c.cfg", "M = 1e8\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\nM = 1e9\n", "M"),
+        ("c.json", '{"M": 1e8, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, "M": 1e9}', "M"),
+        ("c.json", '{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
+                   ' "fading": {"kind": "rayleigh"}, "fading.kind": "truncated_rayleigh"}',
+         "fading.kind"),
+    ], ids=["text-line", "json-object", "nested-and-dotted"])
+    def test_repeated_key_names_key(self, tmp_path, name, text, key):
+        f = tmp_path / name
+        f.write_text(text)
+        with pytest.raises(ConfigError, match=f"key {key}: given more than once"):
+            load_config(f)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"M = 1"'])
+    def test_json_that_is_not_an_object_rejected(self, tmp_path, text):
+        f = tmp_path / "c.json"
+        f.write_text(text)
+        with pytest.raises(ConfigError, match="one object"):
+            load_config(f)
+
     def test_unreadable(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
