@@ -17,6 +17,7 @@ from speckleqi import (
     estimate_operating_point,
     sfg_bayes,
 )
+from speckleqi.params import FIG2A, FIG2B
 
 
 def show(label, estimate, target):
@@ -28,9 +29,9 @@ def show(label, estimate, target):
 
 def main():
     config = McConfig(trials=100_000, seed=31415)
-    for n_s, m in ((1e-4, 10 ** 8.5), (1e-2, 10 ** 6.5)):
-        params = SystemParams(M=m, N_S=n_s, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
-        print(f"\nN_S = {n_s:g}, M = {m:.4g}, {config.trials} trials per hypothesis")
+    for preset in (FIG2A, FIG2B):
+        params = SystemParams(**preset)
+        print(f"\nN_S = {params.N_S:g}, M = {params.M:.4g}, {config.trials} trials per hypothesis")
         sfg = sfg_bayes(params)
         p_f, p_d = estimate_operating_point(Receiver.SFG, params, sfg.threshold, config)
         print(f"  SFG receiver at count threshold n_t = {sfg.threshold}:")

@@ -12,12 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from speckleqi import SystemParams, ci_roc, sfg_roc
+from speckleqi.params import FIG2A, FIG2B
 
 POINTS = {
-    "a (N_S=1e-4, M=10^8.5)": SystemParams(M=10 ** 8.5, N_S=1e-4, N_B=20.0,
-                                           kappa_bar=0.01, epsilon=0.01),
-    "b (N_S=1e-2, M=10^6.5)": SystemParams(M=10 ** 6.5, N_S=1e-2, N_B=20.0,
-                                           kappa_bar=0.01, epsilon=0.01),
+    "a (N_S=1e-4, M=10^8.5)": SystemParams(**FIG2A),
+    "b (N_S=1e-2, M=10^6.5)": SystemParams(**FIG2B),
 }
 
 

@@ -14,16 +14,17 @@ from speckleqi import (
     opa_snr_fading,
     opa_snr_known,
 )
+from speckleqi.params import FIG2A, FIG2B
 
 
 def main():
-    for n_s, m in ((1e-4, 10 ** 8.5), (1e-2, 10 ** 6.5)):
-        params = SystemParams(M=m, N_S=n_s, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
+    for preset in (FIG2A, FIG2B):
+        params = SystemParams(**preset)
         opa = opa_default_gain(params)
         known = opa_snr_known(params, params.kappa_bar)
         fading = opa_snr_fading(params, opa)
         ci = ci_snr(params)
-        print(f"\nN_S = {n_s:g}, M = {m:.4g}  (gain G-1 = {opa.gain_minus_one:g}, "
+        print(f"\nN_S = {params.N_S:g}, M = {params.M:.4g}  (gain G-1 = {opa.gain_minus_one:g}, "
               f"in design window: {opa.in_window})")
         print(f"  OPA SNR, known return : {known:.4e}")
         print(f"  OPA SNR, fading return: {fading:.4e}   "

@@ -229,31 +229,39 @@ def cmd_validate(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _load_state(path) -> oracle.DensityMatrix:
+def _load_state(path, name: str) -> oracle.DensityMatrix:
+    """The state in a .npy or .json file; errors about its matrix name it (rho0, rho1)."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"state file not found: {path}")
-    if p.suffix == ".npy":
-        data = np.load(p)
-    elif p.suffix == ".json":
-        obj = json.loads(p.read_text())
-        data = np.asarray(obj["re"], dtype=float)
-        if "im" in obj:
-            data = data + 1j * np.asarray(obj["im"], dtype=float)
-    else:
+    if p.suffix not in (".npy", ".json"):
         raise ConfigError(f"unsupported state file type: {p.suffix} (use .npy or .json)")
-    data = np.asarray(data, dtype=complex)
+    try:
+        if p.suffix == ".npy":
+            data = np.asarray(np.load(p), dtype=complex)
+        else:
+            obj = json.loads(p.read_text())
+            data = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj.get("im", 0.0),
+                                                                         dtype=float)
+    except (EOFError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a state matrix ({type(exc).__name__}: {exc})") from exc
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
-        raise InvalidParameter("state", f"expected a square matrix, got {data.shape}")
+        raise InvalidParameter(name, f"expected a square matrix, got {data.shape}")
+    if not np.isfinite(data).all():
+        raise InvalidParameter(name, "matrix has non-finite entries")
     if np.abs(data - data.conj().T).max() > 1e-10:
-        raise InvalidParameter("state", "matrix is not Hermitian")
-    dm = oracle.DensityMatrix(data, (data.shape[0],))
-    return dm.renormalized().psd_clamped()
+        raise InvalidParameter(name, "matrix is not Hermitian")
+    if not np.trace(data).real > 0.0:
+        raise InvalidParameter(name, f"trace {np.trace(data).real:g} is not positive")
+    try:
+        return oracle.DensityMatrix(data, (data.shape[0],)).renormalized().psd_clamped()
+    except ValueError as exc:
+        raise InvalidParameter(name, str(exc)) from exc
 
 
 def cmd_oracle(args) -> int:
-    rho0 = _load_state(args.rho0)
-    rho1 = _load_state(args.rho1)
+    rho0 = _load_state(args.rho0, "rho0")
+    rho1 = _load_state(args.rho1, "rho1")
     report = oracle.qcb(rho0, rho1, pi0=args.pi0)
     payload = {
         "pi0": args.pi0,
@@ -314,8 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("oracle", help="Helstrom/Chernoff report for two state files")
-    p.add_argument("--rho0", required=True, help=".npy or .json density matrix")
-    p.add_argument("--rho1", required=True, help=".npy or .json density matrix")
+    state_help = '.npy or .json ({"re": [[...]], "im": [[...]]}, im optional) density matrix'
+    p.add_argument("--rho0", required=True, help=state_help)
+    p.add_argument("--rho1", required=True, help=state_help)
     p.add_argument("--pi0", type=float, default=0.5)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_oracle)

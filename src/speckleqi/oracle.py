@@ -275,30 +275,27 @@ def rotate_return_phase(dm: DensityMatrix, angle: float) -> DensityMatrix:
     """Apply exp(i*angle*n) to the first (return) mode of a two-mode state."""
     d0, d1 = dm.dims
     phases = np.exp(1j * angle * np.repeat(np.arange(d0), d1))
-    data = dm.data * phases[:, None] * phases.conj()[None, :]
+    data = dm.data * phases[:, None]
+    data *= phases.conj()
     return DensityMatrix(data, dm.dims, dm.trace_deficit)
 
 
 # =============================================================================
-# Beam-splitter return channel
+# Thermal-loss return channel
 # =============================================================================
 #
-# a_R = sqrt(kappa) e^{i phi} a_S + sqrt(1-kappa) a_B, with a_B thermal. Total
-# photon number is conserved, so the environment level k and the signal level
-# n fix every output pair (r, n + k - r), and each amplitude is evaluated in
-# log space. Tracing out the environment leaves, per signal -> return shift
-# t = n - r, a real Gram sum_k w_k A_k[r, r+t] A_k[r', r'+t] over the
-# environment levels: the amplitudes are built for a chunk of k at a time
-# (bounded memory however hot the environment) and folded into the Gram by one
-# batched matmul, and rho meets the Gram once per shift.
+# a_R = sqrt(kappa) e^{i phi} a_S + sqrt(1-kappa) a_B with a_B thermal(n_b_eff)
+# is exactly a pure loss of transmissivity eta = kappa/G followed by a
+# quantum-limited amplifier of gain G = 1 + (1-kappa)*n_b_eff (Caruso,
+# Giovannetti & Holevo, New J. Phys. 8, 310 (2006)), then the phase. Both
+# steps have binomial Kraus operators that shift the photon number by j
+# (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)): pure loss takes |k + j>
+# to |k> with weight C(k + j, j) eta^k (1-eta)^j, the amplifier takes |k> to
+# |k + j> with weight C(k + j, j) G^-(k+1) (1-1/G)^j. No environment is built.
 
-# (k, r, n, p) elements per amplitude chunk: each of the few grid temporaries
-# alive at once is 64 KiB; 8x larger chunks ran no faster and raised peak RSS
-_AMPLITUDE_GRID = 1 << 13
-# the environment is truncated where its thermal tail drops below _ENV_TAIL_TOL;
-# a hotter environment, or a wider default output mode, raises TruncationTooSmall
+# the default output holds the beam splitter's d_sig - 1 signal photons plus
+# the environment's up to its 1e-12 thermal tail; wider raises TruncationTooSmall
 _ENV_TAIL_TOL = 1e-12
-_MAX_ENV_DIM = 65536
 _MAX_OUT_DIM = 256
 
 
@@ -319,46 +316,20 @@ def _log_factorials(size: int) -> np.ndarray:
     return _log_factorial_table(1 << max(size - 1, 1).bit_length())
 
 
-def _bs_amplitude_matrix(ks: np.ndarray, d_sig: int, r_max: int, kappa: float) -> np.ndarray:
-    """Real part of <r, n+k-r| U |n, k> for the zero-phase beam splitter.
-
-    Returns shape (len(ks), r_max, d_sig): environment levels k, rows
-    r in [0, r_max), columns n in [0, d_sig). Each element is a sum over the
-    p photons that stay in the signal arm, taken in log space (log-factorials
-    from one table, see _log_factorials), so it holds for environment levels
-    in the thousands. The phase-phi unitary differs only by a factor
-    e^{i*phi*(r-k)} per row.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    if kappa == 0.0:
-        out = np.zeros((ks.size, r_max, d_sig))
-        hit = np.flatnonzero(ks < r_max)
-        out[hit, ks[hit], :] = (-1.0) ** np.arange(d_sig)
-        return out
-    if kappa == 1.0:
-        out = np.zeros((ks.size, r_max, d_sig))
-        rng = np.arange(min(d_sig, r_max))
-        out[:, rng, rng] = 1.0
-        return out
-    lk = 0.5 * math.log(kappa)
-    l1k = 0.5 * math.log1p(-kappa)
-    lf = _log_factorials(max(int(ks.max(initial=0)) + d_sig, r_max) + 1)
-    k = ks[:, None, None, None]
-    r = np.arange(r_max)[:, None, None]
-    n = np.arange(d_sig)[None, :, None]
-    p = np.arange(min(d_sig, r_max))[None, None, :]
-    s = n + k - r
-    valid = (s >= 0) & (p <= np.minimum(n, r)) & (p >= np.maximum(0, r - k))
-    pc = np.where(valid, p, 0)
-    log_mag = (
-        lf[n] - lf[pc] - lf[n - pc]
-        + lf[k] - lf[r - pc] - lf[np.maximum(k - r + pc, 0)]
-        + (2 * pc + k - r) * lk + (n + r - 2 * pc) * l1k
-        + 0.5 * (lf[r] + lf[np.maximum(s, 0)] - lf[n] - lf[k])
-    )
-    sign = np.where((n - pc) % 2 == 0, 1.0, -1.0)
-    terms = np.where(valid, sign * np.exp(log_mag), 0.0)
-    return terms.sum(axis=3)
+def _binomial_shift(rho: np.ndarray, d_out: int, p: float, q: float, up: bool) -> np.ndarray:
+    """sum_j K_j rho K_j^dag on the first mode of rho, shaped (d, i, d, i), cut
+    to d_out levels. K_j takes |k> to |k + j> (up) or |k + j> to |k> (down)
+    with weight C(k + j, j) p^k q^j, the binomial from one log-factorial table."""
+    d_in, d_idl = rho.shape[:2]
+    lf = _log_factorials(d_in + d_out)
+    out = np.zeros((d_out, d_idl, d_out, d_idl), dtype=complex)
+    for j in range(d_out if up else d_in):
+        k = np.arange(min(d_in, d_out - j) if up else min(d_in - j, d_out))
+        o, i = (j, 0) if up else (0, j)
+        a = np.sqrt(np.exp(lf[k + j] - lf[j] - lf[k]) * p ** k * q ** j)
+        out[o:o + k.size, :, o:o + k.size, :] += (
+            (a[:, None] * a)[:, None, :, None] * rho[i:i + k.size, :, i:i + k.size, :])
+    return out
 
 
 def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff: float,
@@ -369,8 +340,9 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
     against a thermal mode of brightness n_b_eff (the caller picks n_b_eff per
     hypothesis: N_B for target absent, N_B/(1-kappa) for target present); the
     environment is traced out and the idler is untouched. out_dim truncates
-    the returned mode; by default it is sized to hold the full output
-    exactly. kappa = 0 returns thermal(n_b_eff) (x) idler-marginal.
+    the returned mode; by default it holds every level the beam splitter
+    populates above the environment's 1e-12 thermal tail. kappa = 0 returns
+    thermal(n_b_eff) (x) idler-marginal.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
@@ -387,13 +359,7 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
 
     if not n_b_eff >= 0.0 or not math.isfinite(n_b_eff):
         raise ValueError("n_b_eff must be finite and >= 0")
-    d_env = dim_for_tail(n_b_eff, _ENV_TAIL_TOL)
-    if d_env > _MAX_ENV_DIM:
-        raise TruncationTooSmall(
-            f"environment at n_b_eff={n_b_eff:g} needs dim {d_env} on the enlarged space",
-            suggested_dim=d_env,
-        )
-    full_out = d_sig + d_env - 1
+    full_out = d_sig + dim_for_tail(n_b_eff, _ENV_TAIL_TOL) - 1
     d_out = full_out if out_dim is None else int(out_dim)
     if d_out < 1:
         raise ValueError("out_dim must be >= 1")
@@ -403,38 +369,18 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
             suggested_dim=_MAX_OUT_DIM,
         )
 
-    # shift t = n - r runs over [1 - d_out, d_sig); its (r, n) pairs are
-    # (r0 + j, n0 + j) for j < span, padded to the longest diagonal
-    shifts = np.arange(1 - d_out, d_sig)
-    r0 = np.maximum(0, -shifts)
-    n0 = np.maximum(0, shifts)
-    span = np.minimum(d_out - r0, d_sig - n0)
-    j = np.arange(min(d_sig, d_out))
-    on_diag = j[None, :] < span[:, None]
-    rows = np.where(on_diag, r0[:, None] + j, 0)
-    cols = np.where(on_diag, n0[:, None] + j, 0)
-
-    sqrt_w = np.sqrt(_thermal_weights(n_b_eff, d_env))
-    gram = np.zeros((shifts.size, j.size, j.size))
-    chunk = max(1, _AMPLITUDE_GRID // (d_out * d_sig * j.size))
-    for lo in range(0, d_env, chunk):
-        ks = np.arange(lo, min(lo + chunk, d_env))
-        amp = _bs_amplitude_matrix(ks, d_sig, d_out, kappa)[:, rows, cols]
-        amp *= on_diag * sqrt_w[ks, None, None]
-        gram += amp.transpose(1, 2, 0) @ amp.transpose(1, 0, 2)
-
-    rho_in = state.data.reshape(d_sig, d_idl, d_sig, d_idl)
-    out = np.zeros((d_out, d_idl, d_out, d_idl), dtype=complex)
-    for g, r, n, size in zip(gram, r0, n0, span):
-        out[r:r + size, :, r:r + size, :] += (
-            g[:size, None, :size, None] * rho_in[n:n + size, :, n:n + size, :]
-        )
-    # each amplitude's e^{i phi (r - k)}: the e^{-i phi k} cancels in the trace
-    row_phase = np.exp(1j * phi * np.arange(d_out))
-    out *= row_phase[:, None, None, None] * row_phase.conj()[None, None, :, None]
-    out = out.reshape(d_out * d_idl, d_out * d_idl)
-    out = 0.5 * (out + out.conj().T)
-    result = DensityMatrix(out, (d_out, d_idl))
+    gain_excess = (1.0 - kappa) * n_b_eff
+    gain = 1.0 + gain_excess
+    rho = state.data.reshape(d_sig, d_idl, d_sig, d_idl)
+    # loss eta = kappa/G, then the amplifier's weights without their common 1/G
+    lost = _binomial_shift(rho, d_sig, kappa / gain, (1.0 - kappa + gain_excess) / gain,
+                           up=False)
+    amplified = _binomial_shift(lost, d_out, 1.0 / gain, gain_excess / gain, up=True)
+    result = rotate_return_phase(
+        DensityMatrix(amplified.reshape(d_out * d_idl, d_out * d_idl), (d_out, d_idl)), phi)
+    out = result.data
+    out += out.conj().T
+    out *= 0.5 / gain
     deficit = 1.0 - result.trace()
     result.trace_deficit = deficit
     if deficit > trace_deficit_tol:

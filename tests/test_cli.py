@@ -502,6 +502,34 @@ class TestOracleCommand:
         good.write_text(json.dumps({"re": [[0.5, 0.0], [0.0, 0.5]]}))
         assert run_cli("oracle", "--rho0", str(bad), "--rho1", str(good)) == 3
 
+    @pytest.mark.parametrize("matrix", ["[[NaN, 0.0], [0.0, 1.0]]", "[[0, 0], [0, 0]]",
+                                        "[[1, 0], [0, -1]]"],
+                             ids=["nan", "zero", "traceless"])
+    def test_matrix_that_is_not_a_state_names_it(self, tmp_path, capsys, matrix):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"re": [[0.5, 0.0], [0.0, 0.5]]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"re": %s}' % matrix)
+        out = tmp_path / "report.json"
+        assert run_cli("oracle", "--rho0", str(good), "--rho1", str(bad),
+                       "--out", str(out)) == 3
+        assert "rho1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,text", [("bad.json", '{"im": [[0.0]]}'),
+                                           ("bad.json", '[[1.0]]'),
+                                           ("bad.json", '{"re": [[1.0]]'),
+                                           ("bad.json", '{"re": {"a": 1.0}}'),
+                                           ("bad.npy", "not an array")],
+                             ids=["no-re", "list", "malformed", "re-not-numeric", "npy"])
+    def test_unreadable_state_file_is_input_error(self, tmp_path, capsys, name, text):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"re": [[1.0]]}))
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert run_cli("oracle", "--rho0", str(bad), "--rho1", str(good)) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"re": [[1.0]]}))
