@@ -2,14 +2,17 @@
 cross-validation runs, and small-state discrimination reports.
 
 Output is CSV (fixed 17-significant-digit scientific notation, so identical
-configurations diff clean) or JSON (null for non-finite values). Exit codes: 0 success, 1 a validation
-check failed, 2 unreadable input or a usage error (such as --config with
---preset), 3 invalid parameters (the message names the offending field).
+configurations diff clean; a sweep's is rendered column-wise from exact digits,
+falling back to "%.16e" % value per value) or JSON (null for non-finite values).
+Exit codes: 0 success, 1 a validation check failed, 2 unreadable input or a usage
+error (such as --config with --preset), 3 invalid parameters (the message names
+the offending field).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -138,28 +141,80 @@ _SWEEP_HEADER = ["log10_M", "M", "x", "sfg_threshold", "p_error_sfg", "p_error_s
                  "p_error_ci", "p_error_ci_asymptotic", "threshold_jump"]
 
 
-def _sweep_template(has_threshold: bool, has_asymptotic: bool) -> str:
-    # "%.0s" consumes a blank field's value and prints nothing
-    blank = "%.0s"
-    return ",".join([_FLOAT] * 3 + ["%d" if has_threshold else blank] + [_FLOAT] * 3
-                    + [_FLOAT if has_asymptotic else blank, "%d"])
+# rows per uint8 block of a sweep's CSV, bounding the writer's working memory
+_SWEEP_BLOCK = 8192
+
+
+@functools.cache
+def _float_tables() -> tuple:
+    """_FLOAT's pieces as uint32 words padded with 0 bytes (sign, lead digit and
+    point; 0000..9999; e-280..e+280), and 10**e, e in [-264, 296], as hi + lo."""
+    text = ([b"%s%d." % (s, i) for s in (b"", b"-") for i in range(10)],
+            [b"%04d" % i for i in range(10_000)], [b"e%+03d" % k for k in range(-280, 281)])
+    exact = [(10 ** max(e, 0), 10 ** max(-e, 0)) for e in range(-264, 297)]
+    hi = [n / d for n, d in exact]
+    lo = [(n * b - a * d) / (d * b)
+          for (n, d), (a, b) in zip(exact, map(float.as_integer_ratio, hi))]
+    return (*(np.array(t, dtype=f"S{w}").view(np.uint32).reshape(len(t), -1).squeeze()
+              for t, w in zip(text, (4, 4, 8))), np.array(hi), np.array(lo))
+
+
+def _split(x):
+    c = x * 134217729.0  # Veltkamp: x == hi + lo, each of at most 26 significant bits
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _float_text(v: np.ndarray) -> np.ndarray:
+    """_FLOAT % value per entry of v as 28 trailing uint8 (0: no byte): the digits
+    round |v| 10**(16-k), a double-double within 1e-14 of exact; zero, non-finite,
+    |v| outside [1e-280, 1e280], not 17 digits or within 1e-6 of a tie: _FLOAT."""
+    heads, quads, exponents, ten_hi, ten_lo = _float_tables()
+    fast = (np.abs(v) >= 1e-280) & (np.abs(v) <= 1e280)
+    a = np.where(fast, np.abs(v), 1.0)  # log10 of 0, inf or nan would warn
+    k = np.clip(np.floor(np.log10(a)), -280, 280).astype(np.int64)
+    t_hi, t_lo = ten_hi[280 - k], ten_lo[280 - k]
+    h = a * t_hi
+    (a1, a2), (t1, t2) = _split(a), _split(t_hi)
+    lo = (((a1 * t1 - h) + a1 * t2 + a2 * t1) + a2 * t2) + a * t_lo  # Dekker's product
+    r = np.rint(lo)
+    d = h.astype(np.int64) + r.astype(np.int64)
+    fast &= (d > 10 ** 16) & (d < 10 ** 17) & (np.abs(lo - r) < 0.5 - 1e-6)
+    words = np.empty(v.shape + (7,), np.uint32)
+    words[..., 0] = heads[(v < 0) * 10 + d // 10 ** 16 % 10]
+    for i, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):
+        words[..., i + 1] = quads[d // scale % 10_000]
+    words[..., 5:] = exponents[k + 280]
+    rows = words.view(np.uint8).reshape(-1, 28)
+    for i in np.flatnonzero(~fast):
+        rows[i] = np.frombuffer((_FLOAT % v.flat[i]).encode().ljust(28, b"\0"), np.uint8)
+    return words.view(np.uint8)
 
 
 def _sweep_csv(sweep: analytic.BayesSweep) -> str:
-    """CSV text of a sweep, one %-template per row shape (a threshold and an
-    asymptotic value present or blank)."""
-    templates = [_sweep_template(t, a) for t in (False, True) for a in (False, True)]
+    """CSV text of a sweep, rendered in blocks of rows as uint8 (0: no byte); a
+    NaN threshold or CI asymptote is a blank field."""
     n_t = sweep.sfg_threshold
-    jump = np.zeros(n_t.shape, dtype=bool)
-    jump[1:] = n_t[1:] > n_t[:-1]  # NaN (no threshold) never jumps nor is jumped from
-    shape = 2 * ~np.isnan(n_t) + ~np.isnan(sweep.ci_asymptotic)
-    m = sweep.M.tolist()
-    columns = (sweep.x, n_t, sweep.sfg_p_error, sweep.sfg_limit, sweep.ci_p_error,
-               sweep.ci_asymptotic, jump)
-    rows = zip(map(math.log10, m), m, *(c.tolist() for c in columns))
-    lines = [",".join(_SWEEP_HEADER)]
-    lines.extend(templates[k] % row for k, row in zip(shape.tolist(), rows))
-    return "\n".join(lines) + "\n"
+    values, index = np.unique(n_t, return_inverse=True)  # each threshold formatted once
+    threshold = np.array([b"%d" % t if t == t else b"" for t in values.tolist()])[index]
+    threshold = threshold.view(np.uint8).reshape(n_t.size, -1)
+    jump = np.full((n_t.size, 1), ord("0"), np.uint8)
+    jump[1:, 0] += n_t[1:] > n_t[:-1]  # NaN (no threshold) never jumps nor is jumped from
+    floats = np.column_stack([[math.log10(m) for m in sweep.M.tolist()], sweep.M, sweep.x,
+                              sweep.sfg_p_error, sweep.sfg_limit, sweep.ci_p_error,
+                              sweep.ci_asymptotic])
+    parts = [",".join(_SWEEP_HEADER).encode() + b"\n"]
+    for start in range(0, n_t.size, _SWEEP_BLOCK):
+        rows = slice(start, start + _SWEEP_BLOCK)
+        text = _float_text(floats[rows])
+        text[np.isnan(floats[rows, 6]), 6] = 0
+        comma = np.full((len(text), 1), ord(","), np.uint8)
+        fields = [*text[:, :3].swapaxes(0, 1), threshold[rows], *text[:, 3:].swapaxes(0, 1),
+                  jump[rows]]
+        block = np.hstack([f for field in fields for f in (field, comma)])
+        block[:, -1] = ord("\n")
+        parts.append(block[block != 0].tobytes())
+    return b"".join(parts).decode("ascii")
 
 
 def _sweep_records(sweep: analytic.BayesSweep) -> list:
@@ -177,9 +232,13 @@ def cmd_bayes_sweep(args) -> int:
     params, default_range = _resolve(args)
     given = (args.log10_start, args.log10_stop, args.points)
     start, stop, points = (d if g is None else g for g, d in zip(given, default_range))
+    for name, exponent in (("log10-start", start), ("log10-stop", stop)):
+        if not math.isfinite(exponent):
+            raise InvalidParameter(name, f"must be finite, got {exponent}")
     if points < 1:
         raise InvalidParameter("points", "must be >= 1")
-    m = np.logspace(start, stop, points)
+    with np.errstate(over="ignore"):  # an M that overflows is rejected below, by name
+        m = np.logspace(start, stop, points)
     if np.any(m[1:] <= m[:-1]):
         raise InvalidParameter("log10-stop", "M must be strictly increasing: log10-stop must "
                                              "exceed log10-start, and no two M may overflow")
@@ -314,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the cross-validation check suite")
     p.add_argument("--out", default="-")
     p.add_argument("--trials", type=int, default=200,
-                   help="trial count for randomized checks (>= 1)")
+                   help="trial count for randomized checks (>= 1); mc-determinism runs at "
+                        "least 100 and mc-coverage at least 10000")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", action="append",
                    help="run only the named checks (comma list, repeatable)")

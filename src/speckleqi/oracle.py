@@ -293,10 +293,21 @@ def rotate_return_phase(dm: DensityMatrix, angle: float) -> DensityMatrix:
 # to |k> with weight C(k + j, j) eta^k (1-eta)^j, the amplifier takes |k> to
 # |k + j> with weight C(k + j, j) G^-(k+1) (1-1/G)^j. No environment is built.
 
-# the default output holds the beam splitter's d_sig - 1 signal photons plus
-# the environment's up to its 1e-12 thermal tail; wider raises TruncationTooSmall
+# the default output holds the output photon number up to its 1e-12 tail;
+# wider raises TruncationTooSmall
 _ENV_TAIL_TOL = 1e-12
 _MAX_OUT_DIM = 256
+
+
+def _default_out_dim(d_sig: int, n_b_eff: float, gain: float) -> int:
+    """d_sig - 1 signal photons plus the smaller 1e-12 tail quantile of two bounds on
+    the photons added: the thermal environment (a beam splitter's view), or the
+    NegBin(d_sig, 1/G) an amplifier adds to the at most d_sig - 1 the loss leaves."""
+    j = np.arange(max(_MAX_OUT_DIM - d_sig, 0) + 1)  # photons added, up to the cap
+    lf = _log_factorials(d_sig + j.size)
+    added = np.exp(lf[d_sig - 1 + j] - lf[j] - lf[d_sig - 1]) * (1.0 - 1.0 / gain) ** j
+    return min(d_sig + dim_for_tail(n_b_eff, _ENV_TAIL_TOL) - 1, d_sig + int(
+        np.count_nonzero(1.0 - np.cumsum(added * gain ** -d_sig) > _ENV_TAIL_TOL)))
 
 
 @functools.cache
@@ -340,8 +351,8 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
     against a thermal mode of brightness n_b_eff (the caller picks n_b_eff per
     hypothesis: N_B for target absent, N_B/(1-kappa) for target present); the
     environment is traced out and the idler is untouched. out_dim truncates
-    the returned mode; by default it holds every level the beam splitter
-    populates above the environment's 1e-12 thermal tail. kappa = 0 returns
+    the returned mode; by default it holds the output's photon number up to its
+    1e-12 tail (the smaller of two bounds on it). kappa = 0 returns
     thermal(n_b_eff) (x) idler-marginal.
     """
     if not 0.0 <= kappa <= 1.0:
@@ -359,8 +370,9 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
 
     if not n_b_eff >= 0.0 or not math.isfinite(n_b_eff):
         raise ValueError("n_b_eff must be finite and >= 0")
-    full_out = d_sig + dim_for_tail(n_b_eff, _ENV_TAIL_TOL) - 1
-    d_out = full_out if out_dim is None else int(out_dim)
+    gain_excess = (1.0 - kappa) * n_b_eff
+    gain = 1.0 + gain_excess
+    d_out = _default_out_dim(d_sig, n_b_eff, gain) if out_dim is None else int(out_dim)
     if d_out < 1:
         raise ValueError("out_dim must be >= 1")
     if d_out > _MAX_OUT_DIM:
@@ -369,8 +381,6 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
             suggested_dim=_MAX_OUT_DIM,
         )
 
-    gain_excess = (1.0 - kappa) * n_b_eff
-    gain = 1.0 + gain_excess
     rho = state.data.reshape(d_sig, d_idl, d_sig, d_idl)
     # loss eta = kappa/G, then the amplifier's weights without their common 1/G
     lost = _binomial_shift(rho, d_sig, kappa / gain, (1.0 - kappa + gain_excess) / gain,
@@ -387,7 +397,7 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
         raise TruncationTooSmall(
             f"return channel output drops {deficit:.3g} > {trace_deficit_tol:g} "
             f"(out_dim {d_out})",
-            suggested_dim=full_out,
+            suggested_dim=_default_out_dim(d_sig, n_b_eff, gain),
         )
     return result
 

@@ -30,14 +30,16 @@ class CheckResult:
     measured: float
     tolerance: float
     description: str
+    trials: int = None  # the trial count a randomized check ran
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def _result(name: str, measured: float, tolerance: float, description: str) -> CheckResult:
+def _result(name: str, measured: float, tolerance: float, description: str,
+            trials: int = None) -> CheckResult:
     return CheckResult(name=name, passed=bool(measured <= tolerance), measured=float(measured),
-                       tolerance=float(tolerance), description=description)
+                       tolerance=float(tolerance), description=description, trials=trials)
 
 
 # =============================================================================
@@ -271,7 +273,8 @@ def check_helstrom_concavity(trials: int, seed: int) -> CheckResult:
     report = oracle.check_helstrom_concavity(trials=trials, dim=4, mixture_size=4,
                                              seed=seed)
     return _result("helstrom-concavity", -report.min_slack, 1e-9,
-                   f"mixing never lowered the Helstrom error in {trials} random trials")
+                   f"mixing never lowered the Helstrom error in {trials} random trials",
+                   trials)
 
 
 def check_chernoff_at_zero_return() -> CheckResult:
@@ -286,7 +289,8 @@ def check_mc_determinism(trials: int, seed: int) -> CheckResult:
     a = montecarlo.estimate_bayes_error(montecarlo.Receiver.SFG, params, config)
     b = montecarlo.estimate_bayes_error(montecarlo.Receiver.SFG, params, config)
     return _result("mc-determinism", 0.0 if a == b else 1.0, 0.0,
-                   "re-running with the same seed reproduces estimates bit for bit")
+                   "re-running with the same seed reproduces estimates bit for bit",
+                   config.trials)
 
 
 def check_mc_coverage(trials: int, seed: int) -> CheckResult:
@@ -302,7 +306,7 @@ def check_mc_coverage(trials: int, seed: int) -> CheckResult:
                                                    -math.log(ci.threshold), config)
     misses += (not p_f.covers(ci.p_false_alarm)) + (not p_d.covers(ci.p_detect))
     return _result("mc-coverage", misses, 0.0,
-                   "Wilson intervals cover the analytic operating points")
+                   "Wilson intervals cover the analytic operating points", config.trials)
 
 
 # =============================================================================

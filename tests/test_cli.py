@@ -5,15 +5,17 @@ import os
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import speckleqi
-from speckleqi import thermal_state, validate
-from speckleqi.cli import PRESETS, main
-from speckleqi.params import FIG2A, FIG2B, fading_pdf
+from speckleqi import analytic, thermal_state, validate
+from speckleqi.cli import _FLOAT, _SWEEP_BLOCK, PRESETS, _float_text, _sweep_csv, main
+from speckleqi.params import FIG2A, FIG2B, SystemParams, fading_pdf
 
 
 def run_cli(*argv):
@@ -142,7 +144,6 @@ class TestBayesSweepCommand:
         _, rows = read_csv(out)
         assert [float(r["M"]) for r in rows] == [1000.0]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
     @pytest.mark.parametrize("start,stop,points", [
         ("9", "5", "5"),        # start > stop
         ("8", "8", "3"),        # start == stop with several points
@@ -160,7 +161,14 @@ class TestBayesSweepCommand:
         assert run_cli("bayes-sweep", "--preset", "fig3a", "--points", points) == 3
         assert "invalid parameter points:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    @pytest.mark.parametrize("option", ["--log10-start", "--log10-stop"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_exponent_names_option(self, capsys, option, value):
+        assert run_cli("bayes-sweep", "--preset", "fig3a", f"{option}={value}") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid parameter {option[2:]}: must be finite")
+        assert "Warning" not in err
+
     def test_single_overflowing_point_names_m(self, capsys):
         assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", "400",
                        "--points", "1") == 3
@@ -236,6 +244,111 @@ def test_bayes_sweep_csv_bytes(tmp_path, name):
 def test_bayes_sweep_json_bytes(tmp_path, name):
     argv, digest = SWEEP_JSON_MD5[name]
     assert _sweep_digest(tmp_path, argv, "json") == digest
+
+
+def reference_sweep_csv(sweep):
+    """The per-row %-template writer the block writer replaced: one template per
+    row shape (a threshold and an asymptotic value present or blank)."""
+    def template(has_threshold, has_asymptotic):
+        blank = "%.0s"  # consumes a blank field's value and prints nothing
+        return ",".join([_FLOAT] * 3 + ["%d" if has_threshold else blank] + [_FLOAT] * 3
+                        + [_FLOAT if has_asymptotic else blank, "%d"])
+
+    templates = [template(t, a) for t in (False, True) for a in (False, True)]
+    n_t = sweep.sfg_threshold
+    jump = np.zeros(n_t.shape, dtype=bool)
+    jump[1:] = n_t[1:] > n_t[:-1]
+    shape = 2 * ~np.isnan(n_t) + ~np.isnan(sweep.ci_asymptotic)
+    m = sweep.M.tolist()
+    columns = (sweep.x, n_t, sweep.sfg_p_error, sweep.sfg_limit, sweep.ci_p_error,
+               sweep.ci_asymptotic, jump)
+    rows = zip(map(math.log10, m), m, *(c.tolist() for c in columns))
+    lines = [",".join(speckleqi.cli._SWEEP_HEADER)]
+    lines.extend(templates[k] % row for k, row in zip(shape.tolist(), rows))
+    return "\n".join(lines) + "\n"
+
+
+def written(values):
+    """_float_text of each value, one per line."""
+    text = _float_text(np.asarray(values, dtype=float))
+    block = np.hstack([text, np.full((len(text), 1), ord("\n"), np.uint8)])
+    return block[block != 0].tobytes().decode()
+
+
+def formatted(values):
+    """_FLOAT % value, one per line: what _float_text must equal."""
+    return "".join(_FLOAT % v + "\n" for v in np.asarray(values, dtype=float).tolist())
+
+
+class TestFloatWriter:
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261018).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+        assert written(bits.view(np.float64)) == formatted(bits.view(np.float64))
+
+    def test_log_uniform_values(self):
+        values = 10.0 ** np.random.default_rng(11).uniform(-300.0, 300.0, 200_000)
+        assert written(values) == formatted(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_floats(self, values):
+        assert written(values) == formatted(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        assert written(np.concatenate([values, -values])) == formatted(
+            np.concatenate([values, -values]))
+
+    def test_exact_ties_round_half_even(self):
+        odd = np.random.default_rng(5).integers(2 ** 52, 2 ** 53, 400) | 1
+        values = [float(m) / 2.0 ** j for m in odd.tolist() for j in range(0, 64)]
+        ties = [v for v in values if (len(Decimal(v).as_tuple().digits) == 18
+                                      and Decimal(v).as_tuple().digits[-1] == 5)]
+        assert len(ties) > 100  # 18 significant digits ending in 5: a tie at 17 digits
+        assert written(values) == formatted(values)
+
+    def test_special_values(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+                  -1.5, -0.1, 1e100, 1e-100, -1.2345678901234567e250, 9.999999999999999e-281,
+                  1e-280, 1e280, 1.0000000000000002e280, 123.456]
+        assert written(values) == formatted(values)
+
+
+@pytest.mark.parametrize("rows", [_SWEEP_BLOCK - 1, _SWEEP_BLOCK, _SWEEP_BLOCK + 1])
+@pytest.mark.parametrize("preset", ["fig3a", "fig3b"])
+def test_block_writer_matches_template_writer(rows, preset):
+    start = np.random.default_rng(rows).uniform(3.0, 7.0)
+    sweep = analytic.bayes_sweep(SystemParams(**PRESETS[preset].params),
+                                 np.logspace(start, start + 4.0, rows))
+    assert _sweep_csv(sweep) == reference_sweep_csv(sweep)
+
+
+def test_block_writer_on_arbitrary_columns():
+    # values the closed forms do not produce: NaN, infinities, subnormals, -1 and
+    # a threshold beyond int64, across a block boundary
+    rng = np.random.default_rng(3)
+    rows = _SWEEP_BLOCK + 1
+    noise = rng.integers(0, 2 ** 64, (5, rows), dtype=np.uint64).view(np.float64)
+    thresholds = rng.choice([np.nan, -1.0, 0.0, 7.0, 123456.0, 2e19], rows)
+    sweep = analytic.BayesSweep(M=np.sort(10.0 ** rng.uniform(-300, 300, rows)), x=noise[0],
+                                sfg_threshold=thresholds, sfg_p_error=noise[1],
+                                sfg_limit=noise[2], ci_p_error=noise[3], ci_asymptotic=noise[4])
+    assert _sweep_csv(sweep) == reference_sweep_csv(sweep)
+
+
+def test_negative_exponents_and_blank_fields(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("bayes-sweep", "--preset", "fig3b", "--log10-start", "-3",
+                   "--log10-stop", "4", "--points", "15", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert float(rows[0]["log10_M"]) == -3.0
+    assert rows[0]["sfg_threshold"] == "" and rows[-1]["sfg_threshold"] == "0"
+    assert all(r["p_error_ci_asymptotic"] == "" for r in rows)
+    sweep = analytic.bayes_sweep(SystemParams(**FIG2B), np.logspace(-3, 4, 15))
+    assert out.read_text() == reference_sweep_csv(sweep)
 
 
 def strict_json(text):
@@ -350,7 +463,6 @@ class TestExitCodes:
         assert run_cli("roc", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
         assert f"key {key}: not a number" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
     def test_sweep_overflowing_to_infinite_m(self, capsys):
         assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", "300",
                        "--log10-stop", "309", "--points", "3") == 3
@@ -424,6 +536,17 @@ class TestValidateCommand:
         (check,) = report["checks"]
         # measured is -min_slack; the concavity slack never dips below -1e-9
         assert check["measured"] <= 1e-9
+
+    def test_report_gives_the_trials_each_check_ran(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--trials", "50", "--only",
+                       "helstrom-concavity,mc-determinism,mc-coverage,thermal-weld",
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["trials"] == 50
+        assert {c["name"]: c["trials"] for c in report["checks"]} == {
+            "helstrom-concavity": 50, "mc-determinism": 100, "mc-coverage": 10_000,
+            "thermal-weld": None}
 
     def test_unknown_check_rejected(self, capsys):
         assert run_cli("validate", "--only", "nonsense") == 3
