@@ -452,10 +452,9 @@ class TestCovarianceWeld:
         ref = return_idler_covariance(0.1, 0.5, 0.0, 0.0, present=False)
         assert np.abs(cov - ref.matrix).max() < 1e-6
 
-    @pytest.mark.parametrize("out_dim", [40, None])
-    def test_moments_match_covariance_near_unit_transmissivity(self, out_dim):
-        # n_b_eff = 5000: an environment mode would need 138,169 levels, and the
-        # default output size is the amplifier's bound, not the beam splitter's
+    @staticmethod
+    def check_near_unit_transmissivity(out_dim):
+        # n_b_eff = 5000: an environment mode would need 138,169 levels
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
         state = hypothesis_state(params, 0.9999, math.pi / 4, 12, present=True,
                                  out_dim=out_dim)
@@ -463,6 +462,13 @@ class TestCovarianceWeld:
         _, cov = wigner_covariance(state)
         ref = return_idler_covariance(0.1, 0.5, 0.9999, math.pi / 4, present=True)
         assert np.abs(cov - ref.matrix).max() < 1e-6
+
+    def test_moments_match_covariance_near_unit_transmissivity(self):
+        self.check_near_unit_transmissivity(40)
+
+    def test_moments_match_covariance_near_unit_transmissivity_default_out_dim(self):
+        # the default output size is the amplifier's bound, not the beam splitter's
+        self.check_near_unit_transmissivity(None)
 
     def test_marginal_moments_match_kronecker_reference(self, rng):
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
