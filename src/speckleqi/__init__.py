@@ -41,7 +41,6 @@ from .analytic import (
     threshold_test_error,
 )
 from .oracle import (
-    CovarianceMatrix,
     DensityMatrix,
     DiscriminationReport,
     ResourceGuard,

@@ -351,6 +351,8 @@ def ci_roc(params: SystemParams) -> RocCurve:
 
 def ci_detection_probability(params: SystemParams, p_f: float) -> float:
     """Exact CI ROC value at one false-alarm probability."""
+    if not 0.0 <= p_f <= 1.0:
+        raise InvalidParameter("p_f", f"must lie in [0, 1], got {p_f}")
     return p_f ** (1.0 / (1.0 + derived_x(params)))
 
 

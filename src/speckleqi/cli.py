@@ -59,11 +59,11 @@ def _fmt(value) -> str:
     return _FLOAT % value
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(data: bytes, out_path) -> None:
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(data)
     else:
-        Path(out_path).write_text(text)
+        Path(out_path).write_bytes(data)
 
 
 def _json_safe(obj):
@@ -80,13 +80,13 @@ def _json_safe(obj):
 def _emit_json(payload, out_path) -> None:
     text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False,
                       default=lambda v: _json_safe(float(v)))
-    _emit(text + "\n", out_path)
+    _emit(text.encode() + b"\n", out_path)
 
 
-def _csv(header: list, rows: list) -> str:
+def _csv(header: list, rows: list) -> bytes:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _resolve(args) -> tuple[SystemParams, tuple]:
@@ -191,7 +191,7 @@ def _float_text(v: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
-def _sweep_csv(sweep: analytic.BayesSweep) -> str:
+def _sweep_csv(sweep: analytic.BayesSweep) -> bytes:
     """CSV text of a sweep, rendered in blocks of rows as uint8 (0: no byte); a
     NaN threshold or CI asymptote is a blank field."""
     n_t = sweep.sfg_threshold
@@ -214,7 +214,7 @@ def _sweep_csv(sweep: analytic.BayesSweep) -> str:
         block = np.hstack([f for field in fields for f in (field, comma)])
         block[:, -1] = ord("\n")
         parts.append(block[block != 0].tobytes())
-    return b"".join(parts).decode("ascii")
+    return b"".join(parts)
 
 
 def _sweep_records(sweep: analytic.BayesSweep) -> list:
@@ -269,21 +269,11 @@ def cmd_snr(args) -> int:
     return 0
 
 
-def _broken_mean_counts(params: SystemParams):
-    n0, n1 = analytic.sfg_mean_counts(params)
-    return 2.0 * n0 + 0.01, n1
-
-
 def cmd_validate(args) -> int:
     only = None
     if args.only:
         only = [name for chunk in args.only for name in chunk.split(",") if name]
-    report = run_validation(
-        trials=args.trials,
-        seed=args.seed,
-        only=only,
-        mean_counts_fn=_broken_mean_counts if args.inject_bad_n0 else None,
-    )
+    report = run_validation(trials=args.trials, seed=args.seed, only=only)
     _emit_json(report, args.out)
     return 0 if report["all_pass"] else 1
 
@@ -378,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", action="append",
                    help="run only the named checks (comma list, repeatable)")
-    p.add_argument("--inject-bad-n0", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("oracle", help="Helstrom/Chernoff report for two state files")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,6 @@ _EIG_FLOOR = -1e-10
 _S_TOL = 1e-6
 # per-copy truncation deficit the exponent-trend states may drop before renormalizing
 _PER_COPY_DEFICIT_TOL = 0.05
-# a concavity trial whose slack is below -_SLACK_TOL counts as a violation
-_SLACK_TOL = 1e-9
 
 
 class TruncationTooSmall(ValueError):
@@ -124,15 +123,6 @@ class DiscriminationReport:
     optimal_s: float
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """4x4 Wigner covariance of the (return, idler) mode pair, plus the
-    phase-sensitive cross-correlation scalar c_p = sqrt(kappa*N_S*(N_S+1))."""
-
-    matrix: np.ndarray
-    c_p: float
-
-
 # =============================================================================
 # Truncation sizing
 # =============================================================================
@@ -163,24 +153,25 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return np.exp(log_w)
 
 
-def _thermal_tail(nbar: float, dim: int) -> float:
-    if nbar == 0.0:
-        return 0.0
-    return math.exp(dim * (math.log(nbar) - math.log(nbar + 1.0)))
+def _thermal_tail(name: str, nbar: float, dim: int, trace_deficit_tol: float) -> float:
+    """Weight (nbar/(nbar+1))^dim that dim levels of a thermal distribution drop,
+    for a brightness (called name) that must be finite and >= 0."""
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {nbar}")
+    deficit = 0.0 if nbar == 0.0 else math.exp(dim * (math.log(nbar) - math.log(nbar + 1.0)))
+    if deficit > trace_deficit_tol:
+        raise TruncationTooSmall(
+            f"{name}={nbar:g} at dim {dim} drops {deficit:.3g} > {trace_deficit_tol:g}",
+            suggested_dim=dim_for_tail(nbar, trace_deficit_tol),
+        )
+    return deficit
 
 
 def thermal_state(nbar: float, dim: int, trace_deficit_tol: float = 1e-6) -> DensityMatrix:
     """Thermal (Bose-Einstein) state, diagonal weights nbar^n/(nbar+1)^(n+1)."""
-    if nbar < 0.0:
-        raise ValueError("nbar must be >= 0")
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    deficit = _thermal_tail(nbar, dim)
-    if deficit > trace_deficit_tol:
-        raise TruncationTooSmall(
-            f"thermal({nbar:g}) at dim {dim} drops {deficit:.3g} > {trace_deficit_tol:g}",
-            suggested_dim=dim_for_tail(nbar, trace_deficit_tol),
-        )
+    deficit = _thermal_tail("nbar", nbar, dim, trace_deficit_tol)
     return DensityMatrix(np.diag(_thermal_weights(nbar, dim)).astype(complex), (dim,), deficit)
 
 
@@ -237,14 +228,7 @@ def tmsv_state(n_s: float, dim: int, trace_deficit_tol: float = 1e-6) -> Density
     is renormalized so the state is exactly pure, with the discarded tail
     weight recorded as the trace deficit.
     """
-    if n_s < 0.0:
-        raise ValueError("n_s must be >= 0")
-    deficit = _thermal_tail(n_s, dim)
-    if deficit > trace_deficit_tol:
-        raise TruncationTooSmall(
-            f"tmsv({n_s:g}) at dim {dim} drops {deficit:.3g} > {trace_deficit_tol:g}",
-            suggested_dim=dim_for_tail(n_s, trace_deficit_tol),
-        )
+    deficit = _thermal_tail("n_s", n_s, dim, trace_deficit_tol)
     amps = np.sqrt(_thermal_weights(n_s, dim))
     psi = np.zeros(dim * dim, dtype=complex)
     psi[np.arange(dim) * dim + np.arange(dim)] = amps
@@ -424,6 +408,21 @@ def hypothesis_state(params: SystemParams, kappa: float, phi: float, dim: int,
 # Fading average (the unconditional states)
 # =============================================================================
 
+@functools.cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
+def _gauss_legendre(n: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on [0, hi]; the
+    nodes on [-1, 1] are computed once per n."""
+    xs, ws = _leggauss(n)
+    half = 0.5 * hi
+    return half * (xs + 1.0), half * ws
+
+
 def _amplitude_rule(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, int]:
     """(amplitudes, amplitude weights, phase node count) for a random fading model.
 
@@ -436,10 +435,8 @@ def _amplitude_rule(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, 
         n_amp, n_phase = nodes
     if n_amp < 8 or n_phase < 8:
         raise ValueError("need at least 8 quadrature nodes per dimension")
-    xs, ws = np.polynomial.legendre.leggauss(n_amp)
-    amps = 0.5 * (xs + 1.0)
-    amp_w = 0.5 * ws * np.array([fading_pdf(model, a) for a in amps])
-    return amps, amp_w, n_phase
+    amps, ws = _gauss_legendre(n_amp, 1.0)
+    return amps, ws * np.array([fading_pdf(model, a) for a in amps]), n_phase
 
 
 def fading_average(state_builder, model: FadingModel, quadrature_nodes) -> DensityMatrix:
@@ -481,15 +478,19 @@ def helstrom(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float) -> float:
     """Minimum error probability (1 - ||pi1*rho1 - pi0*rho0||_1)/2."""
     if rho0.data.shape != rho1.data.shape:
         raise ValueError("states must share a dimension")
+    _check_prior(pi0)
     w = np.linalg.eigvalsh((1.0 - pi0) * rho1.data - pi0 * rho0.data)
     return float(_helstrom_from_norm(np.abs(w).sum(), pi0))
+
+
+def _check_prior(pi0: float) -> None:
+    if not 0.0 <= pi0 <= 1.0:
+        raise ValueError(f"pi0 must lie in [0, 1], got {pi0}")
 
 
 def _helstrom_from_norm(trace_norm, pi0: float):
     """(1 - ||pi1*rho1 - pi0*rho0||_1)/2, clipped to [0, min(pi0, pi1)];
     elementwise over an array of trace norms."""
-    if not 0.0 <= pi0 <= 1.0:
-        raise ValueError("pi0 must lie in [0, 1]")
     return np.clip(0.5 * (1.0 - trace_norm), 0.0, min(pi0, 1.0 - pi0))
 
 
@@ -530,6 +531,7 @@ def _discriminate(b0s: list, b1s: list, pi0: float, size: int) -> tuple[float, f
     pairs of every block where both eigenvalues are nonzero, minimized by
     golden-section search on s in [0, 1] (it is log-convex in s).
     """
+    _check_prior(pi0)
     trace_norm = 0.0
     w0s, w1s, overlaps = [], [], []
     for b0, b1 in zip(b0s, b1s):
@@ -595,22 +597,11 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int = None) 
 # Structural property checks
 # =============================================================================
 
-@dataclass(frozen=True)
-class ConcavityReport:
-    """Outcome of randomized trials of mixing-never-helps for the Helstrom error:
-    helstrom(sum_i f_i*rho0_i, sum_i f_i*rho1_i) >= sum_i f_i*helstrom(rho0_i, rho1_i)."""
-
-    trials: int
-    dim: int
-    mixture_size: int
-    min_slack: float
-    violations: int
-
-
-def check_helstrom_concavity(trials: int, dim: int, mixture_size: int,
-                             seed: int) -> ConcavityReport:
+def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int) -> float:
     """Randomized numeric check that averaging states cannot decrease the
-    minimum discrimination error at equal priors. Reports the worst slack seen.
+    minimum discrimination error at equal priors: the worst (smallest) slack
+    helstrom(sum_i f_i*rho0_i, sum_i f_i*rho1_i) - sum_i f_i*helstrom(rho0_i, rho1_i)
+    over the trials, which concavity keeps >= 0 up to roundoff (inf for no trials).
 
     Each trial draws its mixture weights, then its mixture_size Ginibre
     (rho0, rho1) pairs; the trials x (mixture_size + 1) Helstrom problems
@@ -633,10 +624,7 @@ def check_helstrom_concavity(trials: int, dim: int, mixture_size: int,
     averaged = 0.0
     for i in range(mixture_size):
         averaged = averaged + f[:, i] * pr_e[:, i]
-    slack = pr_e[:, -1] - averaged
-    return ConcavityReport(trials=trials, dim=dim, mixture_size=mixture_size,
-                           min_slack=float(slack.min(initial=math.inf)),
-                           violations=int((slack < -_SLACK_TOL).sum()))
+    return float((pr_e[:, -1] - averaged).min(initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -657,10 +645,10 @@ class TrendPoint:
     largest_block: int = 0
 
 
-def _copy_labels(dim: int, m: int, n_phase) -> np.ndarray:
+def _copy_labels(dim: int, m: int, n_phase: int) -> np.ndarray:
     """Block label of each basis state of m (return, idler) copies, in
     tensor-power order: every copy's n_R - n_I, plus the total n_R mod n_phase
-    unless n_phase is None."""
+    (n_phase = 1: no phase grid)."""
     n_ret = np.repeat(np.arange(dim), dim)
     diff = n_ret - np.tile(np.arange(dim), dim) + dim - 1
     label = np.zeros(1, dtype=np.int64)
@@ -668,19 +656,15 @@ def _copy_labels(dim: int, m: int, n_phase) -> np.ndarray:
     for _ in range(m):
         label = (label[:, None] * (2 * dim - 1) + diff).reshape(-1)
         total = (total[:, None] + n_ret).reshape(-1)
-    if n_phase is None:
-        return label
     return label * n_phase + total % n_phase
 
 
-def _block_pairs(dim: int, m: int, n_phase) -> float:
+def _block_pairs(dim: int, m: int, n_phase: int) -> float:
     """Sum of squared block sizes of m copies, without listing the basis: the
     number of (row, col) pairs whose labels agree, built copy by copy from
     each copy's n_R shift mod n_phase."""
-    diff = _copy_labels(dim, 1, None)
+    diff = _copy_labels(dim, 1, 1)
     same = diff[:, None] == diff[None, :]
-    if n_phase is None:
-        return float(same.sum()) ** m
     n_ret = np.repeat(np.arange(dim), dim)
     shift = (n_ret[:, None] - n_ret[None, :])[same] % n_phase
     per_copy = np.bincount(shift, minlength=n_phase).astype(float)
@@ -692,7 +676,7 @@ def _block_pairs(dim: int, m: int, n_phase) -> float:
     return float(pairs[0])
 
 
-def _block_bytes(dim: int, m: int, n_phase) -> float:
+def _block_bytes(dim: int, m: int, n_phase: int) -> float:
     """Memory the blocked m-copy solve allocates, as measured with tracemalloc:
     about 256 bytes per basis state (int64 labels, their sort and the per-copy
     indices) and 56 per block element (both states' blocks, the overlaps
@@ -747,15 +731,16 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     in 2 GiB (else ResourceGuard). Per-copy truncated states may drop 5% of
     their weight to truncation and are renormalized first.
     """
+    m_list = list(m_list)
+    if not m_list or not all(isinstance(m, numbers.Integral) and m >= 1 for m in m_list):
+        raise ValueError(f"copy counts must be one or more integers >= 1, got {m_list}")
     m_list = sorted(int(m) for m in m_list)
-    if m_list[0] < 1:
-        raise ValueError("copy counts must be >= 1")
     if model is None:
         model = FadingModel.truncated_rayleigh(params.kappa_bar)
     if model.is_random:
         amps, amp_weights, n_phase = _amplitude_rule(model, nodes)
     else:
-        amp_weights, n_phase = np.array([1.0]), None
+        amp_weights, n_phase = np.array([1.0]), 1
     worst = _block_bytes(dim, m_list[-1], n_phase)
     if worst > 2 << 30:
         raise ResourceGuard(
@@ -773,7 +758,7 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     else:
         conditionals = [rotate_return_phase(conditional(model.kappa), model.phi)]
     _check_symmetry(rho0.data, np.arange(dim * dim))
-    per_copy = _copy_labels(dim, 1, None)
+    per_copy = _copy_labels(dim, 1, 1)
     for cond in conditionals:
         _check_symmetry(cond.data, per_copy)
     d2 = dim * dim
@@ -823,8 +808,8 @@ def qcb_exponent_at_zero_return(params: SystemParams, dim: int) -> float:
 # =============================================================================
 
 def return_idler_covariance(n_s: float, n_b: float, kappa: float, phi: float,
-                            present: bool, exact_return_noise: bool = True) -> CovarianceMatrix:
-    """Wigner covariance of the (return, idler) pair for one hypothesis.
+                            present: bool, exact_return_noise: bool = True) -> np.ndarray:
+    """4x4 Wigner covariance of the (return, idler) pair for one hypothesis.
 
     Quadrature order (q_R, p_R, q_I, p_I). Diagonal blocks are multiples of
     the identity; target presence adds the off-diagonal block
@@ -835,19 +820,15 @@ def return_idler_covariance(n_s: float, n_b: float, kappa: float, phi: float,
     leak-through is dropped, the N_S << 1 << N_B limiting form.
     """
     cov = np.zeros((4, 4))
-    c_p = math.sqrt(kappa * n_s * (n_s + 1.0))
-    if present:
-        n_ret = kappa * n_s + n_b if exact_return_noise else n_b
-    else:
-        n_ret = n_b
+    n_ret = kappa * n_s + n_b if present and exact_return_noise else n_b
     cov[0, 0] = cov[1, 1] = (2.0 * n_ret + 1.0) / 4.0
     cov[2, 2] = cov[3, 3] = (2.0 * n_s + 1.0) / 4.0
     if present:
         r_h = np.array([[math.cos(phi), math.sin(phi)],
                         [math.sin(phi), -math.cos(phi)]])
-        cov[0:2, 2:4] = 0.5 * c_p * r_h
+        cov[0:2, 2:4] = 0.5 * math.sqrt(kappa * n_s * (n_s + 1.0)) * r_h
         cov[2:4, 0:2] = cov[0:2, 2:4].T
-    return CovarianceMatrix(matrix=cov, c_p=c_p if present else 0.0)
+    return cov
 
 
 def wigner_covariance(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -3,15 +3,13 @@ oracle, and the Monte Carlo estimators together.
 
 Each check runs at desk scale and returns (measured, tolerance, passed);
 the CLI `validate` subcommand serializes the collection as JSON and exits
-nonzero when anything fails. `mean_counts_fn` exists as a fault-injection
-hook: the thermal-weld check builds its oracle-side states through it, so a
-broken mean-count formula is caught against the independently computed
-threshold-test error.
+nonzero when anything fails. The checks look up `fading_pdf` and
+`sfg_mean_counts` in this module, so a test can plant a fault in either and
+see the checks built on it fail.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from . import analytic, montecarlo, oracle
 from ._golden import golden_section_min
+from .analytic import sfg_mean_counts
 from .params import (FIG2A, FIG2B, FadingKind, FadingModel, InvalidParameter, SystemParams,
                      derived_x, fading_pdf)
 
@@ -52,18 +51,12 @@ _PDF_NODES = 96
 _RAYLEIGH_CUT = 40.0
 
 
-@functools.cache
-def _pdf_rule() -> tuple:
-    """(node, weight) pairs of the Gauss-Legendre rule on [0, 1]."""
-    xs, ws = np.polynomial.legendre.leggauss(_PDF_NODES)
-    return tuple(zip((0.5 * (xs + 1.0)).tolist(), (0.5 * ws).tolist()))
-
-
 def _pdf_quadrature(model: FadingModel, weight) -> float:
     """Integral of weight(t) * fading_pdf(model, t) over the amplitude support."""
     hi = (math.sqrt(_RAYLEIGH_CUT * model.kappa_bar) if model.kind is FadingKind.RAYLEIGH
           else 1.0)
-    return hi * math.fsum(w * weight(hi * x) * fading_pdf(model, hi * x) for x, w in _pdf_rule())
+    ts, ws = (a.tolist() for a in oracle._gauss_legendre(_PDF_NODES, hi))
+    return math.fsum(w * weight(t) * fading_pdf(model, t) for t, w in zip(ts, ws))
 
 
 def check_pdf_normalization() -> CheckResult:
@@ -196,17 +189,15 @@ def check_roc_invariants() -> CheckResult:
                    "ROC curves are monotone, bounded, properly terminated, concave")
 
 
-def check_thermal_weld(seed: int, mean_counts_fn=None) -> CheckResult:
+def check_thermal_weld(seed: int) -> CheckResult:
     """helstrom of the two count distributions vs the analytic threshold test,
     at 6 random parameter points.
 
     Commuting (diagonal) states make photon counting optimal, so the two
-    routes must agree. States are built through mean_counts_fn (the
-    fault-injection hook); the reference error goes through the closed-form
-    threshold machinery on independently derived parameters.
+    routes must agree. States are built from this module's sfg_mean_counts;
+    the reference error is analytic.sfg_bayes, which a fault planted in that
+    binding does not reach.
     """
-    if mean_counts_fn is None:
-        mean_counts_fn = analytic.sfg_mean_counts
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(6):
@@ -215,7 +206,7 @@ def check_thermal_weld(seed: int, mean_counts_fn=None) -> CheckResult:
         x_target = rng.uniform(0.5, 4.5 / 0.99)
         params = SystemParams(M=x_target * n_b / (0.3 * n_s), N_S=n_s, N_B=n_b,
                               kappa_bar=0.3, epsilon=0.01)
-        n0, n1 = mean_counts_fn(params)
+        n0, n1 = sfg_mean_counts(params)
         dim = oracle.dim_for_tail(max(n0, n1), 1e-12)
         rho0 = oracle.thermal_state(n0, dim, trace_deficit_tol=1e-11)
         rho1 = oracle.thermal_state(n1, dim, trace_deficit_tol=1e-11)
@@ -245,7 +236,7 @@ def check_return_channel_covariance() -> CheckResult:
         means, cov = oracle.wigner_covariance(state)
         ref = oracle.return_idler_covariance(params.N_S, params.N_B, kappa, phi,
                                              present=present)
-        worst = max(worst, np.abs(cov - ref.matrix).max(), np.abs(means).max())
+        worst = max(worst, np.abs(cov - ref).max(), np.abs(means).max())
     return _result("return-channel-covariance", worst, 1e-6,
                    "beam-splitter output moments vs the Gaussian-state covariance")
 
@@ -254,7 +245,7 @@ def check_sfg_fading_average_thermal() -> CheckResult:
     """Rayleigh-plus-uniform-phase mixture of the conditional coherent states
     is thermal: the load-bearing reduction behind the SFG count statistics."""
     params = SystemParams(M=100.0, N_S=0.01, N_B=0.5, kappa_bar=0.05, epsilon=0.01)
-    n0, n1 = analytic.sfg_mean_counts(params)
+    n0, n1 = sfg_mean_counts(params)
     dim = 30
     scale = (1.0 - params.epsilon) * params.M * params.N_S / params.N_B
 
@@ -270,9 +261,8 @@ def check_sfg_fading_average_thermal() -> CheckResult:
 
 
 def check_helstrom_concavity(trials: int, seed: int) -> CheckResult:
-    report = oracle.check_helstrom_concavity(trials=trials, dim=4, mixture_size=4,
-                                             seed=seed)
-    return _result("helstrom-concavity", -report.min_slack, 1e-9,
+    slack = oracle.check_helstrom_concavity(trials=trials, dim=4, mixture_size=4, seed=seed)
+    return _result("helstrom-concavity", -slack, 1e-9,
                    f"mixing never lowered the Helstrom error in {trials} random trials",
                    trials)
 
@@ -313,8 +303,7 @@ def check_mc_coverage(trials: int, seed: int) -> CheckResult:
 # Suite driver
 # =============================================================================
 
-def run_validation(trials: int = 200, seed: int = 0, only=None,
-                   mean_counts_fn=None) -> dict:
+def run_validation(trials: int = 200, seed: int = 0, only=None) -> dict:
     """Run the named checks (all when only is None); returns a JSON-ready report."""
     if trials < 1:
         raise InvalidParameter("trials", f"must be >= 1, got {trials}")
@@ -330,7 +319,7 @@ def run_validation(trials: int = 200, seed: int = 0, only=None,
         "sfg-dominates-ci": lambda: check_sfg_dominates_ci(seed),
         "opa-snr-ordering": lambda: check_opa_ordering(seed),
         "roc-invariants": lambda: check_roc_invariants(),
-        "thermal-weld": lambda: check_thermal_weld(seed, mean_counts_fn=mean_counts_fn),
+        "thermal-weld": lambda: check_thermal_weld(seed),
         "qcb-single-copy-bound": lambda: check_qcb_single_copy_bound(seed),
         "return-channel-covariance": lambda: check_return_channel_covariance(),
         "sfg-fading-average-thermal": lambda: check_sfg_fading_average_thermal(),

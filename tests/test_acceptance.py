@@ -121,19 +121,14 @@ def test_criterion_5_covariance_consistency():
             ref = return_idler_covariance(params.N_S, params.N_B, kappa, phi,
                                           present=present)
             assert np.abs(means).max() <= 1e-6
-            assert np.abs(cov - ref.matrix).max() <= 1e-6
+            assert np.abs(cov - ref).max() <= 1e-6
 
 
 def test_criterion_6_helstrom_concavity_trials():
     with criterion(6, "1000 random mixture trials show no concavity violation", 60.0):
-        total_violations = 0
-        worst = math.inf
-        for dim, trials, seed in ((2, 300, 1), (3, 300, 2), (4, 400, 3)):
-            report = check_helstrom_concavity(trials=trials, dim=dim, mixture_size=4,
-                                              seed=seed)
-            total_violations += report.violations
-            worst = min(worst, report.min_slack)
-        assert total_violations == 0
+        # no violation: every trial's slack is >= -1e-9
+        worst = min(check_helstrom_concavity(trials=trials, dim=dim, mixture_size=4, seed=seed)
+                    for dim, trials, seed in ((2, 300, 1), (3, 300, 2), (4, 400, 3)))
         assert worst >= -1e-9
 
 

@@ -213,6 +213,16 @@ class TestCiRoc:
         assert ci_detection_probability(fig2a, 0.0497) == \
             pytest.approx(CI_PD_AT_0497, rel=1e-12)
 
+    @pytest.mark.parametrize("p_f", [2.0, -0.5, 1.0 + 1e-15, math.nan, math.inf])
+    def test_false_alarm_outside_unit_interval_rejected(self, fig2a, p_f):
+        # p_f ** (1/(1+x)) exceeds 1 above 1 and is complex below 0
+        with pytest.raises(InvalidParameter, match="p_f"):
+            ci_detection_probability(fig2a, p_f)
+
+    def test_false_alarm_endpoints_accepted(self, fig2a):
+        assert ci_detection_probability(fig2a, 0.0) == 0.0
+        assert ci_detection_probability(fig2a, 1.0) == 1.0
+
     def test_endpoints(self, fig2a):
         curve = ci_roc(fig2a)
         assert tuple(curve.points[0]) == (0.0, 0.0)

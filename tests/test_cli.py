@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speckleqi
-from speckleqi import analytic, thermal_state, validate
+from speckleqi import analytic, sfg_mean_counts, thermal_state, validate
 from speckleqi.cli import _FLOAT, _SWEEP_BLOCK, PRESETS, _float_text, _sweep_csv, main
 from speckleqi.params import FIG2A, FIG2B, SystemParams, fading_pdf
 
@@ -265,7 +265,7 @@ def reference_sweep_csv(sweep):
     rows = zip(map(math.log10, m), m, *(c.tolist() for c in columns))
     lines = [",".join(speckleqi.cli._SWEEP_HEADER)]
     lines.extend(templates[k] % row for k, row in zip(shape.tolist(), rows))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 def written(values):
@@ -348,7 +348,7 @@ def test_negative_exponents_and_blank_fields(tmp_path):
     assert rows[0]["sfg_threshold"] == "" and rows[-1]["sfg_threshold"] == "0"
     assert all(r["p_error_ci_asymptotic"] == "" for r in rows)
     sweep = analytic.bayes_sweep(SystemParams(**FIG2B), np.logspace(-3, 4, 15))
-    assert out.read_text() == reference_sweep_csv(sweep)
+    assert out.read_bytes() == reference_sweep_csv(sweep)
 
 
 def strict_json(text):
@@ -521,12 +521,17 @@ class TestValidateCommand:
         assert report["all_pass"]
         assert all(c["passed"] for c in report["checks"])
 
-    def test_injected_bad_mean_count_fails_weld(self, tmp_path):
+    def test_injected_bad_mean_count_fails_weld(self, tmp_path, monkeypatch):
+        def broken(params):
+            n0, n1 = sfg_mean_counts(params)
+            return 2.0 * n0 + 0.01, n1
+
+        monkeypatch.setattr(validate, "sfg_mean_counts", broken)
         out = tmp_path / "report.json"
-        assert run_cli("validate", "--only", "thermal-weld", "--inject-bad-n0",
-                       "--out", str(out)) == 1
-        report = json.loads(out.read_text())
-        assert not report["all_pass"]
+        assert run_cli("validate", "--only", "thermal-weld", "--out", str(out)) == 1
+        (result,) = json.loads(out.read_text())["checks"]
+        assert not result["passed"]
+        assert result["tolerance"] == 1e-8
 
     def test_only_concavity_with_trials(self, tmp_path):
         out = tmp_path / "report.json"
