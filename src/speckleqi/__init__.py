@@ -23,7 +23,6 @@ from .analytic import (
     DegenerateDiscrimination,
     OpaConfig,
     RocCurve,
-    RocInterpolation,
     bayes_sweep,
     ci_bayes,
     ci_bayes_asymptotic,
@@ -64,7 +63,6 @@ from .oracle import (
     wigner_covariance,
 )
 from .montecarlo import (
-    FloorModel,
     McConfig,
     McEstimate,
     Receiver,

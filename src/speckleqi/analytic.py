@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -44,26 +43,18 @@ class AsymptoticsInvalid(ValueError):
     """An asymptotic formula was requested outside its validity region."""
 
 
-class RocInterpolation(Enum):
-    CONTINUOUS = "continuous"
-    RANDOMIZED_SEGMENTS = "randomized_segments"
-
-
 @dataclass(frozen=True)
 class RocCurve:
     """Ordered operating points (P_F, P_D), sorted by strictly increasing P_F.
 
     points: array of shape (n, 2).
-    interpolation: CONTINUOUS for densely sampled smooth curves,
-        RANDOMIZED_SEGMENTS when stored points are the deterministic-test
-        vertices and intermediate points are realized by randomizing between
-        neighbors (linear interpolation).
-    thresholds: optional per-point decision thresholds (np.inf for the
-        never-declare endpoint, -1 for always-declare).
+    thresholds: per-point decision thresholds (np.inf for the never-declare
+        endpoint, -1 for always-declare) when the points are the vertices of
+        deterministic tests, between which randomized tests realize the
+        joining segments; None for a densely sampled smooth curve.
     """
 
     points: np.ndarray
-    interpolation: RocInterpolation
     thresholds: np.ndarray = None
 
     def __post_init__(self):
@@ -82,13 +73,14 @@ class RocCurve:
     def detection_probability(self, p_f) -> np.ndarray:
         """P_D at the given false-alarm probabilities, interpolating linearly.
 
-        Linear interpolation is exact for RANDOMIZED_SEGMENTS (it realizes the
-        randomized test between neighboring vertices) and a sampling
-        approximation for CONTINUOUS curves.
+        Linear interpolation is exact between test vertices (it realizes the
+        randomized test between neighbors) and a sampling approximation for
+        a smooth curve.
         """
         return np.interp(np.asarray(p_f, dtype=float), self.p_false_alarm, self.p_detect)
 
-    def validate(self, atol: float = 1e-12) -> None:
+    def validate(self) -> None:
+        atol = 1e-12
         pf, pd = self.p_false_alarm, self.p_detect
         if np.any(pf < -atol) or np.any(pf > 1 + atol) or np.any(pd < -atol) or np.any(pd > 1 + atol):
             raise ValueError("operating points must lie in [0,1]^2")
@@ -98,7 +90,7 @@ class RocCurve:
             raise ValueError("P_D must be nondecreasing")
         if pf[0] > 1e-10 or pd[0] > 1e-10 or pf[-1] < 1 - 1e-12 or pd[-1] < 1 - 1e-12:
             raise ValueError("curve must contain or limit to (0,0) and (1,1)")
-        if self.interpolation is RocInterpolation.RANDOMIZED_SEGMENTS:
+        if self.thresholds is not None:
             slopes = np.diff(pd) / np.diff(pf)
             if np.any(np.diff(slopes) > atol + 1e-9 * np.abs(slopes[:-1])):
                 raise ValueError("randomized envelope must be concave")
@@ -258,6 +250,9 @@ def _sfg_test(n0: float, n1: np.ndarray, pi0: float) -> tuple:
 
 
 def _require_test(n0: float, n1: float, pi0: float) -> None:
+    for name, mean in (("n0", n0), ("n1", n1)):
+        if not 0.0 <= mean < math.inf:
+            raise InvalidParameter(name, f"must be finite and >= 0, got {mean}")
     if not 0.0 < pi0 < 1.0:
         raise ValueError("pi0 must lie in (0, 1)")
     if n1 <= n0:
@@ -291,7 +286,7 @@ def sfg_roc(params: SystemParams) -> RocCurve:
     if n1 <= n0:
         pts = [(0.0, 0.0), (1.0, 1.0)]
         th = [np.inf, -1.0]
-        return RocCurve(np.array(pts), RocInterpolation.RANDOMIZED_SEGMENTS, np.array(th))
+        return RocCurve(np.array(pts), np.array(th))
     logs0, logs1 = _mean_logs(n0), _mean_logs(n1)
     log_floor = math.log(1e-15)
     n_max = 0
@@ -302,7 +297,7 @@ def sfg_roc(params: SystemParams) -> RocCurve:
                               _libm(math.exp, _log_tail(logs1, n_t))])
     points = np.vstack([[0.0, 0.0], points, [1.0, 1.0]])
     thresholds = np.concatenate([[np.inf], n_t, [-1.0]])
-    return RocCurve(points, RocInterpolation.RANDOMIZED_SEGMENTS, thresholds)
+    return RocCurve(points, thresholds)
 
 
 def sfg_bayes(params: SystemParams) -> BayesResult:
@@ -346,7 +341,7 @@ def ci_roc(params: SystemParams) -> RocCurve:
     p_f[-1] = 1.0
     p_d = p_f ** (1.0 / (1.0 + x))
     points = np.vstack([[0.0, 0.0], np.column_stack([p_f, p_d])])
-    return RocCurve(points, RocInterpolation.CONTINUOUS)
+    return RocCurve(points)
 
 
 def ci_detection_probability(params: SystemParams, p_f: float) -> float:

@@ -335,17 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sweep=False):
+    def common(p):
         source = p.add_mutually_exclusive_group()
         source.add_argument("--config", help="parameter file (JSON or key=value text)")
         source.add_argument("--preset",
                             help=f"named parameter set: {', '.join(sorted(PRESETS))}")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if sweep:
-            p.add_argument("--log10-start", type=float, help="sweep start exponent of M")
-            p.add_argument("--log10-stop", type=float, help="sweep stop exponent of M")
-            p.add_argument("--points", type=int, help="number of sweep points")
 
     p = sub.add_parser("roc", help="receiver operating characteristics")
     common(p)
@@ -353,7 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roc)
 
     p = sub.add_parser("bayes-sweep", help="error probabilities vs log10(M)")
-    common(p, sweep=True)
+    common(p)
+    p.add_argument("--log10-start", type=float, help="sweep start exponent of M")
+    p.add_argument("--log10-stop", type=float, help="sweep stop exponent of M")
+    p.add_argument("--points", type=int, help="number of sweep points")
     p.set_defaults(func=cmd_bayes_sweep)
 
     p = sub.add_parser("snr", help="OPA and CI signal-to-noise ratios")

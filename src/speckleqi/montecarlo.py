@@ -18,6 +18,7 @@ Poisson limit above M = 1e7, where the total-variation gap is < 1e-6.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,15 +26,9 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it on first use; load it with the package)
 
 from . import analytic
-from .params import FadingKind, FadingModel, SystemParams, derived_x
+from .params import FadingKind, FadingModel, InvalidParameter, SystemParams, derived_x
 
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 _NEG_BINOMIAL_M_CAP = 1e7
-
-
-class FloorModel(Enum):
-    IDEAL = "ideal"                          # h=1 thermal floor neglected
-    WITH_THERMAL_FLOOR = "with_thermal_floor"
 
 
 class Receiver(Enum):
@@ -45,11 +40,11 @@ class Receiver(Enum):
 class McConfig:
     trials: int
     seed: int = 0
-    floor_model: FloorModel = FloorModel.IDEAL
 
     def __post_init__(self):
-        if self.trials < 100:
-            raise ValueError("trials must be >= 100")
+        for name, value, low in (("trials", self.trials, 100), ("seed", self.seed, 0)):
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise InvalidParameter(name, f"must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,8 @@ class McEstimate:
         return self.ci_low <= target <= self.ci_high
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> McEstimate:
+def wilson_interval(successes: int, trials: int) -> McEstimate:
+    z = 1.959963984540054  # two-sided 95%
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -111,21 +107,18 @@ def _sfg_noise_counts(params: SystemParams, rng: np.random.Generator, size: int)
 
 
 def sample_sfg_counts(params: SystemParams, present: bool, model: FadingModel,
-                      config: McConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+                      rng: np.random.Generator, size: int) -> np.ndarray:
     """size SFG total photon counts under one hypothesis, one fading draw each.
 
     Target absent: noise-only counts with mean N0 (model is unused). Target
     present: direct detection of the conditional coherent state, Poisson with
-    mean (1-epsilon)*M*kappa*N_S/N_B, plus the noise floor when the config
-    says to keep it (the idealized reduction neglects it).
+    mean (1-epsilon)*M*kappa*N_S/N_B; like the closed forms, this idealized
+    reduction neglects the noise floor under h=1.
     """
     if not present:
         return _sfg_noise_counts(params, rng, size)
     kappa = _sample_kappa(model, rng, size)
-    counts = rng.poisson((1.0 - params.epsilon) * params.M * kappa * params.N_S / params.N_B)
-    if config.floor_model is FloorModel.WITH_THERMAL_FLOOR:
-        counts = counts + _sfg_noise_counts(params, rng, size)
-    return counts
+    return rng.poisson((1.0 - params.epsilon) * params.M * kappa * params.N_S / params.N_B)
 
 
 def sample_ci_envelopes(params: SystemParams, present: bool, model: FadingModel,
@@ -148,35 +141,35 @@ def sample_ci_envelopes(params: SystemParams, present: bool, model: FadingModel,
     return (g1 + a * np.cos(phase)) ** 2 + (g2 + a * np.sin(phase)) ** 2
 
 
+_SAMPLERS = {Receiver.SFG: sample_sfg_counts, Receiver.CI: sample_ci_envelopes}
+
+
 # =============================================================================
 # Estimators
 # =============================================================================
 
 def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold,
-                             config: McConfig,
-                             model: FadingModel = None) -> tuple[McEstimate, McEstimate]:
+                             config: McConfig) -> tuple[McEstimate, McEstimate]:
     """Empirical (P_F, P_D) of 'declare present iff statistic > threshold'.
 
     threshold is the integer count threshold for SFG and the real envelope
-    threshold for CI. Each trial draws an independent fading realization.
+    threshold for CI (inf: never declare). Each trial draws an independent
+    Rayleigh(params.kappa_bar) fading realization, the law the closed forms
+    assume.
     """
-    if model is None:
-        model = FadingModel.rayleigh(params.kappa_bar)
+    if math.isnan(threshold):
+        raise InvalidParameter("threshold", "must not be NaN")
+    model = FadingModel.rayleigh(params.kappa_bar)
     estimates = []
     for hypothesis in (0, 1):
         rng = _stream(config.seed, receiver, hypothesis)
-        present = hypothesis == 1
-        if receiver is Receiver.SFG:
-            stats = sample_sfg_counts(params, present, model, config, rng, config.trials)
-        else:
-            stats = sample_ci_envelopes(params, present, model, rng, config.trials)
+        stats = _SAMPLERS[receiver](params, hypothesis == 1, model, rng, config.trials)
         estimates.append(wilson_interval(int(np.count_nonzero(stats > threshold)),
                                          config.trials))
     return estimates[0], estimates[1]
 
 
-def estimate_bayes_error(receiver: Receiver, params: SystemParams, config: McConfig,
-                         model: FadingModel = None) -> McEstimate:
+def estimate_bayes_error(receiver: Receiver, params: SystemParams, config: McConfig) -> McEstimate:
     """Empirical pi0*P_F + pi1*(1 - P_D) at the analytic minimum-error threshold.
 
     The interval is conservative: the prior-weighted sum of the component
@@ -190,7 +183,7 @@ def estimate_bayes_error(receiver: Receiver, params: SystemParams, config: McCon
     else:
         p_f_star = analytic.ci_bayes(params).threshold
         threshold = math.inf if p_f_star == 0.0 else -math.log(p_f_star)
-    p_f, p_d = estimate_operating_point(receiver, params, threshold, config, model)
+    p_f, p_d = estimate_operating_point(receiver, params, threshold, config)
     value = params.pi0 * p_f.value + params.pi1 * (1.0 - p_d.value)
     half = (params.pi0 * (p_f.ci_high - p_f.ci_low) / 2.0
             + params.pi1 * (p_d.ci_high - p_d.ci_low) / 2.0)

@@ -103,15 +103,15 @@ class DensityMatrix:
         w = np.clip(w, 0.0, None)
         return DensityMatrix((v * w) @ v.conj().T, self.dims, self.trace_deficit)
 
-    def validate(self, trace_deficit_tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         herm = np.abs(self.data - self.data.conj().T).max()
         if herm > _HERM_TOL:
             raise ValueError(f"not Hermitian: max asymmetry {herm:g}")
         w = np.linalg.eigvalsh(self.data)
         if w.min() < _EIG_FLOOR:
             raise ValueError(f"negative eigenvalue {w.min():g} below clamp floor")
-        if abs(1.0 - self.trace()) > trace_deficit_tol + 1e-12:
-            raise ValueError(f"trace {self.trace():.12g} misses 1 by more than {trace_deficit_tol:g}")
+        if abs(1.0 - self.trace()) > 1e-6 + 1e-12:
+            raise ValueError(f"trace {self.trace():.12g} misses 1 by more than 1e-06")
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     return u[:, None] * d * u.conj()
 
 
-def coherent_thermal_state(alpha: complex, nbar: float, dim: int,
-                           trace_deficit_tol: float = 1e-6) -> DensityMatrix:
+def coherent_thermal_state(alpha: complex, nbar: float, dim: int) -> DensityMatrix:
     """Displaced thermal state D(alpha) rho_th(nbar) D(alpha)^dag.
 
     nbar = 0 gives the pure coherent state |alpha>. The truncation must hold
@@ -216,7 +215,7 @@ def coherent_thermal_state(alpha: complex, nbar: float, dim: int,
             f"coherent_thermal(|alpha|^2={amp2:g}, nbar={nbar:g}) needs headroom at dim {dim}",
             suggested_dim=required,
         )
-    th = thermal_state(nbar, dim, trace_deficit_tol)
+    th = thermal_state(nbar, dim)
     d_op = displacement_operator(alpha, dim)
     return DensityMatrix(d_op @ th.data @ d_op.conj().T, (dim,), th.trace_deficit)
 
@@ -423,18 +422,19 @@ def _gauss_legendre(n: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return half * (xs + 1.0), half * ws
 
 
-def _amplitude_rule(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, int]:
-    """(amplitudes, amplitude weights, phase node count) for a random fading model.
+def _node_counts(nodes) -> tuple[int, int]:
+    """(n_amp, n_phase) from nodes, an integer n >= 8 (both counts) or a pair of them."""
+    pair = (nodes, nodes) if isinstance(nodes, numbers.Integral) else nodes
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(isinstance(n, numbers.Integral) and n >= 8 for n in pair)):
+        raise ValueError(f"nodes must be an integer >= 8 or a pair of them, got {nodes!r}")
+    return int(pair[0]), int(pair[1])
 
-    nodes is n or (n_amp, n_phase). Amplitudes are Gauss-Legendre nodes on
-    [0, 1] with the fading pdf folded into the weights.
-    """
-    if isinstance(nodes, int):
-        n_amp = n_phase = nodes
-    else:
-        n_amp, n_phase = nodes
-    if n_amp < 8 or n_phase < 8:
-        raise ValueError("need at least 8 quadrature nodes per dimension")
+
+def _amplitude_rule(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, int]:
+    """(amplitudes, amplitude weights, phase node count) for a random fading model:
+    Gauss-Legendre amplitudes on [0, 1], the fading pdf folded into the weights."""
+    n_amp, n_phase = _node_counts(nodes)
     amps, ws = _gauss_legendre(n_amp, 1.0)
     return amps, ws * np.array([fading_pdf(model, a) for a in amps]), n_phase
 
@@ -607,6 +607,9 @@ def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int
     (rho0, rho1) pairs; the trials x (mixture_size + 1) Helstrom problems
     (every pair plus the mixed pair) are solved by one batched eigvalsh.
     """
+    for name, value in (("dim", dim), ("mixture_size", mixture_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     f = np.empty((trials, mixture_size))
     pairs = np.empty((trials, mixture_size + 1, 2, dim, dim), dtype=complex)
@@ -740,6 +743,7 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     if model.is_random:
         amps, amp_weights, n_phase = _amplitude_rule(model, nodes)
     else:
+        _node_counts(nodes)  # a known return needs no quadrature, but nodes is still checked
         amp_weights, n_phase = np.array([1.0]), 1
     worst = _block_bytes(dim, m_list[-1], n_phase)
     if worst > 2 << 30:

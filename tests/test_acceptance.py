@@ -164,7 +164,7 @@ def test_criterion_8_monte_carlo_coverage():
             rng = _stream(config.seed, Receiver.SFG, 1)
             counts = sample_sfg_counts(params, True,
                                        FadingModel.rayleigh(params.kappa_bar),
-                                       config, rng, config.trials)
+                                       rng, config.trials)
             _, n1 = sfg_mean_counts(params)
             k = np.arange(120)
             pmf = np.exp(k * math.log(n1) - (k + 1) * math.log(n1 + 1))

@@ -9,7 +9,6 @@ from speckleqi import (
     DegenerateDiscrimination,
     InvalidParameter,
     OpaConfig,
-    RocInterpolation,
     SystemParams,
     bayes_sweep,
     ci_bayes,
@@ -103,6 +102,14 @@ class TestSfgThreshold:
         # priors so lopsided that even a zero count favors "present"
         assert sfg_threshold(0.1, 1.0, 0.01) == -1
 
+    @pytest.mark.parametrize("fn", [sfg_threshold, threshold_test_error])
+    @pytest.mark.parametrize("n0, n1, field", [(math.nan, 1.0, "n0"), (0.1, math.inf, "n1"),
+                                               (0.1, math.nan, "n1"), (-1.0, 1.0, "n0")])
+    def test_means_must_be_finite_and_non_negative(self, fn, n0, n1, field):
+        # NaN and inf gave an error of 0.5, a negative mean a bare math domain error
+        with pytest.raises(InvalidParameter, match=f"^{field}: "):
+            fn(n0, n1, 0.5)
+
     @staticmethod
     def _brute(n0, n1, pi0, n_max=20000):
         def lw(pi, mean, n):
@@ -141,7 +148,7 @@ class TestSfgRoc:
 
     def test_endpoints_and_interpolation_kind(self, fig2a):
         curve = sfg_roc(fig2a)
-        assert curve.interpolation is RocInterpolation.RANDOMIZED_SEGMENTS
+        assert curve.thresholds is not None
         assert tuple(curve.points[0]) == (0.0, 0.0)
         assert tuple(curve.points[-1]) == (1.0, 1.0)
         assert curve.thresholds[-1] == -1.0
@@ -227,7 +234,7 @@ class TestCiRoc:
         curve = ci_roc(fig2a)
         assert tuple(curve.points[0]) == (0.0, 0.0)
         assert tuple(curve.points[-1]) == (1.0, 1.0)
-        assert curve.interpolation is RocInterpolation.CONTINUOUS
+        assert curve.thresholds is None
 
     def test_near_zero_x_is_diagonal(self):
         p = params_for_x(1e-14)

@@ -7,7 +7,7 @@ from scipy import stats as sps
 
 from speckleqi import (
     FadingModel,
-    FloorModel,
+    InvalidParameter,
     McConfig,
     McEstimate,
     Receiver,
@@ -37,6 +37,15 @@ class TestConfigAndIntervals:
         with pytest.raises(ValueError):
             McConfig(trials=50)
 
+    @pytest.mark.parametrize("trials, seed, field", [
+        (1000.5, 0, "trials"), (math.nan, 0, "trials"), (1000, -1, "seed"), (1000, 1.5, "seed")])
+    def test_fields_rejected_by_name(self, trials, seed, field):
+        with pytest.raises(InvalidParameter, match=f"^{field}: "):
+            McConfig(trials=trials, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        assert McConfig(trials=np.int64(1000), seed=np.uint32(3)) == McConfig(1000, 3)
+
     @given(successes=st.integers(0, 500), trials=st.integers(100, 500))
     @settings(max_examples=100, deadline=None)
     def test_wilson_interval_properties(self, successes, trials):
@@ -58,7 +67,7 @@ class TestFadingSampler:
         # are Poisson with a fixed mean and carry no fading spread
         model = FadingModel.deterministic(0.36, 1.25)
         assert np.all(_sample_kappa(model, rng, 1000) == 0.36)
-        counts = sample_sfg_counts(fig2a, True, model, McConfig(trials=100), rng, 20000)
+        counts = sample_sfg_counts(fig2a, True, model, rng, 20000)
         mean = (1 - fig2a.epsilon) * fig2a.M * 0.36 * fig2a.N_S / fig2a.N_B
         assert abs(counts.mean() - mean) < 3 * math.sqrt(mean / 20000)
         assert counts.var() < 1.1 * mean
@@ -94,17 +103,15 @@ class TestFadingSampler:
 class TestSfgCounts:
     def test_vanishing_brightness_gives_zero(self, rng):
         p = SystemParams(M=1e4, N_S=1e-12, N_B=20.0, kappa_bar=0.01)
-        cfg = McConfig(trials=100, seed=1)
         for present in (False, True):
-            counts = sample_sfg_counts(p, present, FadingModel.rayleigh(0.01), cfg, rng, 200)
+            counts = sample_sfg_counts(p, present, FadingModel.rayleigh(0.01), rng, 200)
             assert np.all(counts == 0)
 
     def test_h1_counts_are_bose_einstein(self, fig2a):
         # the load-bearing reduction: Rayleigh-mixed Poisson = thermal counts
         cfg = McConfig(trials=100_000, seed=20260810)
         rng = _stream(cfg.seed, Receiver.SFG, 1)
-        counts = sample_sfg_counts(fig2a, True, FadingModel.rayleigh(0.01), cfg, rng,
-                                   100_000)
+        counts = sample_sfg_counts(fig2a, True, FadingModel.rayleigh(0.01), rng, 100_000)
         _, n1 = sfg_mean_counts(fig2a)
         kmax = 120
         k = np.arange(kmax)
@@ -124,24 +131,12 @@ class TestSfgCounts:
         p = SystemParams(M=1e6, N_S=1e-4, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
         n0, _ = sfg_mean_counts(p)
         draws = 10 ** 6
-        nb = sample_sfg_counts(p, False, None, McConfig(trials=100, seed=3),
-                               np.random.default_rng(3), draws)
+        nb = sample_sfg_counts(p, False, None, np.random.default_rng(3), draws)
         po = np.random.default_rng(4).poisson(n0, draws)
         top = max(nb.max(), po.max()) + 1
         pmf_nb = np.bincount(nb, minlength=top) / draws
         pmf_po = np.bincount(po, minlength=top) / draws
         assert 0.5 * np.abs(pmf_nb - pmf_po).sum() < 1e-3
-
-    def test_thermal_floor_adds_noise(self):
-        # large-floor point so the N0 offset dominates sampling noise
-        p = SystemParams(M=1e3, N_S=0.5, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
-        n0, _ = sfg_mean_counts(p)
-        model = FadingModel.deterministic(0.01, 0.0)
-        cfg_on = McConfig(trials=100, seed=5, floor_model=FloorModel.WITH_THERMAL_FLOOR)
-        cfg_off = McConfig(trials=100, seed=5, floor_model=FloorModel.IDEAL)
-        on = sample_sfg_counts(p, True, model, cfg_on, np.random.default_rng(6), 5000)
-        off = sample_sfg_counts(p, True, model, cfg_off, np.random.default_rng(6), 5000)
-        assert np.mean(on) - np.mean(off) == pytest.approx(n0, abs=0.15)
 
 
 class TestCiEnvelope:
@@ -176,6 +171,16 @@ class TestOperatingPointEstimates:
         p_f, p_d = estimate_operating_point(Receiver.CI, fig2a, threshold, cfg)
         assert p_f.covers(CI_POINT_FIG2[0])
         assert p_d.covers(CI_POINT_FIG2[1])
+
+    @pytest.mark.parametrize("receiver", list(Receiver))
+    def test_nan_threshold_rejected(self, fig2a, receiver):
+        with pytest.raises(InvalidParameter, match="^threshold: "):
+            estimate_operating_point(receiver, fig2a, math.nan, McConfig(trials=100))
+
+    @pytest.mark.parametrize("receiver", list(Receiver))
+    def test_infinite_threshold_never_declares(self, fig2a, receiver):
+        p_f, p_d = estimate_operating_point(receiver, fig2a, math.inf, McConfig(trials=100))
+        assert p_f.value == p_d.value == 0.0
 
     def test_minimum_trials_interval_sanity(self, fig2a):
         cfg = McConfig(trials=100, seed=7)
@@ -218,37 +223,28 @@ class TestOperatingPointEstimates:
 
 
 # Frozen McEstimate (value, ci_low, ci_high) of P_F, P_D and the Bayes error at
-# seed 20261018, 1e4 trials, per (preset, receiver, floor model): any change to
-# the random streams or to the order of draws shows here. fig2a's SFG noise
-# counts come from the Poisson limit (M > 1e7), fig2b's from the exact
-# negative binomial.
+# seed 20261018, 1e4 trials, per (preset, receiver): any change to the random
+# streams or to the order of draws shows here. fig2a's SFG noise counts come
+# from the Poisson limit (M > 1e7), fig2b's from the exact negative binomial.
+# The ids end in "ideal": the samplers simulate the idealized reduction, which
+# neglects the thermal floor under h=1.
 PINNED_ESTIMATES = {
-    ("fig2a", Receiver.SFG, FloorModel.IDEAL): (
+    ("fig2a", Receiver.SFG): (
         (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
         (0.9368, 0.9318612058051992, 0.9414033332181777),
         (0.03170000000000002, 0.02914593141758373, 0.03425406858241631),
     ),
-    ("fig2a", Receiver.SFG, FloorModel.WITH_THERMAL_FLOOR): (
-        (0.0002, 5.484892732085772e-05, 0.0007289958440074673),
-        (0.9369, 0.9319646833316131, 0.9414997788920896),
-        (0.031650000000000025, 0.029097689380709252, 0.0342023106192908),
-    ),
-    ("fig2a", Receiver.CI, FloorModel.IDEAL): (
+    ("fig2a", Receiver.CI): (
         (0.0514, 0.04724182497055032, 0.05590269836762071),
         (0.8335, 0.8260707838854023, 0.8406730892013564),
         (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
     ),
-    ("fig2b", Receiver.SFG, FloorModel.IDEAL): (
+    ("fig2b", Receiver.SFG): (
         (0.0228, 0.020052523375582592, 0.025913964669391148),
         (0.9368, 0.9318612058051992, 0.9414033332181777),
         (0.04300000000000002, 0.03914910782330324, 0.046850892176696794),
     ),
-    ("fig2b", Receiver.SFG, FloorModel.WITH_THERMAL_FLOOR): (
-        (0.0228, 0.020052523375582592, 0.025913964669391148),
-        (0.9386, 0.9337243278086323, 0.9431388288206101),
-        (0.042100000000000005, 0.03828101442355344, 0.045918985576446573),
-    ),
-    ("fig2b", Receiver.CI, FloorModel.IDEAL): (
+    ("fig2b", Receiver.CI): (
         (0.0514, 0.04724182497055032, 0.05590269836762071),
         (0.8335, 0.8260707838854023, 0.8406730892013564),
         (0.10894999999999999, 0.10313420532174387, 0.11476579467825611),
@@ -257,12 +253,12 @@ PINNED_ESTIMATES = {
 
 
 class TestPinnedEstimates:
-    @pytest.mark.parametrize("key", list(PINNED_ESTIMATES), ids=lambda k: "-".join(
-        getattr(part, "value", part) for part in k))
+    @pytest.mark.parametrize("key", list(PINNED_ESTIMATES),
+                             ids=lambda k: f"{k[0]}-{k[1].value}-ideal")
     def test_estimates_are_bit_identical(self, key):
-        preset, receiver, floor_model = key
+        preset, receiver = key
         params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
-        cfg = McConfig(trials=10_000, seed=20261018, floor_model=floor_model)
+        cfg = McConfig(trials=10_000, seed=20261018)
         if receiver is Receiver.SFG:
             threshold = sfg_bayes(params).threshold
         else:

@@ -563,6 +563,19 @@ class TestFadingAverage:
             fading_average(lambda a: thermal_state(0.1, 5),
                            FadingModel.rayleigh(0.05), (4, 16))
 
+    @pytest.mark.parametrize("nodes", ["junk", (16, 33, 5), (16.5, 33), 16.0],
+                             ids=["str", "triple", "float-pair", "float"])
+    def test_node_counts_rejected_by_name(self, nodes):
+        with pytest.raises(ValueError, match="^nodes must"):
+            fading_average(lambda a: thermal_state(0.1, 5), FadingModel.rayleigh(0.05), nodes)
+
+    def test_numpy_integer_node_count_accepted(self):
+        def builder(a):
+            return coherent_thermal_state(a, 0.1, 20)
+        model = FadingModel.rayleigh(0.05)
+        got = fading_average(builder, model, np.int64(16))
+        np.testing.assert_array_equal(got.data, fading_average(builder, model, 16).data)
+
     def test_sfg_conditional_average_is_thermal(self):
         # Rayleigh mixture of conditional coherent states = thermal(N1 + floor)
         n0, n1 = sfg_mean_counts(SFG_AVERAGE)
@@ -765,6 +778,16 @@ class TestConcavity:
         assert slack >= -1e-9
         assert slack == 0.0021986552298303152
 
+    def test_no_trials_has_infinite_slack(self):
+        assert check_helstrom_concavity(trials=0, dim=2, mixture_size=2, seed=0) == math.inf
+
+    @pytest.mark.parametrize("field", ["dim", "mixture_size"])
+    def test_empty_trial_shape_rejected(self, field):
+        # dim=0 gave a slack of 0.0 and mixture_size=0 one of 0.5
+        shape = {"dim": 2, "mixture_size": 2, field: 0}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            check_helstrom_concavity(trials=3, seed=0, **shape)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_pinned_validate_trials(self, seed):
         # the validate check's shape; bit for bit, so the random stream and
@@ -810,6 +833,23 @@ class TestExponentTrend:
         params = SystemParams(**self.SURROGATE)
         points = fading_exponent_trend(params, np.array([2, 1]), dim=3, nodes=(16, 33))
         assert [p.copies for p in points] == [1, 2]
+
+    @pytest.mark.parametrize("model", [None, FadingModel.deterministic(0.5, 0.0)],
+                             ids=["random", "deterministic"])
+    @pytest.mark.parametrize("nodes", ["junk", (16, 33, 5), (16.5, 33), (16, 7)],
+                             ids=["str", "triple", "float-pair", "too-few"])
+    def test_node_counts_rejected_by_name(self, nodes, model):
+        # a deterministic model used to ignore nodes altogether
+        params = SystemParams(**self.SURROGATE)
+        with pytest.raises(ValueError, match="^nodes must"):
+            fading_exponent_trend(params, [1], dim=3, nodes=nodes, model=model)
+
+    @pytest.mark.parametrize("model", [None, FadingModel.deterministic(0.5, 0.0)],
+                             ids=["random", "deterministic"])
+    def test_numpy_integer_node_count_accepted(self, model):
+        params = SystemParams(**self.SURROGATE)
+        got = fading_exponent_trend(params, [1], dim=3, nodes=np.int64(16), model=model)
+        assert got == fading_exponent_trend(params, [1], dim=3, nodes=16, model=model)
 
     def test_memory_guard(self):
         # the blocked solve needs ~0.26 GiB at dim 8, M = 3, and ~62 GiB at M = 4
@@ -970,4 +1010,4 @@ class TestDensityMatrixType:
         tmsv_state(0.2, 12).validate()
         coherent_thermal_state(0.5 + 0.2j, 0.1, 20).validate()
         params = SystemParams(M=1e4, N_S=0.1, N_B=0.4, kappa_bar=0.1)
-        hypothesis_state(params, 0.4, 1.0, 8, present=True).validate(1e-6)
+        hypothesis_state(params, 0.4, 1.0, 8, present=True).validate()
