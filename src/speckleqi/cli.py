@@ -59,11 +59,12 @@ def _fmt(value) -> str:
     return _FLOAT % value
 
 
-def _emit(data: bytes, out_path) -> None:
+def _emit(chunks, out_path) -> None:
     if out_path in (None, "-"):
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
     else:
-        Path(out_path).write_bytes(data)
+        with open(out_path, "wb") as out:
+            out.writelines(chunks)
 
 
 def _json_safe(obj):
@@ -80,13 +81,13 @@ def _json_safe(obj):
 def _emit_json(payload, out_path) -> None:
     text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False,
                       default=lambda v: _json_safe(float(v)))
-    _emit(text.encode() + b"\n", out_path)
+    _emit([text.encode(), b"\n"], out_path)
 
 
-def _csv(header: list, rows: list) -> bytes:
+def _csv(header: list, rows: list) -> list:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return ("\n".join(lines) + "\n").encode()
+    return [("\n".join(lines) + "\n").encode()]
 
 
 def _resolve(args) -> tuple[SystemParams, tuple]:
@@ -141,7 +142,7 @@ _SWEEP_HEADER = ["log10_M", "M", "x", "sfg_threshold", "p_error_sfg", "p_error_s
                  "p_error_ci", "p_error_ci_asymptotic", "threshold_jump"]
 
 
-# rows per uint8 block of a sweep's CSV, bounding the writer's working memory
+# rows per uint8 block of a sweep's CSV, each written before the next is rendered
 _SWEEP_BLOCK = 8192
 
 
@@ -191,9 +192,9 @@ def _float_text(v: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
-def _sweep_csv(sweep: analytic.BayesSweep) -> bytes:
-    """CSV text of a sweep, rendered in blocks of rows as uint8 (0: no byte); a
-    NaN threshold or CI asymptote is a blank field."""
+def _sweep_csv(sweep: analytic.BayesSweep):
+    """CSV text of a sweep: the header, then blocks of rows rendered as uint8 (0: no
+    byte); a NaN threshold or CI asymptote is a blank field."""
     n_t = sweep.sfg_threshold
     values, index = np.unique(n_t, return_inverse=True)  # each threshold formatted once
     threshold = np.array([b"%d" % t if t == t else b"" for t in values.tolist()])[index]
@@ -203,7 +204,7 @@ def _sweep_csv(sweep: analytic.BayesSweep) -> bytes:
     floats = np.column_stack([[math.log10(m) for m in sweep.M.tolist()], sweep.M, sweep.x,
                               sweep.sfg_p_error, sweep.sfg_limit, sweep.ci_p_error,
                               sweep.ci_asymptotic])
-    parts = [",".join(_SWEEP_HEADER).encode() + b"\n"]
+    yield ",".join(_SWEEP_HEADER).encode() + b"\n"
     for start in range(0, n_t.size, _SWEEP_BLOCK):
         rows = slice(start, start + _SWEEP_BLOCK)
         text = _float_text(floats[rows])
@@ -213,8 +214,7 @@ def _sweep_csv(sweep: analytic.BayesSweep) -> bytes:
                   jump[rows]]
         block = np.hstack([f for field in fields for f in (field, comma)])
         block[:, -1] = ord("\n")
-        parts.append(block[block != 0].tobytes())
-    return b"".join(parts)
+        yield block[block != 0].tobytes()
 
 
 def _sweep_records(sweep: analytic.BayesSweep) -> list:

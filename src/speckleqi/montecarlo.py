@@ -8,7 +8,9 @@ come with 95% Wilson confidence intervals.
 Determinism: each (seed, receiver, hypothesis) triple owns a Philox stream
 (derived via numpy SeedSequence spawn keys) and trials are drawn as fixed-order
 vectorized arrays from it, so a given seed reproduces estimates bit for bit.
-Aggregation is by order-independent counting.
+Aggregation is by order-independent counting. The samplers update their arrays
+in place, so an estimate's working memory is at most 24 B per trial for CI and
+16 B per trial for SFG.
 
 M enters only through the products N0/M and |alpha|^2, so mode counts up to
 1e12 are fine; the exact negative-binomial count sampler switches to its
@@ -83,42 +85,41 @@ def _stream(seed: int, receiver: Receiver, hypothesis: int) -> np.random.Generat
 
 def _sample_kappa(model: FadingModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-CDF draws of the return intensity kappa = amplitude^2."""
-    u = rng.random(size)
-    if model.kind is FadingKind.RAYLEIGH:
-        return -model.kappa_bar * np.log1p(-u)
-    if model.kind is FadingKind.TRUNCATED_RAYLEIGH:
-        mass = -math.expm1(-1.0 / model.kappa_bar)  # P(kappa <= 1) untruncated
-        return -model.kappa_bar * np.log1p(-u * mass)
-    return np.full(size, model.kappa)
+    kappa = rng.random(size)  # drawn for every kind, so the stream advances alike
+    if model.kind is FadingKind.DETERMINISTIC:
+        kappa.fill(model.kappa)
+        return kappa
+    if model.kind is FadingKind.TRUNCATED_RAYLEIGH:  # u * P(kappa <= 1), untruncated
+        kappa *= -math.expm1(-1.0 / model.kappa_bar)
+    np.log1p(np.negative(kappa, out=kappa), out=kappa)  # rounding is sign-symmetric
+    kappa *= -model.kappa_bar
+    return kappa
 
 
 # =============================================================================
 # Receiver output statistics
 # =============================================================================
 
-def _sfg_noise_counts(params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Total counts with mean N0: a sum of M iid Bose-Einstein variables."""
-    n0, _ = analytic.sfg_mean_counts(params)
-    if params.M <= _NEG_BINOMIAL_M_CAP:
-        # sum of M geometrics of mean n0/M, i.e. negative binomial
-        p = 1.0 / (1.0 + n0 / params.M)
-        return rng.negative_binomial(params.M, p, size)
-    return rng.poisson(n0, size)
-
-
 def sample_sfg_counts(params: SystemParams, present: bool, model: FadingModel,
                       rng: np.random.Generator, size: int) -> np.ndarray:
     """size SFG total photon counts under one hypothesis, one fading draw each.
 
-    Target absent: noise-only counts with mean N0 (model is unused). Target
+    Target absent: noise-only counts with mean N0, a sum of M iid geometric
+    (Bose-Einstein) counts, so negative binomial (model is unused). Target
     present: direct detection of the conditional coherent state, Poisson with
     mean (1-epsilon)*M*kappa*N_S/N_B; like the closed forms, this idealized
     reduction neglects the noise floor under h=1.
     """
     if not present:
-        return _sfg_noise_counts(params, rng, size)
-    kappa = _sample_kappa(model, rng, size)
-    return rng.poisson((1.0 - params.epsilon) * params.M * kappa * params.N_S / params.N_B)
+        n0, _ = analytic.sfg_mean_counts(params)
+        if params.M > _NEG_BINOMIAL_M_CAP:
+            return rng.poisson(n0, size)
+        return rng.negative_binomial(params.M, 1.0 / (1.0 + n0 / params.M), size)
+    mean = _sample_kappa(model, rng, size)
+    mean *= (1.0 - params.epsilon) * params.M
+    mean *= params.N_S
+    mean /= params.N_B
+    return rng.poisson(mean)
 
 
 def sample_ci_envelopes(params: SystemParams, present: bool, model: FadingModel,
@@ -133,12 +134,21 @@ def sample_ci_envelopes(params: SystemParams, present: bool, model: FadingModel,
     """
     if not present:
         return rng.exponential(1.0, size)
-    kappa = _sample_kappa(model, rng, size)
-    phase = 2.0 * np.pi * rng.random(size)
-    a = np.sqrt(kappa * derived_x(params) / params.kappa_bar)
-    g1 = rng.normal(0.0, math.sqrt(0.5), size)
-    g2 = rng.normal(0.0, math.sqrt(0.5), size)
-    return (g1 + a * np.cos(phase)) ** 2 + (g2 + a * np.sin(phase)) ** 2
+    a = _sample_kappa(model, rng, size)
+    a *= derived_x(params)
+    a /= params.kappa_bar
+    np.sqrt(a, out=a)
+    re = rng.random(size)
+    re *= 2.0 * np.pi
+    im = np.sin(re)
+    im *= a
+    np.cos(re, out=re)
+    re *= a
+    del a  # freed before the normal draws
+    for part in (re, im):  # g1, then g2, each added as soon as it is drawn
+        part += rng.normal(0.0, math.sqrt(0.5), size)
+        np.square(part, out=part)
+    return np.add(re, im, out=re)
 
 
 _SAMPLERS = {Receiver.SFG: sample_sfg_counts, Receiver.CI: sample_ci_envelopes}
@@ -163,9 +173,10 @@ def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold
     estimates = []
     for hypothesis in (0, 1):
         rng = _stream(config.seed, receiver, hypothesis)
-        stats = _SAMPLERS[receiver](params, hypothesis == 1, model, rng, config.trials)
-        estimates.append(wilson_interval(int(np.count_nonzero(stats > threshold)),
-                                         config.trials))
+        # one expression, so this hypothesis's draws are freed before the next's
+        declared = np.count_nonzero(
+            _SAMPLERS[receiver](params, hypothesis == 1, model, rng, config.trials) > threshold)
+        estimates.append(wilson_interval(int(declared), config.trials))
     return estimates[0], estimates[1]
 
 

@@ -607,9 +607,10 @@ def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int
     (rho0, rho1) pairs; the trials x (mixture_size + 1) Helstrom problems
     (every pair plus the mixed pair) are solved by one batched eigvalsh.
     """
-    for name, value in (("dim", dim), ("mixture_size", mixture_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value, low in (("trials", trials, 0), ("dim", dim, 1),
+                             ("mixture_size", mixture_size, 1)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     rng = np.random.default_rng(seed)
     f = np.empty((trials, mixture_size))
     pairs = np.empty((trials, mixture_size + 1, 2, dim, dim), dtype=complex)

@@ -11,6 +11,7 @@ see the checks built on it fail.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -305,10 +306,9 @@ def check_mc_coverage(trials: int, seed: int) -> CheckResult:
 
 def run_validation(trials: int = 200, seed: int = 0, only=None) -> dict:
     """Run the named checks (all when only is None); returns a JSON-ready report."""
-    if trials < 1:
-        raise InvalidParameter("trials", f"must be >= 1, got {trials}")
-    if seed < 0:
-        raise InvalidParameter("seed", f"must be >= 0, got {seed}")
+    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
+            raise InvalidParameter(name, f"must be an integer >= {low}, got {value!r}")
     registry = {
         "fading-pdf-normalization": lambda: check_pdf_normalization(),
         "fading-mean-intensity": lambda: check_mean_intensity(),

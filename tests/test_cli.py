@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import speckleqi
 from speckleqi import analytic, sfg_mean_counts, thermal_state, validate
 from speckleqi.cli import _FLOAT, _SWEEP_BLOCK, PRESETS, _float_text, _sweep_csv, main
-from speckleqi.params import FIG2A, FIG2B, SystemParams, fading_pdf
+from speckleqi.params import FIG2A, FIG2B, InvalidParameter, SystemParams, fading_pdf
 
 
 def run_cli(*argv):
@@ -169,10 +170,12 @@ class TestBayesSweepCommand:
         assert err.startswith(f"invalid parameter {option[2:]}: must be finite")
         assert "Warning" not in err
 
-    def test_single_overflowing_point_names_m(self, capsys):
+    def test_single_overflowing_point_names_m(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
         assert run_cli("bayes-sweep", "--preset", "fig3a", "--log10-start", "400",
-                       "--points", "1") == 3
+                       "--points", "1", "--out", str(out)) == 3
         assert "invalid parameter M:" in capsys.readouterr().err
+        assert not out.exists()  # bayes_sweep rejects M before the output is opened
 
     def test_asymptotic_blank_below_validity(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -323,7 +326,7 @@ def test_block_writer_matches_template_writer(rows, preset):
     start = np.random.default_rng(rows).uniform(3.0, 7.0)
     sweep = analytic.bayes_sweep(SystemParams(**PRESETS[preset].params),
                                  np.logspace(start, start + 4.0, rows))
-    assert _sweep_csv(sweep) == reference_sweep_csv(sweep)
+    assert b"".join(_sweep_csv(sweep)) == reference_sweep_csv(sweep)
 
 
 def test_block_writer_on_arbitrary_columns():
@@ -336,7 +339,30 @@ def test_block_writer_on_arbitrary_columns():
     sweep = analytic.BayesSweep(M=np.sort(10.0 ** rng.uniform(-300, 300, rows)), x=noise[0],
                                 sfg_threshold=thresholds, sfg_p_error=noise[1],
                                 sfg_limit=noise[2], ci_p_error=noise[3], ci_asymptotic=noise[4])
-    assert _sweep_csv(sweep) == reference_sweep_csv(sweep)
+    assert b"".join(_sweep_csv(sweep)) == reference_sweep_csv(sweep)
+
+
+def test_stdout_matches_file(tmp_path, capsysbinary):
+    argv = ["bayes-sweep", "--preset", "fig3a", "--points", "20000"]
+    assert 2 * _SWEEP_BLOCK < 20000 <= 3 * _SWEEP_BLOCK  # the rows span three blocks
+    out = tmp_path / "sweep.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert run_cli(*argv, "--out", "-") == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_sweep_writer_peak_memory(tmp_path):
+    # the blocks are written as they are rendered; joining them into one buffer
+    # peaked at 43.5 MiB here
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        assert run_cli("bayes-sweep", "--preset", "fig3a", "--points", "100000",
+                       "--out", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2 ** 20
 
 
 def test_negative_exponents_and_blank_fields(tmp_path):
@@ -578,6 +604,13 @@ class TestValidateCommand:
                        "--out", str(out)) == 3
         assert "invalid parameter seed:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("trials, seed, field", [
+        (150.5, 0, "trials"), (True, 0, "trials"), (200, 1.5, "seed"), (200, True, "seed")])
+    def test_library_fields_rejected_by_name(self, trials, seed, field):
+        # a float reached the checks as a bare TypeError; True ran as 1
+        with pytest.raises(InvalidParameter, match=f"^{field}: must be an integer"):
+            validate.run_validation(trials=trials, seed=seed, only=["helstrom-concavity"])
 
     @pytest.mark.parametrize("check", ["fading-pdf-normalization", "fading-mean-intensity"])
     def test_planted_pdf_scale_fails_quadrature_check(self, tmp_path, monkeypatch, check):

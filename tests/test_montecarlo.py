@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,13 +24,88 @@ from speckleqi import (
     wilson_interval,
 )
 from speckleqi.montecarlo import _sample_kappa, _stream
-from speckleqi.params import FIG2A, FIG2B
+from speckleqi.params import FIG2A, FIG2B, FadingKind
 
 # analytic values frozen in test_analytic.py
 SFG_VERTEX_A = (2.3020550252356094e-4, 0.9399517491329434)
 CI_POINT_FIG2 = (0.049760237466242016, 0.8365386739870957)
 SFG_PE_A = 0.030139228184790062
 CI_PE_FIG2 = 0.10661078173957317
+
+
+def reference_sample_kappa(model, rng, size):
+    """Reference fading draws: the allocating expressions the in-place sampler
+    replaced, in the same order."""
+    u = rng.random(size)
+    if model.kind is FadingKind.RAYLEIGH:
+        return -model.kappa_bar * np.log1p(-u)
+    if model.kind is FadingKind.TRUNCATED_RAYLEIGH:
+        mass = -math.expm1(-1.0 / model.kappa_bar)
+        return -model.kappa_bar * np.log1p(-u * mass)
+    return np.full(size, model.kappa)
+
+
+def reference_sfg_counts(params, present, model, rng, size):
+    if not present:
+        n0, _ = sfg_mean_counts(params)
+        if params.M <= 1e7:
+            return rng.negative_binomial(params.M, 1.0 / (1.0 + n0 / params.M), size)
+        return rng.poisson(n0, size)
+    kappa = reference_sample_kappa(model, rng, size)
+    return rng.poisson((1.0 - params.epsilon) * params.M * kappa * params.N_S / params.N_B)
+
+
+def reference_ci_envelopes(params, present, model, rng, size):
+    if not present:
+        return rng.exponential(1.0, size)
+    kappa = reference_sample_kappa(model, rng, size)
+    phase = 2.0 * np.pi * rng.random(size)
+    a = np.sqrt(kappa * derived_x(params) / params.kappa_bar)
+    g1 = rng.normal(0.0, math.sqrt(0.5), size)
+    g2 = rng.normal(0.0, math.sqrt(0.5), size)
+    return (g1 + a * np.cos(phase)) ** 2 + (g2 + a * np.sin(phase)) ** 2
+
+
+FADING_MODELS = [FadingModel.rayleigh(0.01), FadingModel.truncated_rayleigh(0.5),
+                 FadingModel.deterministic(0.36, 1.25)]
+
+
+class TestInPlaceSamplers:
+    @pytest.mark.parametrize("model", FADING_MODELS, ids=lambda m: m.kind.value)
+    def test_kappa_matches_reference(self, model):
+        got = _sample_kappa(model, np.random.default_rng(31), 10_007)
+        assert np.array_equal(got, reference_sample_kappa(model, np.random.default_rng(31),
+                                                          10_007))
+
+    # fig2a's SFG noise counts are Poisson (M > 1e7), fig2b's negative binomial
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
+    @pytest.mark.parametrize("model", FADING_MODELS, ids=lambda m: m.kind.value)
+    @pytest.mark.parametrize("present", [False, True], ids=["h0", "h1"])
+    @pytest.mark.parametrize("receiver, sampler, reference", [
+        (Receiver.SFG, sample_sfg_counts, reference_sfg_counts),
+        (Receiver.CI, sample_ci_envelopes, reference_ci_envelopes)], ids=["sfg", "ci"])
+    def test_sampler_matches_reference(self, receiver, sampler, reference, present, model,
+                                       preset):
+        params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
+        got, want = (f(params, present, model, _stream(20261018, receiver, int(present)), 10_007)
+                     for f in (sampler, reference))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
+    @pytest.mark.parametrize("receiver, bytes_per_trial", [(Receiver.SFG, 16), (Receiver.CI, 24)],
+                             ids=["sfg", "ci"])
+    def test_operating_point_working_memory(self, receiver, bytes_per_trial, preset):
+        # the allocating samplers peaked at 32 (SFG) and 64 (CI) B per trial
+        params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
+        trials = 200_000
+        tracemalloc.start()
+        try:
+            estimate_operating_point(receiver, params, 0, McConfig(trials=trials))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_trial * trials + 64 * 1024
 
 
 class TestConfigAndIntervals:

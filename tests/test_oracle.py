@@ -788,6 +788,14 @@ class TestConcavity:
         with pytest.raises(ValueError, match=f"^{field} must"):
             check_helstrom_concavity(trials=3, seed=0, **shape)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", -1), ("trials", 2.5), ("trials", True), ("dim", 2.5), ("mixture_size", 2.0)])
+    def test_trial_shape_must_be_integers(self, field, value):
+        # trials=-1 failed in numpy ("negative dimensions"), dim=2.5 with a bare TypeError
+        shape = {"trials": 3, "dim": 2, "mixture_size": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            check_helstrom_concavity(seed=0, **shape)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_pinned_validate_trials(self, seed):
         # the validate check's shape; bit for bit, so the random stream and
