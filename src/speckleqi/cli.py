@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, oracle
-from .params import (FIG2A, FIG2B, ConfigError, FadingKind, InvalidParameter, SystemParams,
-                     load_config)
+from .params import FIG2A, FIG2B, ConfigError, InvalidParameter, SystemParams, load_config
 from .validate import run_validation
 
 
@@ -94,11 +93,7 @@ def _resolve(args) -> tuple[SystemParams, tuple]:
     """Parameters of --config or --preset (default fig2a), and the default
     log10(M) sweep range: the preset's own, or fig2a's for a config file."""
     if args.config is not None:
-        params, model = load_config(args.config)
-        if model.kind is not FadingKind.RAYLEIGH:
-            raise InvalidParameter("fading.kind", f"{model.kind.value!r} has no closed form; "
-                                                  "the analytic receivers assume 'rayleigh'")
-        return params, PRESETS["fig2a"].sweep_log10_m
+        return load_config(args.config), PRESETS["fig2a"].sweep_log10_m
     preset = PRESETS.get("fig2a" if args.preset is None else args.preset)
     if preset is None:
         raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")

@@ -28,7 +28,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it on first use; load it with the package)
 
 from . import analytic
-from .params import FadingKind, FadingModel, InvalidParameter, SystemParams, derived_x
+from .params import InvalidParameter, SystemParams, _require_integer, derived_x
 
 _NEG_BINOMIAL_M_CAP = 1e7
 
@@ -44,9 +44,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value, low in (("trials", self.trials, 100), ("seed", self.seed, 0)):
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise InvalidParameter(name, f"must be an integer >= {low}, got {value!r}")
+        _require_integer("trials", self.trials, 100)
+        _require_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -83,16 +82,11 @@ def _stream(seed: int, receiver: Receiver, hypothesis: int) -> np.random.Generat
 # Fading draws
 # =============================================================================
 
-def _sample_kappa(model: FadingModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Inverse-CDF draws of the return intensity kappa = amplitude^2."""
-    kappa = rng.random(size)  # drawn for every kind, so the stream advances alike
-    if model.kind is FadingKind.DETERMINISTIC:
-        kappa.fill(model.kappa)
-        return kappa
-    if model.kind is FadingKind.TRUNCATED_RAYLEIGH:  # u * P(kappa <= 1), untruncated
-        kappa *= -math.expm1(-1.0 / model.kappa_bar)
+def _sample_kappa(kappa_bar: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Inverse-CDF draws of the Rayleigh return intensity kappa, mean kappa_bar."""
+    kappa = rng.random(size)
     np.log1p(np.negative(kappa, out=kappa), out=kappa)  # rounding is sign-symmetric
-    kappa *= -model.kappa_bar
+    kappa *= -kappa_bar
     return kappa
 
 
@@ -100,41 +94,41 @@ def _sample_kappa(model: FadingModel, rng: np.random.Generator, size: int) -> np
 # Receiver output statistics
 # =============================================================================
 
-def sample_sfg_counts(params: SystemParams, present: bool, model: FadingModel,
-                      rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_sfg_counts(params: SystemParams, present: bool, rng: np.random.Generator,
+                      size: int) -> np.ndarray:
     """size SFG total photon counts under one hypothesis, one fading draw each.
 
     Target absent: noise-only counts with mean N0, a sum of M iid geometric
-    (Bose-Einstein) counts, so negative binomial (model is unused). Target
-    present: direct detection of the conditional coherent state, Poisson with
-    mean (1-epsilon)*M*kappa*N_S/N_B; like the closed forms, this idealized
-    reduction neglects the noise floor under h=1.
+    (Bose-Einstein) counts, so negative binomial. Target present: direct
+    detection of the conditional coherent state, Poisson with mean
+    (1-epsilon)*M*kappa*N_S/N_B, kappa ~ Rayleigh(params.kappa_bar); like the
+    closed forms, this idealized reduction neglects the noise floor under h=1.
     """
     if not present:
         n0, _ = analytic.sfg_mean_counts(params)
         if params.M > _NEG_BINOMIAL_M_CAP:
             return rng.poisson(n0, size)
         return rng.negative_binomial(params.M, 1.0 / (1.0 + n0 / params.M), size)
-    mean = _sample_kappa(model, rng, size)
+    mean = _sample_kappa(params.kappa_bar, rng, size)
     mean *= (1.0 - params.epsilon) * params.M
     mean *= params.N_S
     mean /= params.N_B
     return rng.poisson(mean)
 
 
-def sample_ci_envelopes(params: SystemParams, present: bool, model: FadingModel,
-                        rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_ci_envelopes(params: SystemParams, present: bool, rng: np.random.Generator,
+                        size: int) -> np.ndarray:
     """size CI matched-filter envelope powers R under one hypothesis.
 
-    Target absent: R ~ Exponential(1) (model is unused). Target present, given
-    each fading draw: R = |G + a e^{i phi}|^2 with G unit complex Gaussian
-    noise, a^2 = kappa*x/kappa_bar and phi uniform (G is circular, so the
-    phase is unobservable), whose Rayleigh-fading marginal is exactly
+    Target absent: R ~ Exponential(1). Target present, given each
+    Rayleigh(params.kappa_bar) draw of kappa: R = |G + a e^{i phi}|^2 with G
+    unit complex Gaussian noise, a^2 = kappa*x/kappa_bar and phi uniform (G is
+    circular, so the phase is unobservable), whose marginal is exactly
     Exponential(1 + x), matching the closed-form ROC exponent.
     """
     if not present:
         return rng.exponential(1.0, size)
-    a = _sample_kappa(model, rng, size)
+    a = _sample_kappa(params.kappa_bar, rng, size)
     a *= derived_x(params)
     a /= params.kappa_bar
     np.sqrt(a, out=a)
@@ -167,15 +161,14 @@ def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold
     Rayleigh(params.kappa_bar) fading realization, the law the closed forms
     assume.
     """
-    if math.isnan(threshold):
-        raise InvalidParameter("threshold", "must not be NaN")
-    model = FadingModel.rayleigh(params.kappa_bar)
+    if not isinstance(threshold, numbers.Real) or math.isnan(threshold):
+        raise InvalidParameter("threshold", f"must be a real number, not NaN, got {threshold!r}")
     estimates = []
     for hypothesis in (0, 1):
         rng = _stream(config.seed, receiver, hypothesis)
         # one expression, so this hypothesis's draws are freed before the next's
         declared = np.count_nonzero(
-            _SAMPLERS[receiver](params, hypothesis == 1, model, rng, config.trials) > threshold)
+            _SAMPLERS[receiver](params, hypothesis == 1, rng, config.trials) > threshold)
         estimates.append(wilson_interval(int(declared), config.trials))
     return estimates[0], estimates[1]
 

@@ -34,7 +34,7 @@ import numpy.polynomial.legendre  # noqa: F401
 import numpy.random  # noqa: F401
 
 from ._golden import golden_section_min
-from .params import FadingModel, SystemParams, fading_pdf
+from .params import FadingModel, InvalidParameter, SystemParams, _require_integer, fading_pdf
 
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
@@ -607,10 +607,9 @@ def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int
     (rho0, rho1) pairs; the trials x (mixture_size + 1) Helstrom problems
     (every pair plus the mixed pair) are solved by one batched eigvalsh.
     """
-    for name, value, low in (("trials", trials, 0), ("dim", dim, 1),
-                             ("mixture_size", mixture_size, 1)):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    _require_integer("trials", trials, 0)
+    _require_integer("dim", dim, 1)
+    _require_integer("mixture_size", mixture_size, 1)
     rng = np.random.default_rng(seed)
     f = np.empty((trials, mixture_size))
     pairs = np.empty((trials, mixture_size + 1, 2, dim, dim), dtype=complex)
@@ -736,8 +735,10 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     their weight to truncation and are renormalized first.
     """
     m_list = list(m_list)
-    if not m_list or not all(isinstance(m, numbers.Integral) and m >= 1 for m in m_list):
-        raise ValueError(f"copy counts must be one or more integers >= 1, got {m_list}")
+    if not m_list:
+        raise InvalidParameter("m_list", "needs one or more copy counts")
+    for m in m_list:
+        _require_integer("m_list", m, 1)
     m_list = sorted(int(m) for m in m_list)
     if model is None:
         model = FadingModel.truncated_rayleigh(params.kappa_bar)
@@ -813,19 +814,18 @@ def qcb_exponent_at_zero_return(params: SystemParams, dim: int) -> float:
 # =============================================================================
 
 def return_idler_covariance(n_s: float, n_b: float, kappa: float, phi: float,
-                            present: bool, exact_return_noise: bool = True) -> np.ndarray:
+                            present: bool) -> np.ndarray:
     """4x4 Wigner covariance of the (return, idler) pair for one hypothesis.
 
     Quadrature order (q_R, p_R, q_I, p_I). Diagonal blocks are multiples of
     the identity; target presence adds the off-diagonal block
     (c_p/2) * [[cos phi, sin phi], [sin phi, -cos phi]] with
-    c_p = sqrt(kappa*N_S*(N_S+1)). With exact_return_noise the return block
-    carries brightness kappa*N_S + N_B (the background-brightness convention
-    keeps the noise floor at N_B for every kappa); without it the kappa*N_S
-    leak-through is dropped, the N_S << 1 << N_B limiting form.
+    c_p = sqrt(kappa*N_S*(N_S+1)). The return block carries brightness
+    kappa*N_S + N_B under target presence (the background-brightness
+    convention keeps the noise floor at N_B for every kappa), N_B otherwise.
     """
     cov = np.zeros((4, 4))
-    n_ret = kappa * n_s + n_b if present and exact_return_noise else n_b
+    n_ret = kappa * n_s + n_b if present else n_b
     cov[0, 0] = cov[1, 1] = (2.0 * n_ret + 1.0) / 4.0
     cov[2, 2] = cov[3, 3] = (2.0 * n_s + 1.0) / 4.0
     if present:

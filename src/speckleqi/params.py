@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -29,6 +30,12 @@ class InvalidParameter(ValueError):
     def __init__(self, field_name: str, message: str):
         self.field_name = field_name
         super().__init__(f"{field_name}: {message}")
+
+
+def _require_integer(name: str, value, low: int) -> None:
+    """Raise InvalidParameter(name) unless value is an integer >= low; a bool is not one."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
+        raise InvalidParameter(name, f"must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,10 +162,8 @@ def fading_pdf(model: FadingModel, amplitude: float) -> float:
 #             address the fading block.
 # A key given twice (including a nested key and its dotted form) is an error.
 #
-# Keys: M, N_S, N_B, kappa_bar, epsilon, pi0,
-#       fading.kind   in {rayleigh, truncated_rayleigh, deterministic}
-#       fading.kappa, fading.phi   (deterministic kind only)
-# Omitted fading block defaults to rayleigh(kappa_bar).
+# Keys: M, N_S, N_B, kappa_bar, epsilon, pi0, and fading.kind, which may only
+# be rayleigh (the default), the law the closed forms and samplers assume.
 
 _PARAM_KEYS = {"M", "N_S", "N_B", "kappa_bar", "epsilon", "pi0"}
 
@@ -198,8 +203,8 @@ def _text_pairs(text: str):
         yield key, value
 
 
-def load_config(path) -> tuple[SystemParams, FadingModel]:
-    """Read a configuration file and build (SystemParams, FadingModel)."""
+def load_config(path) -> SystemParams:
+    """Read a configuration file and build its SystemParams."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -213,7 +218,10 @@ def load_config(path) -> tuple[SystemParams, FadingModel]:
             raise ConfigError(f"a JSON config is one object, not {type(obj).__name__}")
         flat = _unique_keys(_flat_pairs(obj))
 
-    unknown = set(flat) - _PARAM_KEYS - {"fading.kind", "fading.kappa", "fading.phi"}
+    kind = str(flat.get("fading.kind", "rayleigh")).lower()
+    if kind != "rayleigh":
+        raise InvalidParameter("fading.kind", f"only 'rayleigh' is modelled, not {kind!r}")
+    unknown = set(flat) - _PARAM_KEYS - {"fading.kind"}
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
 
@@ -227,22 +235,4 @@ def load_config(path) -> tuple[SystemParams, FadingModel]:
     missing = {"M", "N_S", "N_B", "kappa_bar"} - set(kwargs)
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
-    params = SystemParams(**kwargs)
-
-    kind = str(flat.get("fading.kind", "rayleigh")).lower()
-    if kind == "rayleigh":
-        model = FadingModel.rayleigh(params.kappa_bar)
-    elif kind == "truncated_rayleigh":
-        model = FadingModel.truncated_rayleigh(params.kappa_bar)
-    elif kind == "deterministic":
-        if "fading.kappa" not in flat:
-            raise ConfigError("deterministic fading requires fading.kappa")
-        model = FadingModel.deterministic(
-            number("fading.kappa"), number("fading.phi") if "fading.phi" in flat else 0.0
-        )
-    else:
-        raise ConfigError(f"unknown fading.kind: {kind!r}")
-    for key in ("fading.kappa", "fading.phi"):
-        if model.is_random and key in flat:
-            raise ConfigError(f"{key} applies only to fading.kind = deterministic, not {kind!r}")
-    return params, model
+    return SystemParams(**kwargs)

@@ -11,7 +11,6 @@ see the checks built on it fail.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import analytic, montecarlo, oracle
 from ._golden import golden_section_min
 from .analytic import sfg_mean_counts
 from .params import (FIG2A, FIG2B, FadingKind, FadingModel, InvalidParameter, SystemParams,
-                     derived_x, fading_pdf)
+                     _require_integer, derived_x, fading_pdf)
 
 
 @dataclass(frozen=True)
@@ -306,9 +305,8 @@ def check_mc_coverage(trials: int, seed: int) -> CheckResult:
 
 def run_validation(trials: int = 200, seed: int = 0, only=None) -> dict:
     """Run the named checks (all when only is None); returns a JSON-ready report."""
-    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
-            raise InvalidParameter(name, f"must be an integer >= {low}, got {value!r}")
+    _require_integer("trials", trials, 1)
+    _require_integer("seed", seed, 0)
     registry = {
         "fading-pdf-normalization": lambda: check_pdf_normalization(),
         "fading-mean-intensity": lambda: check_mean_intensity(),

@@ -162,9 +162,7 @@ def test_criterion_8_monte_carlo_coverage():
             assert estimate_bayes_error(Receiver.CI, params, config).covers(ci.p_error)
             # target-present counts are Bose-Einstein(N1) at the 1% level
             rng = _stream(config.seed, Receiver.SFG, 1)
-            counts = sample_sfg_counts(params, True,
-                                       FadingModel.rayleigh(params.kappa_bar),
-                                       rng, config.trials)
+            counts = sample_sfg_counts(params, True, rng, config.trials)
             _, n1 = sfg_mean_counts(params)
             k = np.arange(120)
             pmf = np.exp(k * math.log(n1) - (k + 1) * math.log(n1 + 1))

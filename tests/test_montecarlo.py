@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from speckleqi import (
-    FadingModel,
     InvalidParameter,
     McConfig,
     McEstimate,
@@ -24,7 +23,7 @@ from speckleqi import (
     wilson_interval,
 )
 from speckleqi.montecarlo import _sample_kappa, _stream
-from speckleqi.params import FIG2A, FIG2B, FadingKind
+from speckleqi.params import FIG2A, FIG2B
 
 # analytic values frozen in test_analytic.py
 SFG_VERTEX_A = (2.3020550252356094e-4, 0.9399517491329434)
@@ -33,32 +32,26 @@ SFG_PE_A = 0.030139228184790062
 CI_PE_FIG2 = 0.10661078173957317
 
 
-def reference_sample_kappa(model, rng, size):
-    """Reference fading draws: the allocating expressions the in-place sampler
-    replaced, in the same order."""
-    u = rng.random(size)
-    if model.kind is FadingKind.RAYLEIGH:
-        return -model.kappa_bar * np.log1p(-u)
-    if model.kind is FadingKind.TRUNCATED_RAYLEIGH:
-        mass = -math.expm1(-1.0 / model.kappa_bar)
-        return -model.kappa_bar * np.log1p(-u * mass)
-    return np.full(size, model.kappa)
+def reference_sample_kappa(kappa_bar, rng, size):
+    """Reference Rayleigh fading draws: the allocating expression the in-place
+    sampler replaced."""
+    return -kappa_bar * np.log1p(-rng.random(size))
 
 
-def reference_sfg_counts(params, present, model, rng, size):
+def reference_sfg_counts(params, present, rng, size):
     if not present:
         n0, _ = sfg_mean_counts(params)
         if params.M <= 1e7:
             return rng.negative_binomial(params.M, 1.0 / (1.0 + n0 / params.M), size)
         return rng.poisson(n0, size)
-    kappa = reference_sample_kappa(model, rng, size)
+    kappa = reference_sample_kappa(params.kappa_bar, rng, size)
     return rng.poisson((1.0 - params.epsilon) * params.M * kappa * params.N_S / params.N_B)
 
 
-def reference_ci_envelopes(params, present, model, rng, size):
+def reference_ci_envelopes(params, present, rng, size):
     if not present:
         return rng.exponential(1.0, size)
-    kappa = reference_sample_kappa(model, rng, size)
+    kappa = reference_sample_kappa(params.kappa_bar, rng, size)
     phase = 2.0 * np.pi * rng.random(size)
     a = np.sqrt(kappa * derived_x(params) / params.kappa_bar)
     g1 = rng.normal(0.0, math.sqrt(0.5), size)
@@ -66,28 +59,22 @@ def reference_ci_envelopes(params, present, model, rng, size):
     return (g1 + a * np.cos(phase)) ** 2 + (g2 + a * np.sin(phase)) ** 2
 
 
-FADING_MODELS = [FadingModel.rayleigh(0.01), FadingModel.truncated_rayleigh(0.5),
-                 FadingModel.deterministic(0.36, 1.25)]
-
-
 class TestInPlaceSamplers:
-    @pytest.mark.parametrize("model", FADING_MODELS, ids=lambda m: m.kind.value)
-    def test_kappa_matches_reference(self, model):
-        got = _sample_kappa(model, np.random.default_rng(31), 10_007)
-        assert np.array_equal(got, reference_sample_kappa(model, np.random.default_rng(31),
+    @pytest.mark.parametrize("kappa_bar", [0.01, 0.5])
+    def test_kappa_matches_reference(self, kappa_bar):
+        got = _sample_kappa(kappa_bar, np.random.default_rng(31), 10_007)
+        assert np.array_equal(got, reference_sample_kappa(kappa_bar, np.random.default_rng(31),
                                                           10_007))
 
     # fig2a's SFG noise counts are Poisson (M > 1e7), fig2b's negative binomial
     @pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
-    @pytest.mark.parametrize("model", FADING_MODELS, ids=lambda m: m.kind.value)
     @pytest.mark.parametrize("present", [False, True], ids=["h0", "h1"])
     @pytest.mark.parametrize("receiver, sampler, reference", [
         (Receiver.SFG, sample_sfg_counts, reference_sfg_counts),
         (Receiver.CI, sample_ci_envelopes, reference_ci_envelopes)], ids=["sfg", "ci"])
-    def test_sampler_matches_reference(self, receiver, sampler, reference, present, model,
-                                       preset):
+    def test_sampler_matches_reference(self, receiver, sampler, reference, present, preset):
         params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
-        got, want = (f(params, present, model, _stream(20261018, receiver, int(present)), 10_007)
+        got, want = (f(params, present, _stream(20261018, receiver, int(present)), 10_007)
                      for f in (sampler, reference))
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -114,7 +101,8 @@ class TestConfigAndIntervals:
             McConfig(trials=50)
 
     @pytest.mark.parametrize("trials, seed, field", [
-        (1000.5, 0, "trials"), (math.nan, 0, "trials"), (1000, -1, "seed"), (1000, 1.5, "seed")])
+        (1000.5, 0, "trials"), (math.nan, 0, "trials"), (1000, -1, "seed"), (1000, 1.5, "seed"),
+        (True, 0, "trials"), (1000, True, "seed"), (1000, False, "seed")])
     def test_fields_rejected_by_name(self, trials, seed, field):
         with pytest.raises(InvalidParameter, match=f"^{field}: "):
             McConfig(trials=trials, seed=seed)
@@ -138,56 +126,40 @@ class TestConfigAndIntervals:
 
 
 class TestFadingSampler:
-    def test_deterministic_passthrough(self, fig2a, rng):
-        # a known target passes its kappa through unchanged, so its SFG counts
-        # are Poisson with a fixed mean and carry no fading spread
-        model = FadingModel.deterministic(0.36, 1.25)
-        assert np.all(_sample_kappa(model, rng, 1000) == 0.36)
-        counts = sample_sfg_counts(fig2a, True, model, rng, 20000)
-        mean = (1 - fig2a.epsilon) * fig2a.M * 0.36 * fig2a.N_S / fig2a.N_B
-        assert abs(counts.mean() - mean) < 3 * math.sqrt(mean / 20000)
-        assert counts.var() < 1.1 * mean
-
     def test_rayleigh_moment(self):
         rng = np.random.default_rng(11)
-        kappa = _sample_kappa(FadingModel.rayleigh(0.01), rng, 10 ** 6)
+        kappa = _sample_kappa(0.01, rng, 10 ** 6)
         # kappa ~ Exponential(0.01): var = kappa_bar^2
         assert abs(kappa.mean() - 0.01) < 3 * 0.01 / 1e3
 
     def test_rayleigh_ks_test(self):
         rng = np.random.default_rng(12)
-        kappa = _sample_kappa(FadingModel.rayleigh(0.01), rng, 10 ** 6)
+        kappa = _sample_kappa(0.01, rng, 10 ** 6)
         assert sps.kstest(kappa, "expon", args=(0, 0.01)).pvalue > 0.01
 
-    def test_truncated_support_and_law(self):
-        rng = np.random.default_rng(13)
-        kappa = _sample_kappa(FadingModel.truncated_rayleigh(0.5), rng, 10 ** 5)
-        assert kappa.max() <= 1.0
-        # truncated-exponential cdf on [0, 1]
-        cdf = lambda t: -np.expm1(-t / 0.5) / -math.expm1(-1 / 0.5)
-        assert sps.kstest(kappa, cdf).pvalue > 0.01
-
-    def test_deterministic_envelope_is_noncentral_chi2(self, fig2a):
-        # known amplitude a, a^2 = kappa*x/kappa_bar: 2R ~ ncx2(2, 2a^2)
-        rng = np.random.default_rng(14)
-        r = sample_ci_envelopes(fig2a, True, FadingModel.deterministic(0.01, 1.25), rng,
-                                20000)
-        a2 = 0.01 * derived_x(fig2a) / fig2a.kappa_bar
-        assert sps.kstest(2 * r, "ncx2", args=(2, 2 * a2)).pvalue > 0.01
+    @pytest.mark.parametrize("kappa_bar", [0.5, 0.01])
+    def test_sfg_kappa_bar_comes_from_params(self, kappa_bar):
+        # the Rayleigh-mixed Poisson counts are geometric with mean N1, so
+        # their mean's standard error is sqrt(N1 (N1 + 1) / draws)
+        params = SystemParams(**{**FIG2A, "kappa_bar": kappa_bar})
+        draws = 20_000
+        counts = sample_sfg_counts(params, True, np.random.default_rng(15), draws)
+        _, n1 = sfg_mean_counts(params)
+        assert abs(counts.mean() - n1) < 5 * math.sqrt(n1 * (n1 + 1) / draws)
 
 
 class TestSfgCounts:
     def test_vanishing_brightness_gives_zero(self, rng):
         p = SystemParams(M=1e4, N_S=1e-12, N_B=20.0, kappa_bar=0.01)
         for present in (False, True):
-            counts = sample_sfg_counts(p, present, FadingModel.rayleigh(0.01), rng, 200)
+            counts = sample_sfg_counts(p, present, rng, 200)
             assert np.all(counts == 0)
 
     def test_h1_counts_are_bose_einstein(self, fig2a):
         # the load-bearing reduction: Rayleigh-mixed Poisson = thermal counts
         cfg = McConfig(trials=100_000, seed=20260810)
         rng = _stream(cfg.seed, Receiver.SFG, 1)
-        counts = sample_sfg_counts(fig2a, True, FadingModel.rayleigh(0.01), rng, 100_000)
+        counts = sample_sfg_counts(fig2a, True, rng, 100_000)
         _, n1 = sfg_mean_counts(fig2a)
         kmax = 120
         k = np.arange(kmax)
@@ -207,7 +179,7 @@ class TestSfgCounts:
         p = SystemParams(M=1e6, N_S=1e-4, N_B=20.0, kappa_bar=0.01, epsilon=0.01)
         n0, _ = sfg_mean_counts(p)
         draws = 10 ** 6
-        nb = sample_sfg_counts(p, False, None, np.random.default_rng(3), draws)
+        nb = sample_sfg_counts(p, False, np.random.default_rng(3), draws)
         po = np.random.default_rng(4).poisson(n0, draws)
         top = max(nb.max(), po.max()) + 1
         pmf_nb = np.bincount(nb, minlength=top) / draws
@@ -218,18 +190,18 @@ class TestSfgCounts:
 class TestCiEnvelope:
     def test_null_hypothesis_unit_mean(self, fig2a):
         rng = np.random.default_rng(21)
-        r = sample_ci_envelopes(fig2a, False, None, rng, 20000)
+        r = sample_ci_envelopes(fig2a, False, rng, 20000)
         assert abs(r.mean() - 1.0) < 3 / math.sqrt(20000)
 
     def test_marginal_mean_under_target(self, fig2a):
         rng = np.random.default_rng(22)
-        r = sample_ci_envelopes(fig2a, True, FadingModel.rayleigh(0.01), rng, 20000)
+        r = sample_ci_envelopes(fig2a, True, rng, 20000)
         x = derived_x(fig2a)
         assert abs(r.mean() - (1 + x)) < 3 * (1 + x) / math.sqrt(20000)
 
     def test_marginal_is_exponential(self, fig2a):
         rng = np.random.default_rng(23)
-        r = sample_ci_envelopes(fig2a, True, FadingModel.rayleigh(0.01), rng, 20000)
+        r = sample_ci_envelopes(fig2a, True, rng, 20000)
         x = derived_x(fig2a)
         assert sps.kstest(r, "expon", args=(0, 1 + x)).pvalue > 0.01
 
@@ -252,6 +224,13 @@ class TestOperatingPointEstimates:
     def test_nan_threshold_rejected(self, fig2a, receiver):
         with pytest.raises(InvalidParameter, match="^threshold: "):
             estimate_operating_point(receiver, fig2a, math.nan, McConfig(trials=100))
+
+    @pytest.mark.parametrize("receiver", list(Receiver))
+    @pytest.mark.parametrize("threshold", ["3", None, 1 + 0j])
+    def test_non_real_threshold_rejected(self, fig2a, receiver, threshold):
+        # '3' failed in math.isnan with a bare TypeError
+        with pytest.raises(InvalidParameter, match="^threshold: "):
+            estimate_operating_point(receiver, fig2a, threshold, McConfig(trials=100))
 
     @pytest.mark.parametrize("receiver", list(Receiver))
     def test_infinite_threshold_never_declares(self, fig2a, receiver):

@@ -12,6 +12,7 @@ from scipy.stats import poisson
 from speckleqi import (
     DensityMatrix,
     FadingModel,
+    InvalidParameter,
     ResourceGuard,
     SystemParams,
     TruncationTooSmall,
@@ -516,11 +517,11 @@ class TestCovarianceWeld:
         np.testing.assert_array_equal(ref[2:, :2], 0.0)
 
     def test_printed_limit_form_drops_leakthrough(self):
+        # the printed N_S << 1 << N_B limit keeps the return at (2 N_B + 1)/4;
+        # the exact return also carries the kappa*N_S leak-through
         exact = return_idler_covariance(0.1, 0.5, 0.3, 0.0, present=True)
-        limit = return_idler_covariance(0.1, 0.5, 0.3, 0.0, present=True,
-                                        exact_return_noise=False)
-        assert limit[0, 0] == pytest.approx((2 * 0.5 + 1) / 4)
-        assert exact[0, 0] - limit[0, 0] == pytest.approx(0.3 * 0.1 / 2)
+        assert exact[0, 0] == pytest.approx((2 * (0.3 * 0.1 + 0.5) + 1) / 4)
+        assert exact[0, 0] - (2 * 0.5 + 1) / 4 == pytest.approx(0.3 * 0.1 / 2)
 
 
 def direct_grid_average(builder, model, nodes):
@@ -785,7 +786,7 @@ class TestConcavity:
     def test_empty_trial_shape_rejected(self, field):
         # dim=0 gave a slack of 0.0 and mixture_size=0 one of 0.5
         shape = {"dim": 2, "mixture_size": 2, field: 0}
-        with pytest.raises(ValueError, match=f"^{field} must"):
+        with pytest.raises(InvalidParameter, match=f"^{field}: must"):
             check_helstrom_concavity(trials=3, seed=0, **shape)
 
     @pytest.mark.parametrize("field, value", [
@@ -793,7 +794,7 @@ class TestConcavity:
     def test_trial_shape_must_be_integers(self, field, value):
         # trials=-1 failed in numpy ("negative dimensions"), dim=2.5 with a bare TypeError
         shape = {"trials": 3, "dim": 2, "mixture_size": 2, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        with pytest.raises(InvalidParameter, match=f"^{field}: must be an integer"):
             check_helstrom_concavity(seed=0, **shape)
 
     @pytest.mark.parametrize("seed", range(30))
@@ -830,11 +831,13 @@ class TestExponentTrend:
             assert math.exp(-p.helstrom_exponent * p.copies) == pytest.approx(0.5, abs=1e-9)
             assert p.chernoff_exponent == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("m_list", [[1.7], [2.0], [], [0, 1], [-1], ["2"]])
+    @pytest.mark.parametrize("m_list", [[1.7], [2.0], [], [0, 1], [-1], ["2"], [True],
+                                        [2, True]])
     def test_copy_counts_must_be_positive_integers(self, m_list):
-        # 1.7 must not be truncated to one copy, nor [] fail with an IndexError
+        # 1.7 must not be truncated to one copy, nor [] fail with an IndexError;
+        # True ran as one copy
         params = SystemParams(**self.SURROGATE)
-        with pytest.raises(ValueError, match="copy counts"):
+        with pytest.raises(InvalidParameter, match="^m_list: "):
             fading_exponent_trend(params, m_list, dim=3, nodes=(16, 33))
 
     def test_numpy_integer_copy_counts_accepted(self):

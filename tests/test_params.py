@@ -143,27 +143,25 @@ class TestConfigLoading:
         f = tmp_path / "c.json"
         f.write_text('{"M": 1e6, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
                      ' "epsilon": 0.02, "pi0": 0.25,'
-                     ' "fading": {"kind": "truncated_rayleigh"}}')
-        params, model = load_config(f)
-        assert params.M == 1e6 and params.pi0 == 0.25 and params.pi1 == 0.75
-        assert model.kind is FadingKind.TRUNCATED_RAYLEIGH
-        assert model.kappa_bar == params.kappa_bar
+                     ' "fading": {"kind": "rayleigh"}}')
+        params = load_config(f)
+        assert params == SystemParams(M=1e6, N_S=0.01, N_B=5.0, kappa_bar=0.02, epsilon=0.02,
+                                      pi0=0.25)
+        assert params.pi1 == 0.75
 
     def test_flat_dotted_json(self, tmp_path):
         f = tmp_path / "c.json"
         f.write_text('{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
-                     ' "fading.kind": "deterministic", "fading.kappa": 0.3,'
-                     ' "fading.phi": 0.7}')
-        _, model = load_config(f)
-        assert model.kind is FadingKind.DETERMINISTIC
-        assert model.kappa == 0.3 and model.phi == pytest.approx(0.7)
+                     ' "fading.kind": "Rayleigh"}')
+        assert load_config(f) == SystemParams(M=100.0, N_S=0.01, N_B=5.0, kappa_bar=0.02)
 
     def test_key_value_text(self, tmp_path):
         f = tmp_path / "c.cfg"
         f.write_text("# comment\nM = 100\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\n")
-        params, model = load_config(f)
-        assert params.N_B == 5.0
-        assert model.kind is FadingKind.RAYLEIGH  # default
+        params = load_config(f)
+        assert params == SystemParams(M=100.0, N_S=0.01, N_B=5.0, kappa_bar=0.02)
+        f.write_text("M = 100\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\nfading.kind = rayleigh\n")
+        assert load_config(f) == params
 
     def test_missing_keys(self, tmp_path):
         f = tmp_path / "c.json"
@@ -181,14 +179,29 @@ class TestConfigLoading:
         (None, "fading.kappa"),
         ("rayleigh", "fading.kappa"),
         ("rayleigh", "fading.phi"),
-        ("truncated_rayleigh", "fading.phi"),
     ])
     def test_deterministic_keys_rejected_for_random_kinds(self, tmp_path, kind, key):
+        # fading.kappa and fading.phi are unknown keys
         f = tmp_path / "c.json"
         fading = {key: 0.3} if kind is None else {"fading.kind": kind, key: 0.3}
         f.write_text(json.dumps({"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, **fading}))
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"unknown keys: \\['{key}'\\]"):
             load_config(f)
+
+    @pytest.mark.parametrize("fading", [
+        {"fading.kind": "deterministic", "fading.kappa": 1.5},
+        {"fading.kind": "deterministic", "fading.kappa": "abc", "fading.phi": 1e400},
+        {"fading": {"kind": "truncated_rayleigh", "phi": 0.7}},
+        {"fading.kind": "bogus", "bogus": 1},
+    ], ids=["deterministic-kappa", "deterministic-bad-values", "truncated-phi", "unknown-kind"])
+    def test_kind_other_than_rayleigh_rejected_first(self, tmp_path, fading):
+        # a kind the loader does not model fails on the kind, whatever else
+        # the file holds (it used to fail on the discarded kind's fields)
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, **fading}))
+        with pytest.raises(InvalidParameter) as exc:
+            load_config(f)
+        assert exc.value.field_name == "fading.kind"
 
     @pytest.mark.parametrize("name,text,key", [
         ("c.cfg", "M = 1e8\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\nM = 1e9\n", "M"),
@@ -214,14 +227,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
 
-    @pytest.mark.parametrize("key", ["fading.kappa", "fading.phi"])
+    @pytest.mark.parametrize("key", ["N_S", "epsilon"])
     @pytest.mark.parametrize("value", ['"abc"', "[0.5]"])
-    def test_non_numeric_fading_value_names_key(self, tmp_path, key, value):
+    def test_non_numeric_value_names_key(self, tmp_path, key, value):
         f = tmp_path / "c.json"
-        fading = {"fading.kappa": "0.3", "fading.phi": "0.7", key: value}
-        f.write_text('{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
-                     ' "fading.kind": "deterministic", "fading.kappa": %(fading.kappa)s,'
-                     ' "fading.phi": %(fading.phi)s}' % fading)
+        values = {"N_S": "0.01", "epsilon": "0.02", key: value}
+        f.write_text('{"M": 100, "N_S": %(N_S)s, "N_B": 5, "kappa_bar": 0.02,'
+                     ' "epsilon": %(epsilon)s}' % values)
         with pytest.raises(ConfigError, match=f"key {key}: not a number"):
             load_config(f)
 
