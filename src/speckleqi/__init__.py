@@ -8,8 +8,6 @@ estimators that weld the two together.
 
 from .params import (
     ConfigError,
-    FadingKind,
-    FadingModel,
     InvalidParameter,
     SystemParams,
     derived_x,

@@ -34,7 +34,7 @@ import numpy.polynomial.legendre  # noqa: F401
 import numpy.random  # noqa: F401
 
 from ._golden import golden_section_min
-from .params import FadingModel, InvalidParameter, SystemParams, _require_integer, fading_pdf
+from .params import InvalidParameter, SystemParams, _require_integer, fading_pdf
 
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
@@ -326,6 +326,14 @@ def _binomial_shift(rho: np.ndarray, d_out: int, p: float, q: float, up: bool) -
     return out
 
 
+def _check_return(kappa: float, phi: float) -> None:
+    """Raise InvalidParameter unless kappa lies in [0, 1] and phi is finite."""
+    if not 0.0 <= kappa <= 1.0:
+        raise InvalidParameter("kappa", "must lie in [0, 1]")
+    if not math.isfinite(phi):
+        raise InvalidParameter("phi", "must be finite")
+
+
 def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff: float,
                          out_dim: int = None, trace_deficit_tol: float = 1e-6) -> DensityMatrix:
     """Mix the signal mode of a two-mode state with a thermal environment.
@@ -338,8 +346,7 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
     1e-12 tail (the smaller of two bounds on it). kappa = 0 returns
     thermal(n_b_eff) (x) idler-marginal.
     """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError("kappa must lie in [0, 1]")
+    _check_return(kappa, phi)
     if state.n_modes != 2:
         raise ValueError("expected a two-mode (signal, idler) state")
     d_sig, d_idl = state.dims
@@ -422,29 +429,28 @@ def _gauss_legendre(n: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return half * (xs + 1.0), half * ws
 
 
-def _node_counts(nodes) -> tuple[int, int]:
-    """(n_amp, n_phase) from nodes, an integer n >= 8 (both counts) or a pair of them."""
-    pair = (nodes, nodes) if isinstance(nodes, numbers.Integral) else nodes
-    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-            and all(isinstance(n, numbers.Integral) and n >= 8 for n in pair)):
-        raise ValueError(f"nodes must be an integer >= 8 or a pair of them, got {nodes!r}")
-    return int(pair[0]), int(pair[1])
+def _amplitude_rule(kappa_bar: float, nodes) -> tuple[np.ndarray, np.ndarray, int]:
+    """(amplitudes, amplitude weights, phase node count P) from nodes, a pair
+    (n_amp, P) of integers >= 8: Gauss-Legendre amplitudes on [0, 1] with the
+    Rayleigh(kappa_bar) amplitude pdf folded into the weights.
+
+    The rule stops at kappa = 1, and fading_average and the trend renormalize
+    the averaged state, so both condition Rayleigh(kappa_bar) on kappa <= 1:
+    the passive-target law, the pdf on [0, 1] over its mass 1 - exp(-1/kappa_bar).
+    """
+    if not (isinstance(nodes, (tuple, list)) and len(nodes) == 2
+            and all(isinstance(n, numbers.Integral) and n >= 8 for n in nodes)):
+        raise ValueError(f"nodes must be a pair (n_amp, P) of integers >= 8, got {nodes!r}")
+    amps, ws = _gauss_legendre(int(nodes[0]), 1.0)
+    return amps, ws * np.array([fading_pdf(kappa_bar, a) for a in amps]), int(nodes[1])
 
 
-def _amplitude_rule(model: FadingModel, nodes) -> tuple[np.ndarray, np.ndarray, int]:
-    """(amplitudes, amplitude weights, phase node count) for a random fading model:
-    Gauss-Legendre amplitudes on [0, 1], the fading pdf folded into the weights."""
-    n_amp, n_phase = _node_counts(nodes)
-    amps, ws = _gauss_legendre(n_amp, 1.0)
-    return amps, ws * np.array([fading_pdf(model, a) for a in amps]), n_phase
-
-
-def fading_average(state_builder, model: FadingModel, quadrature_nodes) -> DensityMatrix:
-    """Average the conditional states over a random fading model.
+def fading_average(state_builder, kappa_bar: float, quadrature_nodes) -> DensityMatrix:
+    """Average conditional states over Rayleigh(kappa_bar) fading and a uniform phase.
 
     state_builder(amplitude) returns the conditional state at return phase 0,
-    return mode first. Amplitudes take the Gauss-Legendre rule on [0, 1] with
-    the fading pdf folded into the weights. The phase acts as
+    return mode first. Amplitudes take the rule of _amplitude_rule on
+    quadrature_nodes = (n_amp, P). The phase acts as
     R(phi) = exp(i phi n) on the first mode, so the uniform P-node phase grid
     (the trapezoid rule) averages R rho R^dag to exactly the mask keeping the
     elements whose first-mode photon numbers agree mod P.
@@ -453,9 +459,9 @@ def fading_average(state_builder, model: FadingModel, quadrature_nodes) -> Densi
     pre-renormalization trace shortfall (quadrature mass outside [0, 1] plus
     per-node truncation deficits) is recorded as the trace deficit.
     """
-    if not model.is_random:
-        raise ValueError("quadrature over a deterministic fading model")
-    amps, amp_w, n_phase = _amplitude_rule(model, quadrature_nodes)
+    if not 0.0 < kappa_bar <= 1.0:
+        raise InvalidParameter("kappa_bar", "must lie in (0, 1]")
+    amps, amp_w, n_phase = _amplitude_rule(kappa_bar, quadrature_nodes)
     data, dims = 0.0, None
     for amp, w in zip(amps, amp_w):
         dm = state_builder(amp)
@@ -610,6 +616,7 @@ def check_helstrom_concavity(trials: int, dim: int, mixture_size: int, seed: int
     _require_integer("trials", trials, 0)
     _require_integer("dim", dim, 1)
     _require_integer("mixture_size", mixture_size, 1)
+    _require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     f = np.empty((trials, mixture_size))
     pairs = np.empty((trials, mixture_size + 1, 2, dim, dim), dtype=complex)
@@ -704,28 +711,28 @@ def _block_groups(labels: np.ndarray) -> list:
             for n in np.flatnonzero(np.bincount(sizes))]
 
 
-def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
-                          model: FadingModel = None) -> list:
+def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list:
     """Per-copy error-probability exponent estimates for M-copy discrimination
     of the unconditional (fading-averaged) hypothesis states, at equal priors.
 
     The fading draw is shared across all M copies, so the M-copy average is
-    taken of the tensor powers (not the tensor power of the average). Under a
-    random fading model the estimates decrease with M, the desk-scale
-    signature of the subexponential regime; a deterministic model is the
-    constant-rate contrast case (see TrendPoint).
+    taken of the tensor powers (not the tensor power of the average). Under
+    Rayleigh(params.kappa_bar) fading the estimates decrease with M, the
+    desk-scale signature of the subexponential regime; nodes=None is the
+    constant-rate contrast case, a known return kappa = params.kappa_bar at
+    phase 0 (see TrendPoint).
 
-    Amplitude nodes are Gauss-Legendre on [0, 1] against the fading pdf. A
-    uniform P-node phase grid acts on the same-draw tensor power as a
-    dephasing mask keeping only elements whose total return photon numbers
-    agree mod P; this is exactly the trapezoid rule.
+    nodes = (n_amp, P) takes the amplitude rule of fading_average. A uniform
+    P-node phase grid acts on the same-draw tensor power as a dephasing mask
+    keeping only elements whose total return photon numbers agree mod P; this
+    is exactly the trapezoid rule.
 
     The M-copy states are never formed densely. Both hypotheses keep the U(1)
     symmetry of a two-mode squeezed vacuum under a phase-insensitive channel:
     every per-copy state couples only basis states with equal n_R - n_I
     (checked; anything else raises ValueError) and rho0 is diagonal. So the
     M-copy rho1 is block-diagonal, with blocks labelled by every copy's
-    n_R - n_I and, under random fading, the total n_R mod P. Each block is
+    n_R - n_I and, under fading, the total n_R mod P. Each block is
     assembled from the per-copy states (rho0's the same way: they come out
     diagonal) and solved on its own by the kernel qcb uses; the
     numerical-rank cutoff still runs over the whole space.
@@ -740,29 +747,23 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
     for m in m_list:
         _require_integer("m_list", m, 1)
     m_list = sorted(int(m) for m in m_list)
-    if model is None:
-        model = FadingModel.truncated_rayleigh(params.kappa_bar)
-    if model.is_random:
-        amps, amp_weights, n_phase = _amplitude_rule(model, nodes)
+    _require_integer("dim", dim, 1)
+    if nodes is None:
+        kappas, amp_weights, n_phase = [params.kappa_bar], np.array([1.0]), 1
     else:
-        _node_counts(nodes)  # a known return needs no quadrature, but nodes is still checked
-        amp_weights, n_phase = np.array([1.0]), 1
+        amps, amp_weights, n_phase = _amplitude_rule(params.kappa_bar, nodes)
+        kappas = amps * amps
     worst = _block_bytes(dim, m_list[-1], n_phase)
     if worst > 2 << 30:
         raise ResourceGuard(
             f"M={m_list[-1]} copies of a two-mode dim-{dim} state need {worst/2**30:.1f} GiB"
         )
 
-    def conditional(kappa: float) -> DensityMatrix:
-        return hypothesis_state(params, kappa, 0.0, dim, present=True, out_dim=dim,
-                                trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
-
     rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
                             trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
-    if model.is_random:
-        conditionals = [conditional(a * a) for a in amps]
-    else:
-        conditionals = [rotate_return_phase(conditional(model.kappa), model.phi)]
+    conditionals = [hypothesis_state(params, kappa, 0.0, dim, present=True, out_dim=dim,
+                                     trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
+                    for kappa in kappas]
     _check_symmetry(rho0.data, np.arange(dim * dim))
     per_copy = _copy_labels(dim, 1, 1)
     for cond in conditionals:
@@ -802,6 +803,7 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes,
 def qcb_exponent_at_zero_return(params: SystemParams, dim: int) -> float:
     """Chernoff exponent of the conditional hypothesis pair at vanishing return
     amplitude; the two states coincide there, so the exponent is ~0."""
+    _require_integer("dim", dim, 1)
     rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
                             trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
     rho1 = hypothesis_state(params, 0.0, 0.0, dim, present=True, out_dim=dim,
@@ -823,7 +825,9 @@ def return_idler_covariance(n_s: float, n_b: float, kappa: float, phi: float,
     c_p = sqrt(kappa*N_S*(N_S+1)). The return block carries brightness
     kappa*N_S + N_B under target presence (the background-brightness
     convention keeps the noise floor at N_B for every kappa), N_B otherwise.
+    kappa must lie in [0, 1] and phi be finite, else InvalidParameter.
     """
+    _check_return(kappa, phi)
     cov = np.zeros((4, 4))
     n_ret = kappa * n_s + n_b if present else n_b
     cov[0, 0] = cov[1, 1] = (2.0 * n_ret + 1.0) / 4.0

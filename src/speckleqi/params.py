@@ -1,4 +1,4 @@
-"""Experiment parameters and target-fading models.
+"""Experiment parameters, the Rayleigh fading pdf and configuration files.
 
 Conventions:
 - M is the number of signal-idler mode pairs (time-bandwidth product). It is
@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 
@@ -83,72 +82,13 @@ def derived_x(params: SystemParams, M=None):
     return m * params.kappa_bar * params.N_S / params.N_B
 
 
-class FadingKind(Enum):
-    RAYLEIGH = "rayleigh"
-    TRUNCATED_RAYLEIGH = "truncated_rayleigh"
-    DETERMINISTIC = "deterministic"
-
-
-class NoDensity(ValueError):
-    """Raised when a pdf is requested for a deterministic (point-mass) model."""
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    """Distribution of the target return's amplitude sqrt(kappa) and phase phi.
-
-    RAYLEIGH: amplitude pdf 2x exp(-x^2/kappa_bar)/kappa_bar on [0, inf),
-    i.e. intensity kappa = x^2 exponential with mean kappa_bar.
-    TRUNCATED_RAYLEIGH: same shape restricted to x in [0, 1] and renormalized
-    by 1/(1 - exp(-1/kappa_bar)), the passive-target form.
-    DETERMINISTIC: point mass at (sqrt(kappa), phi), the known-target baseline.
-
-    Phase is uniform on [0, 2pi) for both random kinds.
-    """
-
-    kind: FadingKind
-    kappa_bar: float = None
-    kappa: float = None
-    phi: float = None
-
-    @classmethod
-    def rayleigh(cls, kappa_bar: float) -> "FadingModel":
-        if not 0.0 < kappa_bar <= 1.0:
-            raise InvalidParameter("kappa_bar", "must lie in (0, 1]")
-        return cls(kind=FadingKind.RAYLEIGH, kappa_bar=kappa_bar)
-
-    @classmethod
-    def truncated_rayleigh(cls, kappa_bar: float) -> "FadingModel":
-        if not 0.0 < kappa_bar <= 1.0:
-            raise InvalidParameter("kappa_bar", "must lie in (0, 1]")
-        return cls(kind=FadingKind.TRUNCATED_RAYLEIGH, kappa_bar=kappa_bar)
-
-    @classmethod
-    def deterministic(cls, kappa: float, phi: float = 0.0) -> "FadingModel":
-        if not 0.0 <= kappa <= 1.0:
-            raise InvalidParameter("kappa", "must lie in [0, 1]")
-        if not math.isfinite(phi):
-            raise InvalidParameter("phi", "must be finite")
-        return cls(kind=FadingKind.DETERMINISTIC, kappa=kappa, phi=phi % (2 * math.pi))
-
-    @property
-    def is_random(self) -> bool:
-        return self.kind is not FadingKind.DETERMINISTIC
-
-
-def fading_pdf(model: FadingModel, amplitude: float) -> float:
-    """Amplitude pdf of a random fading model; 0 outside the support."""
-    if model.kind is FadingKind.DETERMINISTIC:
-        raise NoDensity("deterministic fading has no amplitude density")
+def fading_pdf(kappa_bar: float, amplitude: float) -> float:
+    """Rayleigh pdf 2x exp(-x^2/kappa_bar)/kappa_bar of the return amplitude
+    x = sqrt(kappa), so that the intensity kappa is exponential with mean
+    kappa_bar; 0 for x <= 0."""
     if amplitude <= 0.0:
         return 0.0
-    kb = model.kappa_bar
-    base = 2.0 * amplitude * math.exp(-amplitude * amplitude / kb) / kb
-    if model.kind is FadingKind.RAYLEIGH:
-        return base
-    if amplitude > 1.0:
-        return 0.0
-    return base / (1.0 - math.exp(-1.0 / kb))
+    return 2.0 * amplitude * math.exp(-amplitude * amplitude / kappa_bar) / kappa_bar
 
 
 # =============================================================================

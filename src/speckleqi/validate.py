@@ -18,8 +18,8 @@ import numpy as np
 from . import analytic, montecarlo, oracle
 from ._golden import golden_section_min
 from .analytic import sfg_mean_counts
-from .params import (FIG2A, FIG2B, FadingKind, FadingModel, InvalidParameter, SystemParams,
-                     _require_integer, derived_x, fading_pdf)
+from .params import (FIG2A, FIG2B, InvalidParameter, SystemParams, _require_integer, derived_x,
+                     fading_pdf)
 
 
 @dataclass(frozen=True)
@@ -51,28 +51,30 @@ _PDF_NODES = 96
 _RAYLEIGH_CUT = 40.0
 
 
-def _pdf_quadrature(model: FadingModel, weight) -> float:
-    """Integral of weight(t) * fading_pdf(model, t) over the amplitude support."""
-    hi = (math.sqrt(_RAYLEIGH_CUT * model.kappa_bar) if model.kind is FadingKind.RAYLEIGH
-          else 1.0)
+def _pdf_quadrature(kappa_bar: float, hi: float | None, weight) -> float:
+    """Integral of weight(t) * fading_pdf(kappa_bar, t) over [0, hi]; hi=None
+    is the Rayleigh support, cut where the tail is e^-_RAYLEIGH_CUT."""
+    if hi is None:
+        hi = math.sqrt(_RAYLEIGH_CUT * kappa_bar)
     ts, ws = (a.tolist() for a in oracle._gauss_legendre(_PDF_NODES, hi))
-    return math.fsum(w * weight(t) * fading_pdf(model, t) for t, w in zip(ts, ws))
+    return math.fsum(w * weight(t) * fading_pdf(kappa_bar, t) for t, w in zip(ts, ws))
 
 
 def check_pdf_normalization() -> CheckResult:
-    worst = 0.0
-    for model in (FadingModel.rayleigh(0.01), FadingModel.rayleigh(0.3),
-                  FadingModel.truncated_rayleigh(0.01), FadingModel.truncated_rayleigh(0.7)):
-        worst = max(worst, abs(_pdf_quadrature(model, lambda t: 1.0) - 1.0))
+    # mass 1 on the whole support, 1 - e^(-1/kappa_bar) on the oracle's range [0, 1]
+    cases = [(0.01, None, 1.0), (0.3, None, 1.0),
+             (0.01, 1.0, -math.expm1(-1.0 / 0.01)), (0.7, 1.0, -math.expm1(-1.0 / 0.7))]
+    worst = max(abs(_pdf_quadrature(kb, hi, lambda t: 1.0) - mass) for kb, hi, mass in cases)
     return _result("fading-pdf-normalization", worst, 1e-10,
-                   f"{_PDF_NODES}-node Gauss-Legendre integral of each amplitude pdf over "
-                   f"its support (Rayleigh cut where the tail is e^-{_RAYLEIGH_CUT:g}) vs 1")
+                   f"{_PDF_NODES}-node Gauss-Legendre integral of the Rayleigh amplitude pdf "
+                   f"over its support (cut where the tail is e^-{_RAYLEIGH_CUT:g}) vs 1, and "
+                   f"over the oracle's amplitude range [0, 1] vs 1 - e^(-1/kappa_bar)")
 
 
 def check_mean_intensity() -> CheckResult:
     worst = 0.0
     for kb in (0.01, 0.2, 0.9):
-        mean = _pdf_quadrature(FadingModel.rayleigh(kb), lambda t: t * t)
+        mean = _pdf_quadrature(kb, None, lambda t: t * t)
         worst = max(worst, abs(mean - kb))
     return _result("fading-mean-intensity", worst, 1e-10,
                    f"{_PDF_NODES}-node Gauss-Legendre mean of kappa = t^2 under Rayleigh "
@@ -252,8 +254,7 @@ def check_sfg_fading_average_thermal() -> CheckResult:
     def builder(amplitude):
         return oracle.coherent_thermal_state(math.sqrt(scale) * amplitude, n0, dim)
 
-    averaged = oracle.fading_average(builder, FadingModel.rayleigh(params.kappa_bar),
-                                     (64, 64))
+    averaged = oracle.fading_average(builder, params.kappa_bar, (64, 64))
     target = oracle.thermal_state(n1 + n0, dim).renormalized()
     dist = 0.5 * np.abs(np.linalg.eigvalsh(averaged.data - target.data)).sum()
     return _result("sfg-fading-average-thermal", dist, 1e-4,

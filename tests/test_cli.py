@@ -507,11 +507,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["roc", "snr", "bayes-sweep"])
     @pytest.mark.parametrize("fading", [
         '"fading.kind": "deterministic", "fading.kappa": 0.01',
-        '"fading.kind": "truncated_rayleigh"',
+        '"fading.kind": "rician"',
         # these failed on the discarded kind's fields: exit 3 naming kappa,
         # and exit 2 on a deterministic-only key
         '"fading.kind": "deterministic", "fading.kappa": 1.5',
-        '"fading.kind": "truncated_rayleigh", "fading.phi": 0.7',
+        '"fading.kind": "rician", "fading.phi": 0.7',
     ])
     def test_fading_kind_without_closed_form(self, tmp_path, capsys, command, fading):
         cfg = tmp_path / "c.json"
@@ -610,7 +610,7 @@ class TestValidateCommand:
     def test_planted_pdf_scale_fails_quadrature_check(self, tmp_path, monkeypatch, check):
         # a pdf one part in 1e9 too large must fail at the unchanged 1e-10 tolerance
         monkeypatch.setattr(validate, "fading_pdf",
-                            lambda model, t: (1.0 + 1e-9) * fading_pdf(model, t))
+                            lambda kappa_bar, t: (1.0 + 1e-9) * fading_pdf(kappa_bar, t))
         out = tmp_path / "report.json"
         assert run_cli("validate", "--only", check, "--out", str(out)) == 1
         (result,) = json.loads(out.read_text())["checks"]

@@ -11,7 +11,6 @@ from scipy.stats import poisson
 
 from speckleqi import (
     DensityMatrix,
-    FadingModel,
     InvalidParameter,
     ResourceGuard,
     SystemParams,
@@ -215,30 +214,26 @@ def dense_chernoff(rho0, rho1, s_tol=1e-6):
     return s_opt, (math.inf if q_min <= 0.0 else max(0.0, -math.log(q_min)))
 
 
-def dense_fading_exponent_trend(params, m_list, dim, nodes, model=None, pi0=0.5,
+def dense_fading_exponent_trend(params, m_list, dim, nodes, pi0=0.5,
                                 per_copy_deficit_tol=0.05):
     """Reference trend from dense M-copy states: tensor powers of every
     per-copy state, the phase average as a mask on total return photons mod P,
-    and full helstrom + dense_chernoff eigensolves. Feasible up to a few
-    hundred basis states per side."""
-    if model is None:
-        model = FadingModel.truncated_rayleigh(params.kappa_bar)
+    and full helstrom + dense_chernoff eigensolves. nodes=None is the known
+    return kappa = params.kappa_bar. Feasible up to a few hundred basis states
+    per side."""
     rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
                             trace_deficit_tol=per_copy_deficit_tol).renormalized()
-    if model.is_random:
+    if nodes is None:
+        kappas, amp_weights = [params.kappa_bar], np.array([1.0])
+    else:
         n_amp, n_phase = nodes
         xs, ws = np.polynomial.legendre.leggauss(n_amp)
         amps = 0.5 * (xs + 1.0)
-        amp_weights = 0.5 * ws * np.array([fading_pdf(model, a) for a in amps])
-        conditionals = [hypothesis_state(params, a * a, 0.0, dim, present=True, out_dim=dim,
-                                         trace_deficit_tol=per_copy_deficit_tol).renormalized()
-                        for a in amps]
-    else:
-        conditionals = [rotate_return_phase(
-            hypothesis_state(params, model.kappa, 0.0, dim, present=True, out_dim=dim,
-                             trace_deficit_tol=per_copy_deficit_tol).renormalized(),
-            model.phi)]
-        amp_weights = np.array([1.0])
+        amp_weights = 0.5 * ws * np.array([fading_pdf(params.kappa_bar, a) for a in amps])
+        kappas = [a * a for a in amps]
+    conditionals = [hypothesis_state(params, kappa, 0.0, dim, present=True, out_dim=dim,
+                                     trace_deficit_tol=per_copy_deficit_tol).renormalized()
+                    for kappa in kappas]
     per_copy = np.repeat(np.arange(dim), dim)
     results = []
     for m in m_list:
@@ -246,7 +241,7 @@ def dense_fading_exponent_trend(params, m_list, dim, nodes, model=None, pi0=0.5,
         acc = amp_weights[0] * tensor_power(conditionals[0], m).data
         for w, cond in zip(amp_weights[1:], conditionals[1:]):
             acc += w * tensor_power(cond, m).data
-        if model.is_random:
+        if nodes is not None:
             totals = per_copy
             for _ in range(m - 1):
                 totals = (totals[:, None] + per_copy[None, :]).reshape(-1)
@@ -393,6 +388,25 @@ class TestReturnChannel:
         with pytest.raises(ValueError, match="out_dim"):
             apply_return_channel(tmsv, 0.5, 0.0, 0.2, out_dim=0)
 
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("kappa", [0.3, 1.0])
+    def test_non_finite_phase_names_field(self, kappa, phi):
+        # a NaN phase gave a state with 43,264 NaN entries without complaint
+        with pytest.raises(InvalidParameter) as exc:
+            apply_return_channel(tmsv_state(0.1, 8), kappa, phi, 0.3)
+        assert exc.value.field_name == "phi"
+
+    @pytest.mark.parametrize("phi", [math.inf, math.nan])
+    def test_hypothesis_state_rejects_non_finite_phase(self, phi):
+        params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
+        with pytest.raises(InvalidParameter, match="^phi: must be finite"):
+            hypothesis_state(params, 0.3, phi, 8, present=True)
+
+    @pytest.mark.parametrize("kappa", [-0.1, 1.2, math.nan])
+    def test_transmissivity_outside_unit_interval_names_field(self, kappa):
+        with pytest.raises(InvalidParameter, match="^kappa: must lie in"):
+            apply_return_channel(tmsv_state(0.1, 8), kappa, 0.0, 0.3)
+
     def test_environment_guard(self):
         tmsv = tmsv_state(0.2, 8, trace_deficit_tol=1e-4)
         with pytest.raises(TruncationTooSmall):
@@ -511,6 +525,16 @@ class TestCovarianceWeld:
         assert off[0, 0] == pytest.approx(-off[1, 1])
         assert off[0, 1] == pytest.approx(off[1, 0])
 
+    @pytest.mark.parametrize("kappa, phi, field", [
+        (0.3, math.nan, "phi"), (0.3, -math.inf, "phi"), (2.0, 0.0, "kappa"),
+        (-1.0, 0.0, "kappa")])
+    def test_return_arguments_named(self, kappa, phi, field):
+        # kappa = 2 gave a matrix, kappa = -1 a bare "math domain error", and a
+        # NaN phase a NaN cross block
+        with pytest.raises(InvalidParameter) as exc:
+            return_idler_covariance(0.1, 0.5, kappa, phi, present=True)
+        assert exc.value.field_name == field
+
     def test_absent_hypothesis_has_no_cross_block(self):
         ref = return_idler_covariance(0.1, 0.5, 0.9, 0.2, present=False)
         np.testing.assert_array_equal(ref[:2, 2:], 0.0)
@@ -524,14 +548,14 @@ class TestCovarianceWeld:
         assert exact[0, 0] - (2 * 0.5 + 1) / 4 == pytest.approx(0.3 * 0.1 / 2)
 
 
-def direct_grid_average(builder, model, nodes):
+def direct_grid_average(builder, kappa_bar, nodes):
     """Reference fading average: builder(amplitude, phase) at every node of a
     Gauss-Legendre amplitude x uniform phase grid, weighted and summed, then
     renormalized."""
     n_amp, n_phase = nodes
     xs, ws = np.polynomial.legendre.leggauss(n_amp)
     amps = 0.5 * (xs + 1.0)
-    amp_w = 0.5 * ws * np.array([fading_pdf(model, a) for a in amps])
+    amp_w = 0.5 * ws * np.array([fading_pdf(kappa_bar, a) for a in amps])
     total = sum(w / n_phase * builder(a, 2.0 * np.pi * j / n_phase).data
                 for a, w in zip(amps, amp_w) for j in range(n_phase))
     return total / np.trace(total).real
@@ -551,36 +575,34 @@ def sfg_conditional(amplitude, phase=0.0):
 class TestFadingAverage:
     def test_constant_builder_is_identity(self):
         fixed = thermal_state(0.3, 10)
-        out = fading_average(lambda a: fixed, FadingModel.rayleigh(0.05), (16, 16))
+        out = fading_average(lambda a: fixed, 0.05, (16, 16))
         np.testing.assert_allclose(out.data, fixed.renormalized().data, atol=1e-10)
 
-    def test_deterministic_model_rejected(self):
-        with pytest.raises(ValueError):
-            fading_average(lambda a: thermal_state(0.1, 5),
-                           FadingModel.deterministic(0.3, 0.0), 16)
+    @pytest.mark.parametrize("kappa_bar", [0.0, -0.1, 1.2, math.nan])
+    def test_kappa_bar_outside_unit_interval_rejected(self, kappa_bar):
+        with pytest.raises(InvalidParameter, match="^kappa_bar: must lie in"):
+            fading_average(lambda a: thermal_state(0.1, 5), kappa_bar, (16, 16))
 
     def test_minimum_nodes_enforced(self):
         with pytest.raises(ValueError):
-            fading_average(lambda a: thermal_state(0.1, 5),
-                           FadingModel.rayleigh(0.05), (4, 16))
+            fading_average(lambda a: thermal_state(0.1, 5), 0.05, (4, 16))
 
-    @pytest.mark.parametrize("nodes", ["junk", (16, 33, 5), (16.5, 33), 16.0],
-                             ids=["str", "triple", "float-pair", "float"])
+    @pytest.mark.parametrize("nodes", ["junk", (16, 33, 5), (16.5, 33), 16.0, 16, np.int64(16)],
+                             ids=["str", "triple", "float-pair", "float", "int", "numpy-int"])
     def test_node_counts_rejected_by_name(self, nodes):
-        with pytest.raises(ValueError, match="^nodes must"):
-            fading_average(lambda a: thermal_state(0.1, 5), FadingModel.rayleigh(0.05), nodes)
+        with pytest.raises(ValueError, match="^nodes must be a pair"):
+            fading_average(lambda a: thermal_state(0.1, 5), 0.05, nodes)
 
     def test_numpy_integer_node_count_accepted(self):
         def builder(a):
             return coherent_thermal_state(a, 0.1, 20)
-        model = FadingModel.rayleigh(0.05)
-        got = fading_average(builder, model, np.int64(16))
-        np.testing.assert_array_equal(got.data, fading_average(builder, model, 16).data)
+        got = fading_average(builder, 0.05, (np.int64(16), np.int64(16)))
+        np.testing.assert_array_equal(got.data, fading_average(builder, 0.05, (16, 16)).data)
 
     def test_sfg_conditional_average_is_thermal(self):
         # Rayleigh mixture of conditional coherent states = thermal(N1 + floor)
         n0, n1 = sfg_mean_counts(SFG_AVERAGE)
-        averaged = fading_average(sfg_conditional, FadingModel.rayleigh(0.05), (64, 64))
+        averaged = fading_average(sfg_conditional, 0.05, (64, 64))
         target = thermal_state(n1 + n0, 30).renormalized()
         distance = 0.5 * np.abs(np.linalg.eigvalsh(averaged.data - target.data)).sum()
         assert distance < 1e-4
@@ -591,24 +613,23 @@ class TestFadingAverage:
         # itself at every phase node; at dim 9, P = 8 keeps the n - n' = 8
         # coherences that a uniform phase would remove, on both sides
         params = SystemParams(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5)
-        model = FadingModel.truncated_rayleigh(params.kappa_bar)
 
         def builder(amplitude, phase):
             return hypothesis_state(params, amplitude ** 2, phase, dim, present=True,
                                     out_dim=dim, trace_deficit_tol=0.05)
 
-        averaged = fading_average(lambda a: builder(a, 0.0), model, nodes)
+        averaged = fading_average(lambda a: builder(a, 0.0), params.kappa_bar, nodes)
         assert averaged.dims == (dim, dim)
-        assert np.abs(averaged.data - direct_grid_average(builder, model, nodes)).max() <= 1e-12
+        direct = direct_grid_average(builder, params.kappa_bar, nodes)
+        assert np.abs(averaged.data - direct).max() <= 1e-12
 
     def test_validate_check_matches_direct_grid(self):
         # the check builds one displacement per amplitude node and leaves the
         # phase to the mask; building every (amplitude, phase) node directly
         # gives the same state and the same measured distance
         n0, n1 = sfg_mean_counts(SFG_AVERAGE)
-        model = FadingModel.rayleigh(SFG_AVERAGE.kappa_bar)
-        direct = direct_grid_average(sfg_conditional, model, (64, 64))
-        averaged = fading_average(sfg_conditional, model, (64, 64))
+        direct = direct_grid_average(sfg_conditional, SFG_AVERAGE.kappa_bar, (64, 64))
+        averaged = fading_average(sfg_conditional, SFG_AVERAGE.kappa_bar, (64, 64))
         assert np.abs(averaged.data - direct).max() <= 1e-12
         target = thermal_state(n1 + n0, 30).renormalized()
         distance = 0.5 * np.abs(np.linalg.eigvalsh(direct - target.data)).sum()
@@ -790,12 +811,14 @@ class TestConcavity:
             check_helstrom_concavity(trials=3, seed=0, **shape)
 
     @pytest.mark.parametrize("field, value", [
-        ("trials", -1), ("trials", 2.5), ("trials", True), ("dim", 2.5), ("mixture_size", 2.0)])
+        ("trials", -1), ("trials", 2.5), ("trials", True), ("dim", 2.5), ("mixture_size", 2.0),
+        ("seed", -1), ("seed", 1.5), ("seed", True)])
     def test_trial_shape_must_be_integers(self, field, value):
-        # trials=-1 failed in numpy ("negative dimensions"), dim=2.5 with a bare TypeError
-        shape = {"trials": 3, "dim": 2, "mixture_size": 2, field: value}
+        # trials=-1 failed in numpy ("negative dimensions"), dim=2.5 with a bare
+        # TypeError, seed=-1 with numpy's "expected non-negative integer"
+        shape = {"trials": 3, "dim": 2, "mixture_size": 2, "seed": 0, field: value}
         with pytest.raises(InvalidParameter, match=f"^{field}: must be an integer"):
-            check_helstrom_concavity(seed=0, **shape)
+            check_helstrom_concavity(**shape)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_pinned_validate_trials(self, seed):
@@ -815,21 +838,11 @@ class TestExponentTrend:
         assert points[0].copies == 1 and points[1].copies == 2
         assert points[1].helstrom_exponent < points[0].helstrom_exponent
 
-    def test_deterministic_contrast_constant_rate(self):
+    def test_known_target_contrast_constant_rate(self):
         params = SystemParams(**self.SURROGATE)
-        points = fading_exponent_trend(params, [1, 2], dim=4, nodes=(16, 33),
-                                       model=FadingModel.deterministic(0.5, 0.0))
+        points = fading_exponent_trend(params, [1, 2], dim=4, nodes=None)
         rates = [p.chernoff_exponent for p in points]
         assert abs(rates[1] - rates[0]) < 1e-9 * max(rates)
-
-    def test_zero_return_deterministic_gives_prior_error(self):
-        # kappa = 0: the hypotheses coincide; no decay at any copy count
-        params = SystemParams(**self.SURROGATE)
-        points = fading_exponent_trend(params, [1, 2], dim=4, nodes=(16, 33),
-                                       model=FadingModel.deterministic(0.0, 0.0))
-        for p in points:
-            assert math.exp(-p.helstrom_exponent * p.copies) == pytest.approx(0.5, abs=1e-9)
-            assert p.chernoff_exponent == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("m_list", [[1.7], [2.0], [], [0, 1], [-1], ["2"], [True],
                                         [2, True]])
@@ -845,22 +858,25 @@ class TestExponentTrend:
         points = fading_exponent_trend(params, np.array([2, 1]), dim=3, nodes=(16, 33))
         assert [p.copies for p in points] == [1, 2]
 
-    @pytest.mark.parametrize("model", [None, FadingModel.deterministic(0.5, 0.0)],
-                             ids=["random", "deterministic"])
-    @pytest.mark.parametrize("nodes", ["junk", (16, 33, 5), (16.5, 33), (16, 7)],
-                             ids=["str", "triple", "float-pair", "too-few"])
-    def test_node_counts_rejected_by_name(self, nodes, model):
-        # a deterministic model used to ignore nodes altogether
+    @pytest.mark.parametrize("nodes", ["junk", (16, 33, 5), (16.5, 33), (16, 7), 16],
+                             ids=["str", "triple", "float-pair", "too-few", "int"])
+    def test_node_counts_rejected_by_name(self, nodes):
         params = SystemParams(**self.SURROGATE)
-        with pytest.raises(ValueError, match="^nodes must"):
-            fading_exponent_trend(params, [1], dim=3, nodes=nodes, model=model)
+        with pytest.raises(ValueError, match="^nodes must be a pair"):
+            fading_exponent_trend(params, [1], dim=3, nodes=nodes)
 
-    @pytest.mark.parametrize("model", [None, FadingModel.deterministic(0.5, 0.0)],
-                             ids=["random", "deterministic"])
-    def test_numpy_integer_node_count_accepted(self, model):
+    def test_numpy_integer_node_count_accepted(self):
         params = SystemParams(**self.SURROGATE)
-        got = fading_exponent_trend(params, [1], dim=3, nodes=np.int64(16), model=model)
-        assert got == fading_exponent_trend(params, [1], dim=3, nodes=16, model=model)
+        got = fading_exponent_trend(params, [1], dim=3, nodes=(np.int64(16), np.int64(33)))
+        assert got == fading_exponent_trend(params, [1], dim=3, nodes=(16, 33))
+
+    @pytest.mark.parametrize("dim", [2.5, True, 0])
+    @pytest.mark.parametrize("nodes", [(16, 33), None], ids=["fading", "known"])
+    def test_truncation_must_be_an_integer(self, dim, nodes):
+        # 2.5 failed with a bare TypeError; True ran as dim 1
+        params = SystemParams(**self.SURROGATE)
+        with pytest.raises(InvalidParameter, match="^dim: must be an integer"):
+            fading_exponent_trend(params, [1], dim=dim, nodes=nodes)
 
     def test_memory_guard(self):
         # the blocked solve needs ~0.26 GiB at dim 8, M = 3, and ~62 GiB at M = 4
@@ -870,11 +886,10 @@ class TestExponentTrend:
 
     def test_memory_estimate_tracks_allocation(self):
         params = SystemParams(**self.SURROGATE)
-        model = FadingModel.deterministic(0.5, 0.7)
-        fading_exponent_trend(params, [1], dim=4, nodes=(16, 33), model=model)
+        fading_exponent_trend(params, [1], dim=4, nodes=None)
         tracemalloc.start()
         try:
-            fading_exponent_trend(params, [3], dim=4, nodes=(16, 33), model=model)
+            fading_exponent_trend(params, [3], dim=4, nodes=None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -887,18 +902,18 @@ class TestExponentTrend:
         indices = np.sort(np.concatenate([g.ravel() for g in groups]))
         np.testing.assert_array_equal(indices, np.arange(dim ** (2 * m)))
 
-    @pytest.mark.parametrize("dim,m_max,nodes,model", [
-        (3, 3, (16, 33), None),
-        (4, 2, (16, 33), None),
-        (3, 3, (16, 33), FadingModel.deterministic(0.5, 0.7)),
-        (5, 2, (16, 8), None),    # P = 8 <= largest total return 8: aliasing
-        (5, 2, (16, 33), None),
+    @pytest.mark.parametrize("dim,m_max,nodes", [
+        (3, 3, (16, 33)),
+        (4, 2, (16, 33)),
+        (3, 3, None),       # the known return kappa = kappa_bar
+        (5, 2, (16, 8)),    # P = 8 <= largest total return 8: aliasing
+        (5, 2, (16, 33)),
     ])
-    def test_blocked_matches_dense(self, dim, m_max, nodes, model):
+    def test_blocked_matches_dense(self, dim, m_max, nodes):
         params = SystemParams(**self.SURROGATE)
         m_list = list(range(1, m_max + 1))
-        blocked = fading_exponent_trend(params, m_list, dim=dim, nodes=nodes, model=model)
-        dense = dense_fading_exponent_trend(params, m_list, dim, nodes, model=model)
+        blocked = fading_exponent_trend(params, m_list, dim=dim, nodes=nodes)
+        dense = dense_fading_exponent_trend(params, m_list, dim, nodes)
         for point, (m, h, c) in zip(blocked, dense):
             assert point.copies == m
             assert point.helstrom_exponent == pytest.approx(h, abs=1e-12)
@@ -908,14 +923,13 @@ class TestExponentTrend:
         # one quadrature rule: at m = 1 the blocked trend is helstrom/qcb of
         # fading_average over the same renormalized conditional states
         params = SystemParams(**self.SURROGATE)
-        model = FadingModel.truncated_rayleigh(params.kappa_bar)
-        point, = fading_exponent_trend(params, [1], dim=3, nodes=(16, 33), model=model)
+        point, = fading_exponent_trend(params, [1], dim=3, nodes=(16, 33))
         rho0 = hypothesis_state(params, 0.0, 0.0, 3, present=False, out_dim=3,
                                 trace_deficit_tol=0.05).renormalized()
         rho1 = fading_average(
             lambda a: hypothesis_state(params, a * a, 0.0, 3, present=True, out_dim=3,
                                        trace_deficit_tol=0.05).renormalized(),
-            model, (16, 33))
+            params.kappa_bar, (16, 33))
         assert point.helstrom_exponent == pytest.approx(-math.log(helstrom(rho0, rho1, 0.5)),
                                                         abs=1e-12)
         assert point.chernoff_exponent == pytest.approx(qcb(rho0, rho1).qcb_exponent,
@@ -974,6 +988,12 @@ class TestExponentTrend:
     def test_qcb_vanishes_at_zero_return(self):
         params = SystemParams(**self.SURROGATE)
         assert qcb_exponent_at_zero_return(params, 4) < 1e-8
+
+    @pytest.mark.parametrize("dim", [2.5, True, 0])
+    def test_zero_return_truncation_must_be_an_integer(self, dim):
+        # 2.5 failed in numpy ("expected a sequence of integers")
+        with pytest.raises(InvalidParameter, match="^dim: must be an integer"):
+            qcb_exponent_at_zero_return(SystemParams(**self.SURROGATE), dim)
 
     def test_conditional_qcb_nondecreasing_in_amplitude(self):
         params = SystemParams(**self.SURROGATE)

@@ -8,15 +8,12 @@ from scipy.integrate import quad
 
 from speckleqi import (
     ConfigError,
-    FadingKind,
-    FadingModel,
     InvalidParameter,
     SystemParams,
     derived_x,
     fading_pdf,
     load_config,
 )
-from speckleqi.params import NoDensity
 
 X_FIG2 = 15.811388300841898  # 10^8.5 * 0.01 * 1e-4 / 20, the shared group value
 
@@ -88,54 +85,27 @@ class TestDerivedX:
             pytest.approx(base / c, rel=1e-12)
 
 
-class TestFadingModel:
+class TestFadingPdf:
     def test_pdf_vanishes_at_origin(self):
-        assert fading_pdf(FadingModel.rayleigh(0.01), 0.0) == 0.0
+        assert fading_pdf(0.01, 0.0) == 0.0
 
     def test_pdf_frozen_value(self):
         # 2*sqrt(0.005)*exp(-0.5)/0.01, evaluated independently
-        got = fading_pdf(FadingModel.rayleigh(0.01), math.sqrt(0.005))
+        got = fading_pdf(0.01, math.sqrt(0.005))
         assert got == pytest.approx(8.577638849607068, rel=1e-12)
-
-    def test_truncated_pdf_outside_support(self):
-        assert fading_pdf(FadingModel.truncated_rayleigh(0.01), 1.5) == 0.0
-
-    def test_deterministic_has_no_density(self):
-        with pytest.raises(NoDensity):
-            fading_pdf(FadingModel.deterministic(0.3, 0.0), 0.5)
 
     @pytest.mark.parametrize("kappa_bar", [0.01, 0.1, 0.5, 1.0])
     def test_pdf_normalization(self, kappa_bar):
-        ray = FadingModel.rayleigh(kappa_bar)
-        total, _ = quad(lambda t: fading_pdf(ray, t), 0.0, np.inf)
+        total, _ = quad(lambda t: fading_pdf(kappa_bar, t), 0.0, np.inf)
         assert abs(total - 1.0) < 1e-10
-        trunc = FadingModel.truncated_rayleigh(kappa_bar)
-        total, _ = quad(lambda t: fading_pdf(trunc, t), 0.0, 1.0)
-        assert abs(total - 1.0) < 1e-10
+        # the oracle's amplitude range [0, 1] holds mass 1 - e^(-1/kappa_bar)
+        mass, _ = quad(lambda t: fading_pdf(kappa_bar, t), 0.0, 1.0)
+        assert abs(mass + math.expm1(-1.0 / kappa_bar)) < 1e-10
 
     @pytest.mark.parametrize("kappa_bar", [0.01, 0.2, 0.9])
     def test_mean_intensity_is_kappa_bar(self, kappa_bar):
-        ray = FadingModel.rayleigh(kappa_bar)
-        mean, _ = quad(lambda t: t * t * fading_pdf(ray, t), 0.0, np.inf)
+        mean, _ = quad(lambda t: t * t * fading_pdf(kappa_bar, t), 0.0, np.inf)
         assert abs(mean - kappa_bar) < 1e-10
-
-    def test_kind_flags(self):
-        assert FadingModel.rayleigh(0.1).is_random
-        assert not FadingModel.deterministic(0.1, 1.0).is_random
-        assert FadingModel.truncated_rayleigh(0.1).kind is FadingKind.TRUNCATED_RAYLEIGH
-
-    def test_constructor_validation(self):
-        with pytest.raises(InvalidParameter):
-            FadingModel.rayleigh(0.0)
-        with pytest.raises(InvalidParameter):
-            FadingModel.deterministic(1.2, 0.0)
-
-    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
-    def test_non_finite_phase_names_field(self, phi):
-        # phi % 2pi would turn these into NaN
-        with pytest.raises(InvalidParameter) as exc:
-            FadingModel.deterministic(0.5, phi)
-        assert exc.value.field_name == "phi"
 
 
 class TestConfigLoading:
@@ -191,9 +161,9 @@ class TestConfigLoading:
     @pytest.mark.parametrize("fading", [
         {"fading.kind": "deterministic", "fading.kappa": 1.5},
         {"fading.kind": "deterministic", "fading.kappa": "abc", "fading.phi": 1e400},
-        {"fading": {"kind": "truncated_rayleigh", "phi": 0.7}},
+        {"fading": {"kind": "rician", "phi": 0.7}},
         {"fading.kind": "bogus", "bogus": 1},
-    ], ids=["deterministic-kappa", "deterministic-bad-values", "truncated-phi", "unknown-kind"])
+    ], ids=["deterministic-kappa", "deterministic-bad-values", "rician-phi", "unknown-kind"])
     def test_kind_other_than_rayleigh_rejected_first(self, tmp_path, fading):
         # a kind the loader does not model fails on the kind, whatever else
         # the file holds (it used to fail on the discarded kind's fields)
@@ -207,7 +177,7 @@ class TestConfigLoading:
         ("c.cfg", "M = 1e8\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\nM = 1e9\n", "M"),
         ("c.json", '{"M": 1e8, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, "M": 1e9}', "M"),
         ("c.json", '{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
-                   ' "fading": {"kind": "rayleigh"}, "fading.kind": "truncated_rayleigh"}',
+                   ' "fading": {"kind": "rayleigh"}, "fading.kind": "rician"}',
          "fading.kind"),
     ], ids=["text-line", "json-object", "nested-and-dotted"])
     def test_repeated_key_names_key(self, tmp_path, name, text, key):
