@@ -153,16 +153,22 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return np.exp(log_w)
 
 
+def _check_tolerance(trace_deficit_tol: float) -> None:
+    if not 0.0 <= trace_deficit_tol < math.inf:
+        raise InvalidParameter("trace_deficit_tol", "must be finite and >= 0")
+
+
 def _thermal_tail(name: str, nbar: float, dim: int, trace_deficit_tol: float) -> float:
     """Weight (nbar/(nbar+1))^dim that dim levels of a thermal distribution drop,
     for a brightness (called name) that must be finite and >= 0."""
     if not 0.0 <= nbar < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {nbar}")
+    _check_tolerance(trace_deficit_tol)
     deficit = 0.0 if nbar == 0.0 else math.exp(dim * (math.log(nbar) - math.log(nbar + 1.0)))
     if deficit > trace_deficit_tol:
         raise TruncationTooSmall(
             f"{name}={nbar:g} at dim {dim} drops {deficit:.3g} > {trace_deficit_tol:g}",
-            suggested_dim=dim_for_tail(nbar, trace_deficit_tol),
+            suggested_dim=dim_for_tail(nbar, trace_deficit_tol) if trace_deficit_tol else None,
         )
     return deficit
 
@@ -238,12 +244,8 @@ def tmsv_state(n_s: float, dim: int, trace_deficit_tol: float = 1e-6) -> Density
 def partial_trace(dm: DensityMatrix, keep: int) -> DensityMatrix:
     """Marginal of a two-mode state on the kept mode (0 or 1)."""
     d0, d1 = dm.dims
-    rho = dm.data.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        out = np.einsum("ikjk->ij", rho)
-        return DensityMatrix(out, (d0,), dm.trace_deficit)
-    out = np.einsum("kikj->ij", rho)
-    return DensityMatrix(out, (d1,), dm.trace_deficit)
+    out = np.einsum("ikjk->ij" if keep == 0 else "kikj->ij", dm.data.reshape(d0, d1, d0, d1))
+    return DensityMatrix(out, (d0 if keep == 0 else d1,), dm.trace_deficit)
 
 
 def tensor_power(dm: DensityMatrix, m: int) -> DensityMatrix:
@@ -252,15 +254,6 @@ def tensor_power(dm: DensityMatrix, m: int) -> DensityMatrix:
     for _ in range(m - 1):
         out = np.kron(out, dm.data)
     return DensityMatrix(out, dm.dims * m, 1.0 - (1.0 - dm.trace_deficit) ** m)
-
-
-def rotate_return_phase(dm: DensityMatrix, angle: float) -> DensityMatrix:
-    """Apply exp(i*angle*n) to the first (return) mode of a two-mode state."""
-    d0, d1 = dm.dims
-    phases = np.exp(1j * angle * np.repeat(np.arange(d0), d1))
-    data = dm.data * phases[:, None]
-    data *= phases.conj()
-    return DensityMatrix(data, dm.dims, dm.trace_deficit)
 
 
 # =============================================================================
@@ -275,6 +268,8 @@ def rotate_return_phase(dm: DensityMatrix, angle: float) -> DensityMatrix:
 # (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)): pure loss takes |k + j>
 # to |k> with weight C(k + j, j) eta^k (1-eta)^j, the amplifier takes |k> to
 # |k + j> with weight C(k + j, j) G^-(k+1) (1-1/G)^j. No environment is built.
+# Each shifts bra and ket by the same j, so the channel keeps every diagonal
+# delta = n - n': there it is a real matrix (amplifier times loss) times e^{i phi delta}/G.
 
 # the default output holds the output photon number up to its 1e-12 tail;
 # wider raises TruncationTooSmall
@@ -284,12 +279,14 @@ _MAX_OUT_DIM = 256
 
 def _default_out_dim(d_sig: int, n_b_eff: float, gain: float) -> int:
     """d_sig - 1 signal photons plus the smaller 1e-12 tail quantile of two bounds on
-    the photons added: the thermal environment (a beam splitter's view), or the
-    NegBin(d_sig, 1/G) an amplifier adds to the at most d_sig - 1 the loss leaves."""
+    the photons added: the thermal environment (a beam splitter's view; none for
+    n_b_eff = inf), or the NegBin(d_sig, 1/G) an amplifier adds to the at most
+    d_sig - 1 the loss leaves."""
     j = np.arange(max(_MAX_OUT_DIM - d_sig, 0) + 1)  # photons added, up to the cap
     lf = _log_factorials(d_sig + j.size)
     added = np.exp(lf[d_sig - 1 + j] - lf[j] - lf[d_sig - 1]) * (1.0 - 1.0 / gain) ** j
-    return min(d_sig + dim_for_tail(n_b_eff, _ENV_TAIL_TOL) - 1, d_sig + int(
+    env = math.inf if n_b_eff == math.inf else d_sig + dim_for_tail(n_b_eff, _ENV_TAIL_TOL) - 1
+    return min(env, d_sig + int(
         np.count_nonzero(1.0 - np.cumsum(added * gain ** -d_sig) > _ENV_TAIL_TOL)))
 
 
@@ -310,20 +307,63 @@ def _log_factorials(size: int) -> np.ndarray:
     return _log_factorial_table(1 << max(size - 1, 1).bit_length())
 
 
-def _binomial_shift(rho: np.ndarray, d_out: int, p: float, q: float, up: bool) -> np.ndarray:
-    """sum_j K_j rho K_j^dag on the first mode of rho, shaped (d, i, d, i), cut
-    to d_out levels. K_j takes |k> to |k + j> (up) or |k + j> to |k> (down)
-    with weight C(k + j, j) p^k q^j, the binomial from one log-factorial table."""
-    d_in, d_idl = rho.shape[:2]
-    lf = _log_factorials(d_in + d_out)
+@functools.cache
+def _kraus_terms(d_lo: int, d_up: int, n_diag: int) -> tuple:
+    """(C, K, J) over (delta, up, lo): sqrt(C p^K q^J) is the weight with which the
+    Kraus operators C(k + j, j) p^k q^j between |k> and |k + j> (j = up - lo) move
+    |lo + delta><lo| and |up + delta><up| into each other; C is zero unless
+    lo <= up, up + delta < d_up and lo + delta < d_lo."""
+    delta, up, lo = np.ogrid[:n_diag, :d_up, :d_lo]
+    j = np.maximum(up - lo, 0)
+    lf = _log_factorials(d_lo + d_up + n_diag)
+    log_c = lf[lo + delta + j] + lf[lo + j] - 2.0 * lf[j] - lf[lo + delta] - lf[lo]
+    terms = (np.where((lo <= up) & (up + delta < d_up) & (lo + delta < d_lo), np.exp(log_c), 0.0),
+             2 * lo + delta, 2 * j)
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
+def _return_channel(state: DensityMatrix, kappa: float, phi: float, excess: float,
+                    n_b_eff: float, out_dim, trace_deficit_tol: float) -> DensityMatrix:
+    """Loss kappa/G, amplifier G = 1 + excess and phase phi on the first mode,
+    cut to out_dim levels (None: _default_out_dim, n_b_eff its thermal bound):
+    one batched real matmul over the diagonals delta >= 0, then delta < 0 as
+    their conjugate transpose."""
+    if state.n_modes != 2:
+        raise ValueError("expected a two-mode (signal, idler) state")
+    _check_tolerance(trace_deficit_tol)
+    (d_sig, d_idl), gain = state.dims, 1.0 + excess
+    d_out = _default_out_dim(d_sig, n_b_eff, gain) if out_dim is None else out_dim
+    _require_integer("out_dim", d_out, 1)
+    if d_out > _MAX_OUT_DIM:
+        raise TruncationTooSmall(f"output mode dim {d_out} exceeds the cap {_MAX_OUT_DIM}; "
+                                 "pass out_dim explicitly", suggested_dim=_MAX_OUT_DIM)
+    n_diag, n = min(d_sig, d_out), np.arange(d_sig)
+    c, k, j = _kraus_terms(d_sig, d_out, n_diag)
+    band = np.sqrt(c * (1.0 / gain) ** k * (excess / gain) ** j)
+    c, k, j = _kraus_terms(d_sig, d_sig, n_diag)
+    band = band @ np.sqrt(c * (kappa / gain) ** k * ((1.0 - kappa + excess) / gain) ** j
+                          ).swapaxes(1, 2)
+    # (delta, n, i, i') = rho[n + delta, i, n, i'], clipped where the loss weighs zero
+    diags = state.data.reshape(d_sig, d_idl, d_sig, d_idl)[
+        np.minimum(n + np.arange(n_diag)[:, None], d_sig - 1), :, n, :]
+    diags = (band @ diags.view(float).reshape(n_diag, d_sig, -1)).view(complex)
+    diags = diags.reshape(n_diag, d_out, d_idl, d_idl)
+    diags *= (np.exp(1j * phi * np.arange(n_diag)) / gain)[:, None, None, None]
+    diags[0] = 0.5 * (diags[0] + diags[0].conj().swapaxes(1, 2))  # delta = 0: exactly Hermitian
+    delta, m = np.nonzero(np.arange(d_out) + np.arange(n_diag)[:, None] < d_out)
+    diags = diags[delta, m]
     out = np.zeros((d_out, d_idl, d_out, d_idl), dtype=complex)
-    for j in range(d_out if up else d_in):
-        k = np.arange(min(d_in, d_out - j) if up else min(d_in - j, d_out))
-        o, i = (j, 0) if up else (0, j)
-        a = np.sqrt(np.exp(lf[k + j] - lf[j] - lf[k]) * p ** k * q ** j)
-        out[o:o + k.size, :, o:o + k.size, :] += (
-            (a[:, None] * a)[:, None, :, None] * rho[i:i + k.size, :, i:i + k.size, :])
-    return out
+    out[m + delta, :, m, :] = diags
+    out[m, :, m + delta, :] = np.conjugate(diags, out=diags).swapaxes(1, 2)
+    result = DensityMatrix(out.reshape(d_out * d_idl, d_out * d_idl), (d_out, d_idl))
+    result.trace_deficit = deficit = 1.0 - result.trace()
+    if deficit > trace_deficit_tol:
+        raise TruncationTooSmall(f"return channel output drops {deficit:.3g} > "
+                                 f"{trace_deficit_tol:g} (out_dim {d_out})",
+                                 suggested_dim=_default_out_dim(d_sig, n_b_eff, gain))
+    return result
 
 
 def _check_return(kappa: float, phi: float) -> None:
@@ -341,55 +381,17 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
     The signal mode passes a transmissivity-kappa beam splitter with phase phi
     against a thermal mode of brightness n_b_eff (the caller picks n_b_eff per
     hypothesis: N_B for target absent, N_B/(1-kappa) for target present); the
-    environment is traced out and the idler is untouched. out_dim truncates
-    the returned mode; by default it holds the output's photon number up to its
-    1e-12 tail (the smaller of two bounds on it). kappa = 0 returns
-    thermal(n_b_eff) (x) idler-marginal.
+    environment is traced out and the idler is untouched. out_dim, an integer
+    >= 1, truncates the returned mode; by default it holds the output's photon
+    number up to its 1e-12 tail (the smaller of two bounds on it). kappa = 0
+    returns thermal(n_b_eff) (x) idler-marginal; kappa = 1 decouples the
+    environment (G = 1; n_b_eff may be inf). The output is Hermitian by construction.
     """
     _check_return(kappa, phi)
-    if state.n_modes != 2:
-        raise ValueError("expected a two-mode (signal, idler) state")
-    d_sig, d_idl = state.dims
-
-    if kappa == 1.0:
-        out = rotate_return_phase(state, phi)
-        if out_dim is not None and out_dim < d_sig:
-            raise TruncationTooSmall("lossless return cannot be truncated below the signal dim",
-                                     suggested_dim=d_sig)
-        return out
-
-    if not n_b_eff >= 0.0 or not math.isfinite(n_b_eff):
-        raise ValueError("n_b_eff must be finite and >= 0")
-    gain_excess = (1.0 - kappa) * n_b_eff
-    gain = 1.0 + gain_excess
-    d_out = _default_out_dim(d_sig, n_b_eff, gain) if out_dim is None else int(out_dim)
-    if d_out < 1:
-        raise ValueError("out_dim must be >= 1")
-    if d_out > _MAX_OUT_DIM:
-        raise TruncationTooSmall(
-            f"output mode dim {d_out} exceeds the cap {_MAX_OUT_DIM}; pass out_dim explicitly",
-            suggested_dim=_MAX_OUT_DIM,
-        )
-
-    rho = state.data.reshape(d_sig, d_idl, d_sig, d_idl)
-    # loss eta = kappa/G, then the amplifier's weights without their common 1/G
-    lost = _binomial_shift(rho, d_sig, kappa / gain, (1.0 - kappa + gain_excess) / gain,
-                           up=False)
-    amplified = _binomial_shift(lost, d_out, 1.0 / gain, gain_excess / gain, up=True)
-    result = rotate_return_phase(
-        DensityMatrix(amplified.reshape(d_out * d_idl, d_out * d_idl), (d_out, d_idl)), phi)
-    out = result.data
-    out += out.conj().T
-    out *= 0.5 / gain
-    deficit = 1.0 - result.trace()
-    result.trace_deficit = deficit
-    if deficit > trace_deficit_tol:
-        raise TruncationTooSmall(
-            f"return channel output drops {deficit:.3g} > {trace_deficit_tol:g} "
-            f"(out_dim {d_out})",
-            suggested_dim=_default_out_dim(d_sig, n_b_eff, gain),
-        )
-    return result
+    if not (0.0 <= n_b_eff < math.inf or kappa == 1.0 and n_b_eff == math.inf):
+        raise ValueError("n_b_eff must be >= 0, and finite unless kappa = 1")
+    excess, n_b_eff = ((1.0 - kappa) * n_b_eff, n_b_eff) if kappa < 1.0 else (0.0, math.inf)
+    return _return_channel(state, kappa, phi, excess, n_b_eff, out_dim, trace_deficit_tol)
 
 
 def hypothesis_state(params: SystemParams, kappa: float, phi: float, dim: int,
@@ -399,15 +401,14 @@ def hypothesis_state(params: SystemParams, kappa: float, phi: float, dim: int,
 
     Target absent ignores (kappa, phi); target present uses the convention
     that the background reaching the receiver carries brightness N_B
-    regardless of kappa, i.e. the environment mode is thermal(N_B/(1-kappa)).
+    regardless of kappa: loss kappa/(1+N_B), then gain 1+N_B, which below
+    kappa = 1 is the beam splitter against thermal(N_B/(1-kappa)).
     """
     tmsv = tmsv_state(params.N_S, dim, trace_deficit_tol)
-    if not present:
-        return apply_return_channel(tmsv, 0.0, 0.0, params.N_B, out_dim=out_dim,
-                                    trace_deficit_tol=trace_deficit_tol)
-    n_b_eff = params.N_B if kappa == 1.0 else params.N_B / (1.0 - kappa)
-    return apply_return_channel(tmsv, kappa, phi, n_b_eff, out_dim=out_dim,
-                                trace_deficit_tol=trace_deficit_tol)
+    kappa, phi = (kappa, phi) if present else (0.0, 0.0)
+    _check_return(kappa, phi)
+    n_b_eff = params.N_B / (1.0 - kappa) if kappa < 1.0 else math.inf
+    return _return_channel(tmsv, kappa, phi, params.N_B, n_b_eff, out_dim, trace_deficit_tol)
 
 
 # =============================================================================
@@ -804,10 +805,9 @@ def qcb_exponent_at_zero_return(params: SystemParams, dim: int) -> float:
     """Chernoff exponent of the conditional hypothesis pair at vanishing return
     amplitude; the two states coincide there, so the exponent is ~0."""
     _require_integer("dim", dim, 1)
-    rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
-                            trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
-    rho1 = hypothesis_state(params, 0.0, 0.0, dim, present=True, out_dim=dim,
-                            trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
+    rho0, rho1 = (hypothesis_state(params, 0.0, 0.0, dim, present=present, out_dim=dim,
+                                   trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
+                  for present in (False, True))
     return qcb(rho0, rho1).qcb_exponent
 
 
@@ -857,9 +857,9 @@ def wigner_covariance(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
         sym = 0.5 * (q[:, None] @ q[None, :] + q[None, :] @ q[:, None])
         cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = np.einsum("abij,ji->ab", sym, rho).real
         quads.append(q)
-    cross = np.einsum("aji,blk,ikjl->ab", quads[0], quads[1],
-                      dm.data.reshape(d0, d1, d0, d1)).real
-    cov[:2, 2:] = cross
-    cov[2:, :2] = cross.T
+    # q0[a, j, i] q1[b, l, k] rho[i, k, j, l], summed over mode 0's indices first
+    half = np.tensordot(quads[0], dm.data.reshape(d0, d1, d0, d1), axes=([1, 2], [2, 0]))
+    cross = np.tensordot(half, quads[1], axes=([1, 2], [2, 1])).real
+    cov[:2, 2:], cov[2:, :2] = cross, cross.T
     means = np.array(means)
     return means, cov - np.outer(means, means)

@@ -47,10 +47,16 @@ from speckleqi.oracle import (
     _thermal_weights,
     displacement_operator,
     random_density_matrix,
-    rotate_return_phase,
 )
 from speckleqi.params import fading_pdf
 from speckleqi.validate import check_sfg_fading_average_thermal
+
+
+def rotate_return_phase(dm, angle):
+    """Reference phase exp(i*angle*n) on the first (return) mode of a two-mode state."""
+    d0, d1 = dm.dims
+    phases = np.exp(1j * angle * np.repeat(np.arange(d0), d1))
+    return DensityMatrix(dm.data * phases[:, None] * phases.conj(), dm.dims, dm.trace_deficit)
 
 
 def reference_beam_splitter_channel(state, kappa, phi, nbar, d_out, env_tail=1e-13):
@@ -281,6 +287,20 @@ class TestThermalState:
         with pytest.raises(ValueError, match="nbar must be finite and >= 0"):
             thermal_state(nbar, 10)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("build", [thermal_state, tmsv_state])
+    def test_deficit_tolerance_must_be_finite_and_non_negative(self, build, tol):
+        # a NaN tolerance let thermal_state(5.0, 4) drop 48% of its trace;
+        # -1 died with a bare "math domain error"
+        with pytest.raises(InvalidParameter, match="^trace_deficit_tol: must be finite"):
+            build(5.0, 4, trace_deficit_tol=tol)
+
+    def test_zero_deficit_tolerance_raises_without_suggestion(self):
+        assert thermal_state(0.0, 4, trace_deficit_tol=0.0).trace_deficit == 0.0
+        with pytest.raises(TruncationTooSmall) as exc:
+            thermal_state(0.5, 4, trace_deficit_tol=0.0)
+        assert exc.value.suggested_dim is None
+
     def test_dim_helpers(self):
         assert dim_for_tail(0.0, 1e-12) == 2
         nbar = 5.0
@@ -378,6 +398,13 @@ class TestReturnChannel:
         np.testing.assert_allclose(out.data, rotate_return_phase(tmsv, 0.9).data,
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("kappa,n_b_eff", [(0.3, math.nan), (0.3, math.inf), (0.3, -0.1),
+                                               (1.0, math.nan), (1.0, -5.0)])
+    def test_environment_brightness_must_be_non_negative(self, kappa, n_b_eff):
+        # at kappa = 1 a NaN or negative brightness was accepted without complaint
+        with pytest.raises(ValueError, match="^n_b_eff must be >= 0"):
+            apply_return_channel(tmsv_state(0.1, 6), kappa, 0.2, n_b_eff)
+
     def test_output_truncation_guard(self):
         tmsv = tmsv_state(0.2, 8)
         with pytest.raises(TruncationTooSmall):
@@ -411,6 +438,47 @@ class TestReturnChannel:
         tmsv = tmsv_state(0.2, 8, trace_deficit_tol=1e-4)
         with pytest.raises(TruncationTooSmall):
             apply_return_channel(tmsv, 0.5, 0.0, 1e6, out_dim=8, trace_deficit_tol=0.9)
+
+    @pytest.mark.parametrize("out_dim", [8.7, True, "9"])
+    def test_output_dim_must_be_an_integer(self, out_dim):
+        # 8.7 ran as 8, True as 1 and "9" as 9
+        with pytest.raises(InvalidParameter, match="^out_dim: must be an integer >= 1"):
+            apply_return_channel(tmsv_state(0.1, 6), 0.3, 0.1, 0.5, out_dim=out_dim,
+                                 trace_deficit_tol=1)
+
+    def test_hypothesis_state_passes_output_dim_through(self):
+        params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
+        for present in (True, False):
+            with pytest.raises(InvalidParameter, match="^out_dim: must be an integer"):
+                hypothesis_state(params, 0.3, 0.1, 6, present=present, out_dim=8.7)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_deficit_tolerance_must_be_finite_and_non_negative(self, tol):
+        # with a NaN tolerance a hot environment's output missed 80% of its trace
+        with pytest.raises(InvalidParameter, match="^trace_deficit_tol: must be finite"):
+            apply_return_channel(tmsv_state(0.1, 6), 0.3, 0.1, 50.0, out_dim=8,
+                                 trace_deficit_tol=tol)
+
+    @pytest.mark.parametrize("state", ["tmsv", "ginibre"])
+    @pytest.mark.parametrize("kappa,phi,n_b_eff", [
+        (0.3, math.pi / 4, 0.5 / 0.7),  # validate's target-present state
+        (0.0, 0.0, 0.5),                # validate's target-absent state
+    ])
+    def test_output_is_hermitian_bit_for_bit(self, rng, state, kappa, phi, n_b_eff):
+        if state == "tmsv":
+            state = tmsv_state(0.1, 12)
+        else:
+            state = DensityMatrix(random_density_matrix(20, rng).data, (5, 4))
+        out = apply_return_channel(state, kappa, phi, n_b_eff, trace_deficit_tol=1e-4).data
+        np.testing.assert_array_equal(out, out.conj().T)
+
+    def test_output_narrower_than_input_matches_per_level_reference(self, rng):
+        # out_dim < d_sig: the diagonals beyond the output are dropped, not wrapped
+        for state in (tmsv_state(0.4, 6, trace_deficit_tol=0.1),
+                      DensityMatrix(random_density_matrix(30, rng).data, (6, 5))):
+            mine = apply_return_channel(state, 0.6, 0.8, 0.4, out_dim=3, trace_deficit_tol=1)
+            ref = loop_return_channel(state, 0.6, 0.8, 0.4, out_dim=3)
+            assert np.abs(mine.data - ref).max() <= 1e-14
 
     def test_log_factorials_exact(self):
         # within 2 ulp of ln n! at 40 digits, and of scipy's gammaln, for n < 2000
@@ -495,6 +563,30 @@ class TestCovarianceWeld:
     def test_moments_match_covariance_near_unit_transmissivity_default_out_dim(self):
         # the default output size is the amplifier's bound, not the beam splitter's
         self.check_near_unit_transmissivity(None)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.0 - 1e-9])
+    @pytest.mark.parametrize("out_dim", [40, None])
+    def test_moments_match_covariance_at_unit_transmissivity(self, kappa, out_dim):
+        # kappa = 1 returned the phase-rotated TMSV: no background, out_dim ignored,
+        # a return variance of 0.300 against the covariance's 0.550
+        params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
+        state = hypothesis_state(params, kappa, 0.3, 12, present=True, out_dim=out_dim)
+        assert state.dims == (40 if out_dim else 56, 12)
+        _, cov = wigner_covariance(state)
+        ref = return_idler_covariance(0.1, 0.5, kappa, 0.3, present=True)
+        assert np.abs(cov - ref).max() < 1e-6
+
+    def test_traced_peak_of_a_validate_state(self):
+        # the 516 x 516 output is 4.06 MiB; two full-size passes peaked at 12.9 MiB
+        params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
+        hypothesis_state(params, 0.3, math.pi / 4, 12, present=True)
+        tracemalloc.start()
+        try:
+            hypothesis_state(params, 0.3, math.pi / 4, 12, present=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 2 ** 20
 
     def test_marginal_moments_match_kronecker_reference(self, rng):
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
