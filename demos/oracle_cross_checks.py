@@ -44,9 +44,9 @@ def main():
 
     print("\n3) return-channel moments vs the covariance model")
     params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
-    state = hypothesis_state(params, 0.3, math.pi / 4, 12, present=True)
+    state = hypothesis_state(params, 0.3, math.pi / 4, 12)
     _, cov = wigner_covariance(state)
-    ref = return_idler_covariance(0.1, 0.5, 0.3, math.pi / 4, present=True)
+    ref = return_idler_covariance(0.1, 0.5, 0.3, math.pi / 4)
     print(f"   max entrywise gap: {np.abs(cov - ref).max():.2e}")
 
     print("\n4) per-copy exponent estimates, shared fading vs a known return")

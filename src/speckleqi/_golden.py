@@ -6,7 +6,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
+def golden_section_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Return (x, f(x)) with x within tol of the minimizer of f on [a, b]."""
     a, b = min(a, b), max(a, b)
     h = b - a

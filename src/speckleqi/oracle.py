@@ -158,11 +158,15 @@ def _check_tolerance(trace_deficit_tol: float) -> None:
         raise InvalidParameter("trace_deficit_tol", "must be finite and >= 0")
 
 
+def _check_brightness(name: str, nbar: float) -> None:
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {nbar}")
+
+
 def _thermal_tail(name: str, nbar: float, dim: int, trace_deficit_tol: float) -> float:
     """Weight (nbar/(nbar+1))^dim that dim levels of a thermal distribution drop,
     for a brightness (called name) that must be finite and >= 0."""
-    if not 0.0 <= nbar < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {nbar}")
+    _check_brightness(name, nbar)
     _check_tolerance(trace_deficit_tol)
     deficit = 0.0 if nbar == 0.0 else math.exp(dim * (math.log(nbar) - math.log(nbar + 1.0)))
     if deficit > trace_deficit_tol:
@@ -175,8 +179,7 @@ def _thermal_tail(name: str, nbar: float, dim: int, trace_deficit_tol: float) ->
 
 def thermal_state(nbar: float, dim: int, trace_deficit_tol: float = 1e-6) -> DensityMatrix:
     """Thermal (Bose-Einstein) state, diagonal weights nbar^n/(nbar+1)^(n+1)."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
+    _require_integer("dim", dim, 2)
     deficit = _thermal_tail("nbar", nbar, dim, trace_deficit_tol)
     return DensityMatrix(np.diag(_thermal_weights(nbar, dim)).astype(complex), (dim,), deficit)
 
@@ -212,6 +215,9 @@ def coherent_thermal_state(alpha: complex, nbar: float, dim: int) -> DensityMatr
     and variance |alpha|^2*(2*nbar+1) + nbar*(nbar+1) must sit 8 sigma inside
     dim, since the (unitary) truncated displacement wraps rather than clips.
     """
+    if not np.isfinite(alpha):
+        raise InvalidParameter("alpha", "must be finite")
+    _check_brightness("nbar", nbar)
     amp2 = abs(alpha) ** 2
     mean = amp2 + nbar
     var = amp2 * (2.0 * nbar + 1.0) + nbar * (nbar + 1.0)
@@ -233,6 +239,7 @@ def tmsv_state(n_s: float, dim: int, trace_deficit_tol: float = 1e-6) -> Density
     is renormalized so the state is exactly pure, with the discarded tail
     weight recorded as the trace deficit.
     """
+    _require_integer("dim", dim, 1)
     deficit = _thermal_tail("n_s", n_s, dim, trace_deficit_tol)
     amps = np.sqrt(_thermal_weights(n_s, dim))
     psi = np.zeros(dim * dim, dtype=complex)
@@ -243,6 +250,8 @@ def tmsv_state(n_s: float, dim: int, trace_deficit_tol: float = 1e-6) -> Density
 
 def partial_trace(dm: DensityMatrix, keep: int) -> DensityMatrix:
     """Marginal of a two-mode state on the kept mode (0 or 1)."""
+    if keep not in (0, 1):
+        raise InvalidParameter("keep", f"must be 0 or 1, got {keep!r}")
     d0, d1 = dm.dims
     out = np.einsum("ikjk->ij" if keep == 0 else "kikj->ij", dm.data.reshape(d0, d1, d0, d1))
     return DensityMatrix(out, (d0 if keep == 0 else d1,), dm.trace_deficit)
@@ -277,15 +286,17 @@ _ENV_TAIL_TOL = 1e-12
 _MAX_OUT_DIM = 256
 
 
-def _default_out_dim(d_sig: int, n_b_eff: float, gain: float) -> int:
+def _default_out_dim(d_sig: int, kappa: float, excess: float) -> int:
     """d_sig - 1 signal photons plus the smaller 1e-12 tail quantile of two bounds on
-    the photons added: the thermal environment (a beam splitter's view; none for
-    n_b_eff = inf), or the NegBin(d_sig, 1/G) an amplifier adds to the at most
-    d_sig - 1 the loss leaves."""
+    the photons added: the thermal environment of a beam splitter, of brightness
+    excess/(1 - kappa) (none at kappa = 1), or the NegBin(d_sig, 1/G) an amplifier
+    of gain G = 1 + excess adds to the at most d_sig - 1 the loss leaves."""
+    gain = 1.0 + excess
     j = np.arange(max(_MAX_OUT_DIM - d_sig, 0) + 1)  # photons added, up to the cap
     lf = _log_factorials(d_sig + j.size)
     added = np.exp(lf[d_sig - 1 + j] - lf[j] - lf[d_sig - 1]) * (1.0 - 1.0 / gain) ** j
-    env = math.inf if n_b_eff == math.inf else d_sig + dim_for_tail(n_b_eff, _ENV_TAIL_TOL) - 1
+    env = (d_sig + dim_for_tail(excess / (1.0 - kappa), _ENV_TAIL_TOL) - 1 if kappa < 1.0
+           else math.inf)
     return min(env, d_sig + int(
         np.count_nonzero(1.0 - np.cumsum(added * gain ** -d_sig) > _ENV_TAIL_TOL)))
 
@@ -325,16 +336,15 @@ def _kraus_terms(d_lo: int, d_up: int, n_diag: int) -> tuple:
 
 
 def _return_channel(state: DensityMatrix, kappa: float, phi: float, excess: float,
-                    n_b_eff: float, out_dim, trace_deficit_tol: float) -> DensityMatrix:
+                    out_dim, trace_deficit_tol: float) -> DensityMatrix:
     """Loss kappa/G, amplifier G = 1 + excess and phase phi on the first mode,
-    cut to out_dim levels (None: _default_out_dim, n_b_eff its thermal bound):
-    one batched real matmul over the diagonals delta >= 0, then delta < 0 as
-    their conjugate transpose."""
+    cut to out_dim levels (None: _default_out_dim): one batched real matmul
+    over the diagonals delta >= 0, then delta < 0 as their conjugate transpose."""
     if state.n_modes != 2:
         raise ValueError("expected a two-mode (signal, idler) state")
     _check_tolerance(trace_deficit_tol)
     (d_sig, d_idl), gain = state.dims, 1.0 + excess
-    d_out = _default_out_dim(d_sig, n_b_eff, gain) if out_dim is None else out_dim
+    d_out = _default_out_dim(d_sig, kappa, excess) if out_dim is None else out_dim
     _require_integer("out_dim", d_out, 1)
     if d_out > _MAX_OUT_DIM:
         raise TruncationTooSmall(f"output mode dim {d_out} exceeds the cap {_MAX_OUT_DIM}; "
@@ -362,7 +372,7 @@ def _return_channel(state: DensityMatrix, kappa: float, phi: float, excess: floa
     if deficit > trace_deficit_tol:
         raise TruncationTooSmall(f"return channel output drops {deficit:.3g} > "
                                  f"{trace_deficit_tol:g} (out_dim {d_out})",
-                                 suggested_dim=_default_out_dim(d_sig, n_b_eff, gain))
+                                 suggested_dim=_default_out_dim(d_sig, kappa, excess))
     return result
 
 
@@ -379,10 +389,10 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
     """Mix the signal mode of a two-mode state with a thermal environment.
 
     The signal mode passes a transmissivity-kappa beam splitter with phase phi
-    against a thermal mode of brightness n_b_eff (the caller picks n_b_eff per
-    hypothesis: N_B for target absent, N_B/(1-kappa) for target present); the
-    environment is traced out and the idler is untouched. out_dim, an integer
-    >= 1, truncates the returned mode; by default it holds the output's photon
+    against a thermal mode of brightness n_b_eff (hypothesis_state takes
+    N_B/(1-kappa), so that the background stays N_B); the environment is
+    traced out and the idler is untouched. out_dim, an integer >= 1,
+    truncates the returned mode; by default it holds the output's photon
     number up to its 1e-12 tail (the smaller of two bounds on it). kappa = 0
     returns thermal(n_b_eff) (x) idler-marginal; kappa = 1 decouples the
     environment (G = 1; n_b_eff may be inf). The output is Hermitian by construction.
@@ -390,25 +400,22 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff
     _check_return(kappa, phi)
     if not (0.0 <= n_b_eff < math.inf or kappa == 1.0 and n_b_eff == math.inf):
         raise ValueError("n_b_eff must be >= 0, and finite unless kappa = 1")
-    excess, n_b_eff = ((1.0 - kappa) * n_b_eff, n_b_eff) if kappa < 1.0 else (0.0, math.inf)
-    return _return_channel(state, kappa, phi, excess, n_b_eff, out_dim, trace_deficit_tol)
+    excess = (1.0 - kappa) * n_b_eff if kappa < 1.0 else 0.0
+    return _return_channel(state, kappa, phi, excess, out_dim, trace_deficit_tol)
 
 
 def hypothesis_state(params: SystemParams, kappa: float, phi: float, dim: int,
-                     present: bool, out_dim: int = None,
-                     trace_deficit_tol: float = 1e-6) -> DensityMatrix:
+                     out_dim: int = None, trace_deficit_tol: float = 1e-6) -> DensityMatrix:
     """Conditional (return, idler) state of one mode pair given the fading draw.
 
-    Target absent ignores (kappa, phi); target present uses the convention
-    that the background reaching the receiver carries brightness N_B
-    regardless of kappa: loss kappa/(1+N_B), then gain 1+N_B, which below
-    kappa = 1 is the beam splitter against thermal(N_B/(1-kappa)).
+    The background reaching the receiver carries brightness N_B regardless of
+    kappa: loss kappa/(1+N_B), then gain 1+N_B, which below kappa = 1 is the
+    beam splitter against thermal(N_B/(1-kappa)). So kappa = 0 is target
+    absence, thermal(N_B) (x) the idler marginal.
     """
-    tmsv = tmsv_state(params.N_S, dim, trace_deficit_tol)
-    kappa, phi = (kappa, phi) if present else (0.0, 0.0)
     _check_return(kappa, phi)
-    n_b_eff = params.N_B / (1.0 - kappa) if kappa < 1.0 else math.inf
-    return _return_channel(tmsv, kappa, phi, params.N_B, n_b_eff, out_dim, trace_deficit_tol)
+    tmsv = tmsv_state(params.N_S, dim, trace_deficit_tol)
+    return _return_channel(tmsv, kappa, phi, params.N_B, out_dim, trace_deficit_tol)
 
 
 # =============================================================================
@@ -596,7 +603,10 @@ def _ginibre(rng: np.random.Generator, shape: tuple, dim: int, rank: int = None)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int = None) -> DensityMatrix:
-    """Haar-generic (Ginibre) random state of the given dimension."""
+    """Haar-generic (Ginibre) random state of the given dimension and rank
+    (default: full), both integers >= 1."""
+    _require_integer("dim", dim, 1)
+    _require_integer("rank", dim if rank is None else rank, 1)
     return DensityMatrix(_ginibre(rng, (), dim, rank), (dim,))
 
 
@@ -714,7 +724,8 @@ def _block_groups(labels: np.ndarray) -> list:
 
 def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list:
     """Per-copy error-probability exponent estimates for M-copy discrimination
-    of the unconditional (fading-averaged) hypothesis states, at equal priors.
+    of the unconditional (fading-averaged) hypothesis states, at the priors
+    params.pi0, which must lie in (0, 1) (else InvalidParameter).
 
     The fading draw is shared across all M copies, so the M-copy average is
     taken of the tensor powers (not the tensor power of the average). Under
@@ -749,6 +760,8 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list
         _require_integer("m_list", m, 1)
     m_list = sorted(int(m) for m in m_list)
     _require_integer("dim", dim, 1)
+    if not 0.0 < params.pi0 < 1.0:
+        raise InvalidParameter("pi0", "must lie in (0, 1)")
     if nodes is None:
         kappas, amp_weights, n_phase = [params.kappa_bar], np.array([1.0]), 1
     else:
@@ -760,11 +773,10 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list
             f"M={m_list[-1]} copies of a two-mode dim-{dim} state need {worst/2**30:.1f} GiB"
         )
 
-    rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
-                            trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
-    conditionals = [hypothesis_state(params, kappa, 0.0, dim, present=True, out_dim=dim,
-                                     trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
-                    for kappa in kappas]
+    # kappa = 0 is target absence
+    rho0, *conditionals = [hypothesis_state(params, kappa, 0.0, dim, out_dim=dim,
+                                            trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
+                           for kappa in (0.0, *kappas)]
     _check_symmetry(rho0.data, np.arange(dim * dim))
     per_copy = _copy_labels(dim, 1, 1)
     for cond in conditionals:
@@ -793,7 +805,7 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list
         trace = sum(np.trace(b1, axis1=1, axis2=2).real.sum() for b1 in b1s)
         for b1 in b1s:
             b1 /= trace
-        pr_e, _, exponent = _discriminate(b0s, b1s, 0.5, labels.size)
+        pr_e, _, exponent = _discriminate(b0s, b1s, params.pi0, labels.size)
         results.append(TrendPoint(copies=m, helstrom_exponent=-math.log(pr_e) / m,
                                   chernoff_exponent=exponent / m,
                                   blocks=sum(len(idx) for idx in groups),
@@ -802,41 +814,41 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list
 
 
 def qcb_exponent_at_zero_return(params: SystemParams, dim: int) -> float:
-    """Chernoff exponent of the conditional hypothesis pair at vanishing return
-    amplitude; the two states coincide there, so the exponent is ~0."""
+    """Chernoff exponent between the channel's kappa = 0 output and
+    thermal(N_B) (x) the TMSV idler marginal, built without the channel; both
+    are target absence, so the exponent is ~0 unless the channel is wrong."""
     _require_integer("dim", dim, 1)
-    rho0, rho1 = (hypothesis_state(params, 0.0, 0.0, dim, present=present, out_dim=dim,
-                                   trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
-                  for present in (False, True))
-    return qcb(rho0, rho1).qcb_exponent
+    channel = hypothesis_state(params, 0.0, 0.0, dim, out_dim=dim,
+                               trace_deficit_tol=_PER_COPY_DEFICIT_TOL)
+    idler = partial_trace(tmsv_state(params.N_S, dim, _PER_COPY_DEFICIT_TOL), 1)
+    direct = np.kron(np.diag(_thermal_weights(params.N_B, dim)), idler.data)
+    return qcb(DensityMatrix(direct, (dim, dim)).renormalized(),
+               channel.renormalized()).qcb_exponent
 
 
 # =============================================================================
 # Wigner covariance
 # =============================================================================
 
-def return_idler_covariance(n_s: float, n_b: float, kappa: float, phi: float,
-                            present: bool) -> np.ndarray:
-    """4x4 Wigner covariance of the (return, idler) pair for one hypothesis.
+def return_idler_covariance(n_s: float, n_b: float, kappa: float, phi: float) -> np.ndarray:
+    """4x4 Wigner covariance of the (return, idler) pair given the fading draw.
 
     Quadrature order (q_R, p_R, q_I, p_I). Diagonal blocks are multiples of
-    the identity; target presence adds the off-diagonal block
+    the identity; the off-diagonal block is
     (c_p/2) * [[cos phi, sin phi], [sin phi, -cos phi]] with
     c_p = sqrt(kappa*N_S*(N_S+1)). The return block carries brightness
-    kappa*N_S + N_B under target presence (the background-brightness
-    convention keeps the noise floor at N_B for every kappa), N_B otherwise.
+    kappa*N_S + N_B (the background-brightness convention keeps the noise
+    floor at N_B for every kappa), so kappa = 0 is target absence.
     kappa must lie in [0, 1] and phi be finite, else InvalidParameter.
     """
     _check_return(kappa, phi)
     cov = np.zeros((4, 4))
-    n_ret = kappa * n_s + n_b if present else n_b
-    cov[0, 0] = cov[1, 1] = (2.0 * n_ret + 1.0) / 4.0
+    cov[0, 0] = cov[1, 1] = (2.0 * (kappa * n_s + n_b) + 1.0) / 4.0
     cov[2, 2] = cov[3, 3] = (2.0 * n_s + 1.0) / 4.0
-    if present:
-        r_h = np.array([[math.cos(phi), math.sin(phi)],
-                        [math.sin(phi), -math.cos(phi)]])
-        cov[0:2, 2:4] = 0.5 * math.sqrt(kappa * n_s * (n_s + 1.0)) * r_h
-        cov[2:4, 0:2] = cov[0:2, 2:4].T
+    r_h = np.array([[math.cos(phi), math.sin(phi)],
+                    [math.sin(phi), -math.cos(phi)]])
+    cov[0:2, 2:4] = 0.5 * math.sqrt(kappa * n_s * (n_s + 1.0)) * r_h
+    cov[2:4, 0:2] = cov[0:2, 2:4].T
     return cov
 
 

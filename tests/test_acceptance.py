@@ -114,11 +114,10 @@ def test_criterion_4_oracle_weld():
 def test_criterion_5_covariance_consistency():
     with criterion(5, "return-channel moments match the covariance model to 1e-6", 60.0):
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
-        for present, kappa, phi in ((True, 0.3, math.pi / 4), (False, 0.0, 0.0)):
-            state = hypothesis_state(params, kappa, phi, 12, present=present)
+        for kappa, phi in ((0.3, math.pi / 4), (0.0, 0.0)):  # target present, absent
+            state = hypothesis_state(params, kappa, phi, 12)
             means, cov = wigner_covariance(state)
-            ref = return_idler_covariance(params.N_S, params.N_B, kappa, phi,
-                                          present=present)
+            ref = return_idler_covariance(params.N_S, params.N_B, kappa, phi)
             assert np.abs(means).max() <= 1e-6
             assert np.abs(cov - ref).max() <= 1e-6
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speckleqi
-from speckleqi import analytic, sfg_mean_counts, thermal_state, validate
+from speckleqi import analytic, oracle, sfg_mean_counts, thermal_state, validate
 from speckleqi.cli import _FLOAT, _SWEEP_BLOCK, PRESETS, _float_text, _sweep_csv, main
 from speckleqi.params import FIG2A, FIG2B, InvalidParameter, SystemParams, fading_pdf
 
@@ -616,6 +616,21 @@ class TestValidateCommand:
         (result,) = json.loads(out.read_text())["checks"]
         assert not result["passed"]
         assert result["tolerance"] == 1e-10
+
+
+    def test_planted_background_error_fails_zero_return_weld(self, tmp_path, monkeypatch):
+        # a channel whose background is 1% too bright must fail the weld; when
+        # the check compared the channel with itself it read 0.0 under this fault
+        real = oracle._return_channel
+        monkeypatch.setattr(oracle, "_return_channel",
+                            lambda state, kappa, phi, excess, *rest:
+                            real(state, kappa, phi, 1.01 * excess, *rest))
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--only", "chernoff-at-zero-return", "--out", str(out)) == 1
+        (result,) = json.loads(out.read_text())["checks"]
+        assert not result["passed"]
+        assert result["measured"] > 1e-6
+        assert result["tolerance"] == 1e-8
 
 
 class TestOracleCommand:

@@ -227,7 +227,7 @@ def dense_fading_exponent_trend(params, m_list, dim, nodes, pi0=0.5,
     and full helstrom + dense_chernoff eigensolves. nodes=None is the known
     return kappa = params.kappa_bar. Feasible up to a few hundred basis states
     per side."""
-    rho0 = hypothesis_state(params, 0.0, 0.0, dim, present=False, out_dim=dim,
+    rho0 = hypothesis_state(params, 0.0, 0.0, dim, out_dim=dim,
                             trace_deficit_tol=per_copy_deficit_tol).renormalized()
     if nodes is None:
         kappas, amp_weights = [params.kappa_bar], np.array([1.0])
@@ -237,7 +237,7 @@ def dense_fading_exponent_trend(params, m_list, dim, nodes, pi0=0.5,
         amps = 0.5 * (xs + 1.0)
         amp_weights = 0.5 * ws * np.array([fading_pdf(params.kappa_bar, a) for a in amps])
         kappas = [a * a for a in amps]
-    conditionals = [hypothesis_state(params, kappa, 0.0, dim, present=True, out_dim=dim,
+    conditionals = [hypothesis_state(params, kappa, 0.0, dim, out_dim=dim,
                                      trace_deficit_tol=per_copy_deficit_tol).renormalized()
                     for kappa in kappas]
     per_copy = np.repeat(np.arange(dim), dim)
@@ -295,6 +295,16 @@ class TestThermalState:
         with pytest.raises(InvalidParameter, match="^trace_deficit_tol: must be finite"):
             build(5.0, 4, trace_deficit_tol=tol)
 
+    @pytest.mark.parametrize("build,dim", [(thermal_state, 10.5), (thermal_state, 1),
+                                           (thermal_state, True), (tmsv_state, 10.5),
+                                           (tmsv_state, 0)])
+    def test_dim_must_be_an_integer(self, build, dim):
+        # 10.5 failed with "data shape (11, 11) does not match dims (10,)" in
+        # thermal_state and a numpy TypeError in tmsv_state
+        low = 2 if build is thermal_state else 1
+        with pytest.raises(InvalidParameter, match=f"^dim: must be an integer >= {low}"):
+            build(0.1, dim)
+
     def test_zero_deficit_tolerance_raises_without_suggestion(self):
         assert thermal_state(0.0, 4, trace_deficit_tol=0.0).trace_deficit == 0.0
         with pytest.raises(TruncationTooSmall) as exc:
@@ -323,6 +333,19 @@ class TestCoherentThermalState:
         with pytest.raises(TruncationTooSmall):
             coherent_thermal_state(3.0, 1.0, 10)
 
+    @pytest.mark.parametrize("nbar", [-1.0, math.nan, math.inf])
+    def test_brightness_named_before_the_headroom(self, nbar):
+        # -1 failed with "math domain error", NaN with "cannot convert float
+        # NaN to integer"
+        with pytest.raises(ValueError, match="^nbar must be finite and >= 0"):
+            coherent_thermal_state(0.5, nbar, 30)
+
+    @pytest.mark.parametrize("alpha", [math.inf, complex(0.0, -math.inf), complex(math.nan, 0.0)])
+    def test_amplitude_must_be_finite(self, alpha):
+        # alpha = inf failed with an OverflowError
+        with pytest.raises(InvalidParameter, match="^alpha: must be finite"):
+            coherent_thermal_state(alpha, 0.1, 30)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.7, -1.1, 1.3j, -0.4j]
                              + [2.0 * cmath.exp(1j * t) for t in (0.3, 1.9, 3.5, 5.1)])
     def test_displacement_matches_expm_and_is_unitary(self, alpha):
@@ -340,6 +363,12 @@ class TestTmsvState:
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(dm.data, expected)
+
+    @pytest.mark.parametrize("keep", [2, -1])
+    def test_partial_trace_keeps_mode_0_or_1(self, keep):
+        # both returned the idler marginal
+        with pytest.raises(InvalidParameter, match="^keep: must be 0 or 1"):
+            partial_trace(tmsv_state(0.5, 20), keep)
 
     def test_purity(self):
         dm = tmsv_state(0.5, 20)
@@ -427,7 +456,28 @@ class TestReturnChannel:
     def test_hypothesis_state_rejects_non_finite_phase(self, phi):
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
         with pytest.raises(InvalidParameter, match="^phi: must be finite"):
-            hypothesis_state(params, 0.3, phi, 8, present=True)
+            hypothesis_state(params, 0.3, phi, 8)
+
+    @pytest.mark.parametrize("kappa", [2.0, -0.1, math.nan])
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_hypothesis_state_names_transmissivity_at_any_dim(self, kappa, dim):
+        # the absent state ignored kappa, and at dim 3 the TMSV's truncation
+        # error about n_s came first
+        params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
+        with pytest.raises(InvalidParameter, match="^kappa: must lie in"):
+            hypothesis_state(params, kappa, 0.0, dim)
+
+    @pytest.mark.parametrize("dim,out_dim", [(3, 3), (4, 4), (12, None), (8, 40)])
+    def test_zero_return_is_thermal_background_times_idler_marginal(self, dim, out_dim):
+        # target absence is the kappa = 0 state: the channel keeps the idler
+        # marginal and replaces the return by thermal(N_B)
+        params = SystemParams(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5)
+        state = hypothesis_state(params, 0.0, 0.0, dim, out_dim=out_dim, trace_deficit_tol=0.05)
+        d_out = state.dims[0]
+        assert state.dims == (out_dim or d_out, dim)
+        idler = partial_trace(tmsv_state(0.1, dim, 0.05), 1).data
+        expected = np.kron(np.diag(_thermal_weights(0.3, d_out)), idler)
+        assert np.abs(state.data - expected).max() <= 1e-15
 
     @pytest.mark.parametrize("kappa", [-0.1, 1.2, math.nan])
     def test_transmissivity_outside_unit_interval_names_field(self, kappa):
@@ -448,9 +498,9 @@ class TestReturnChannel:
 
     def test_hypothesis_state_passes_output_dim_through(self):
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
-        for present in (True, False):
+        for kappa in (0.3, 0.0):
             with pytest.raises(InvalidParameter, match="^out_dim: must be an integer"):
-                hypothesis_state(params, 0.3, 0.1, 6, present=present, out_dim=8.7)
+                hypothesis_state(params, kappa, 0.1, 6, out_dim=8.7)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_deficit_tolerance_must_be_finite_and_non_negative(self, tol):
@@ -533,28 +583,27 @@ class TestReturnChannel:
 class TestCovarianceWeld:
     def test_moments_match_covariance_h1(self):
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
-        state = hypothesis_state(params, 0.3, math.pi / 4, 12, present=True)
+        state = hypothesis_state(params, 0.3, math.pi / 4, 12)
         means, cov = wigner_covariance(state)
-        ref = return_idler_covariance(0.1, 0.5, 0.3, math.pi / 4, present=True)
+        ref = return_idler_covariance(0.1, 0.5, 0.3, math.pi / 4)
         assert np.abs(means).max() < 1e-6
         assert np.abs(cov - ref).max() < 1e-6
 
     def test_moments_match_covariance_h0(self):
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
-        state = hypothesis_state(params, 0.0, 0.0, 12, present=False)
+        state = hypothesis_state(params, 0.0, 0.0, 12)
         _, cov = wigner_covariance(state)
-        ref = return_idler_covariance(0.1, 0.5, 0.0, 0.0, present=False)
+        ref = return_idler_covariance(0.1, 0.5, 0.0, 0.0)
         assert np.abs(cov - ref).max() < 1e-6
 
     @staticmethod
     def check_near_unit_transmissivity(out_dim):
         # n_b_eff = 5000: an environment mode would need 138,169 levels
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
-        state = hypothesis_state(params, 0.9999, math.pi / 4, 12, present=True,
-                                 out_dim=out_dim)
+        state = hypothesis_state(params, 0.9999, math.pi / 4, 12, out_dim=out_dim)
         assert state.trace_deficit < 1e-12
         _, cov = wigner_covariance(state)
-        ref = return_idler_covariance(0.1, 0.5, 0.9999, math.pi / 4, present=True)
+        ref = return_idler_covariance(0.1, 0.5, 0.9999, math.pi / 4)
         assert np.abs(cov - ref).max() < 1e-6
 
     def test_moments_match_covariance_near_unit_transmissivity(self):
@@ -570,19 +619,19 @@ class TestCovarianceWeld:
         # kappa = 1 returned the phase-rotated TMSV: no background, out_dim ignored,
         # a return variance of 0.300 against the covariance's 0.550
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
-        state = hypothesis_state(params, kappa, 0.3, 12, present=True, out_dim=out_dim)
+        state = hypothesis_state(params, kappa, 0.3, 12, out_dim=out_dim)
         assert state.dims == (40 if out_dim else 56, 12)
         _, cov = wigner_covariance(state)
-        ref = return_idler_covariance(0.1, 0.5, kappa, 0.3, present=True)
+        ref = return_idler_covariance(0.1, 0.5, kappa, 0.3)
         assert np.abs(cov - ref).max() < 1e-6
 
     def test_traced_peak_of_a_validate_state(self):
         # the 516 x 516 output is 4.06 MiB; two full-size passes peaked at 12.9 MiB
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
-        hypothesis_state(params, 0.3, math.pi / 4, 12, present=True)
+        hypothesis_state(params, 0.3, math.pi / 4, 12)
         tracemalloc.start()
         try:
-            hypothesis_state(params, 0.3, math.pi / 4, 12, present=True)
+            hypothesis_state(params, 0.3, math.pi / 4, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -592,8 +641,8 @@ class TestCovarianceWeld:
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
         displaced = np.kron(coherent_thermal_state(0.7 + 0.3j, 0.2, 20).data,
                             coherent_thermal_state(-0.4 + 0.5j, 0.1, 15).data)
-        states = [hypothesis_state(params, 0.3, math.pi / 4, 12, present=True),
-                  hypothesis_state(params, 0.0, 0.0, 12, present=False),
+        states = [hypothesis_state(params, 0.3, math.pi / 4, 12),
+                  hypothesis_state(params, 0.0, 0.0, 12),
                   DensityMatrix(displaced, (20, 15)),
                   DensityMatrix(random_density_matrix(30, rng).data, (5, 6))]
         for state in states:
@@ -603,7 +652,7 @@ class TestCovarianceWeld:
             assert np.abs(cov - ref_cov).max() < 1e-12
 
     def test_covariance_structure(self):
-        cov = return_idler_covariance(0.1, 0.5, 0.3, 0.7, present=True)
+        cov = return_idler_covariance(0.1, 0.5, 0.3, 0.7)
         np.testing.assert_allclose(cov, cov.T)
         # the cross block is (c_p/2) [[cos phi, sin phi], [sin phi, -cos phi]]
         c_p = math.sqrt(0.3 * 0.1 * 1.1)
@@ -624,18 +673,20 @@ class TestCovarianceWeld:
         # kappa = 2 gave a matrix, kappa = -1 a bare "math domain error", and a
         # NaN phase a NaN cross block
         with pytest.raises(InvalidParameter) as exc:
-            return_idler_covariance(0.1, 0.5, kappa, phi, present=True)
+            return_idler_covariance(0.1, 0.5, kappa, phi)
         assert exc.value.field_name == field
 
-    def test_absent_hypothesis_has_no_cross_block(self):
-        ref = return_idler_covariance(0.1, 0.5, 0.9, 0.2, present=False)
+    @pytest.mark.parametrize("phi", [0.0, 0.2])
+    def test_zero_return_has_no_cross_block(self, phi):
+        ref = return_idler_covariance(0.1, 0.5, 0.0, phi)
         np.testing.assert_array_equal(ref[:2, 2:], 0.0)
         np.testing.assert_array_equal(ref[2:, :2], 0.0)
+        np.testing.assert_array_equal(np.diag(ref), [0.5, 0.5, 0.3, 0.3])
 
     def test_printed_limit_form_drops_leakthrough(self):
         # the printed N_S << 1 << N_B limit keeps the return at (2 N_B + 1)/4;
         # the exact return also carries the kappa*N_S leak-through
-        exact = return_idler_covariance(0.1, 0.5, 0.3, 0.0, present=True)
+        exact = return_idler_covariance(0.1, 0.5, 0.3, 0.0)
         assert exact[0, 0] == pytest.approx((2 * (0.3 * 0.1 + 0.5) + 1) / 4)
         assert exact[0, 0] - (2 * 0.5 + 1) / 4 == pytest.approx(0.3 * 0.1 / 2)
 
@@ -707,8 +758,8 @@ class TestFadingAverage:
         params = SystemParams(M=100.0, N_S=0.1, N_B=0.3, kappa_bar=0.5)
 
         def builder(amplitude, phase):
-            return hypothesis_state(params, amplitude ** 2, phase, dim, present=True,
-                                    out_dim=dim, trace_deficit_tol=0.05)
+            return hypothesis_state(params, amplitude ** 2, phase, dim, out_dim=dim,
+                                    trace_deficit_tol=0.05)
 
         averaged = fading_average(lambda a: builder(a, 0.0), params.kappa_bar, nodes)
         assert averaged.dims == (dim, dim)
@@ -1011,15 +1062,37 @@ class TestExponentTrend:
             assert point.helstrom_exponent == pytest.approx(h, abs=1e-12)
             assert point.chernoff_exponent == pytest.approx(c, abs=1e-12)
 
+    @pytest.mark.parametrize("pi0", [0.2, 0.7])
+    def test_priors_enter_the_helstrom_exponent(self, pi0):
+        # the trend solved every pair at equal priors, whatever params.pi0 said
+        params = SystemParams(**self.SURROGATE, pi0=pi0)
+        points = fading_exponent_trend(params, [1, 2], dim=3, nodes=(16, 33))
+        dense = dense_fading_exponent_trend(params, [1, 2], 3, (16, 33), pi0=pi0)
+        even = fading_exponent_trend(SystemParams(**self.SURROGATE), [1, 2], dim=3,
+                                     nodes=(16, 33))
+        for point, (m, h, c), half in zip(points, dense, even):
+            assert point.copies == m
+            assert point.helstrom_exponent == pytest.approx(h, abs=1e-12)
+            assert point.chernoff_exponent == pytest.approx(c, abs=1e-12)
+            assert point.chernoff_exponent == half.chernoff_exponent
+            assert abs(point.helstrom_exponent - half.helstrom_exponent) > 1e-3
+
+    @pytest.mark.parametrize("pi0", [0.0, 1.0])
+    def test_certain_prior_rejected(self, pi0):
+        # Pr_e = 0 there, and -ln 0 raised a bare math domain error
+        params = SystemParams(**self.SURROGATE, pi0=pi0)
+        with pytest.raises(InvalidParameter, match=r"^pi0: must lie in \(0, 1\)"):
+            fading_exponent_trend(params, [1], dim=3, nodes=(16, 33))
+
     def test_single_copy_matches_fading_average(self):
         # one quadrature rule: at m = 1 the blocked trend is helstrom/qcb of
         # fading_average over the same renormalized conditional states
         params = SystemParams(**self.SURROGATE)
         point, = fading_exponent_trend(params, [1], dim=3, nodes=(16, 33))
-        rho0 = hypothesis_state(params, 0.0, 0.0, 3, present=False, out_dim=3,
+        rho0 = hypothesis_state(params, 0.0, 0.0, 3, out_dim=3,
                                 trace_deficit_tol=0.05).renormalized()
         rho1 = fading_average(
-            lambda a: hypothesis_state(params, a * a, 0.0, 3, present=True, out_dim=3,
+            lambda a: hypothesis_state(params, a * a, 0.0, 3, out_dim=3,
                                        trace_deficit_tol=0.05).renormalized(),
             params.kappa_bar, (16, 33))
         assert point.helstrom_exponent == pytest.approx(-math.log(helstrom(rho0, rho1, 0.5)),
@@ -1065,9 +1138,9 @@ class TestExponentTrend:
     def test_weight_outside_the_blocks_is_rejected(self, monkeypatch, present):
         real = oracle.hypothesis_state
 
-        def leaky(*args, **kwargs):
-            dm = real(*args, **kwargs)
-            if kwargs["present"] is present:
+        def leaky(params, kappa, *args, **kwargs):
+            dm = real(params, kappa, *args, **kwargs)
+            if (kappa > 0.0) == present:  # kappa = 0 is target absence
                 # couples (n_R, n_I) = (0, 0) with (0, 1): different n_R - n_I
                 dm.data[0, 1] = dm.data[1, 0] = 1e-9
             return dm
@@ -1089,12 +1162,12 @@ class TestExponentTrend:
 
     def test_conditional_qcb_nondecreasing_in_amplitude(self):
         params = SystemParams(**self.SURROGATE)
-        rho0 = hypothesis_state(params, 0.0, 0.0, 4, present=False, out_dim=4,
+        rho0 = hypothesis_state(params, 0.0, 0.0, 4, out_dim=4,
                                 trace_deficit_tol=0.2).renormalized()
         exponents = []
         for amp in np.linspace(0.0, 1.0, 10):
-            rho1 = hypothesis_state(params, float(amp) ** 2, 0.4, 4, present=True,
-                                    out_dim=4, trace_deficit_tol=0.2).renormalized()
+            rho1 = hypothesis_state(params, float(amp) ** 2, 0.4, 4, out_dim=4,
+                                    trace_deficit_tol=0.2).renormalized()
             exponents.append(qcb(rho0, rho1).qcb_exponent)
         assert all(b >= a - 1e-10 for a, b in zip(exponents, exponents[1:]))
         assert exponents[0] == pytest.approx(0.0, abs=1e-10)
@@ -1102,6 +1175,13 @@ class TestExponentTrend:
 
 
 class TestDensityMatrixType:
+    @pytest.mark.parametrize("field,dim,rank", [("dim", 0, None), ("dim", 2.5, None),
+                                                ("rank", 3, 0), ("rank", 3, 1.5)])
+    def test_random_state_shape_must_be_positive_integers(self, rng, field, dim, rank):
+        # rank=0 gave a NaN state and dim=0 an empty one
+        with pytest.raises(InvalidParameter, match=f"^{field}: must be an integer >= 1"):
+            random_density_matrix(dim, rng, rank=rank)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4), (3,))
@@ -1133,4 +1213,4 @@ class TestDensityMatrixType:
         tmsv_state(0.2, 12).validate()
         coherent_thermal_state(0.5 + 0.2j, 0.1, 20).validate()
         params = SystemParams(M=1e4, N_S=0.1, N_B=0.4, kappa_bar=0.1)
-        hypothesis_state(params, 0.4, 1.0, 8, present=True).validate()
+        hypothesis_state(params, 0.4, 1.0, 8).validate()
