@@ -218,14 +218,14 @@ def coherent_thermal_state(alpha: complex, nbar: float, dim: int) -> DensityMatr
     if not np.isfinite(alpha):
         raise InvalidParameter("alpha", "must be finite")
     _check_brightness("nbar", nbar)
-    amp2 = abs(alpha) ** 2
+    amp2 = abs(alpha) * abs(alpha)  # inf, not OverflowError, past 1e154
     mean = amp2 + nbar
     var = amp2 * (2.0 * nbar + 1.0) + nbar * (nbar + 1.0)
-    required = math.ceil(mean + 8.0 * math.sqrt(var) + 6.0)
+    required = mean + 8.0 * math.sqrt(var) + 6.0
     if dim < required:
         raise TruncationTooSmall(
             f"coherent_thermal(|alpha|^2={amp2:g}, nbar={nbar:g}) needs headroom at dim {dim}",
-            suggested_dim=required,
+            suggested_dim=math.ceil(required) if required < math.inf else None,
         )
     th = thermal_state(nbar, dim)
     d_op = displacement_operator(alpha, dim)
@@ -258,7 +258,8 @@ def partial_trace(dm: DensityMatrix, keep: int) -> DensityMatrix:
 
 
 def tensor_power(dm: DensityMatrix, m: int) -> DensityMatrix:
-    """m-fold tensor power (copies share no correlations)."""
+    """m-fold tensor power (copies share no correlations), m an integer >= 1."""
+    _require_integer("m", m, 1)
     out = dm.data
     for _ in range(m - 1):
         out = np.kron(out, dm.data)
@@ -680,32 +681,6 @@ def _copy_labels(dim: int, m: int, n_phase: int) -> np.ndarray:
     return label * n_phase + total % n_phase
 
 
-def _block_pairs(dim: int, m: int, n_phase: int) -> float:
-    """Sum of squared block sizes of m copies, without listing the basis: the
-    number of (row, col) pairs whose labels agree, built copy by copy from
-    each copy's n_R shift mod n_phase."""
-    diff = _copy_labels(dim, 1, 1)
-    same = diff[:, None] == diff[None, :]
-    n_ret = np.repeat(np.arange(dim), dim)
-    shift = (n_ret[:, None] - n_ret[None, :])[same] % n_phase
-    per_copy = np.bincount(shift, minlength=n_phase).astype(float)
-    pairs = np.zeros(n_phase)
-    pairs[0] = 1.0
-    back = np.arange(n_phase)
-    for _ in range(m):
-        pairs = np.array([pairs @ per_copy[(t - back) % n_phase] for t in range(n_phase)])
-    return float(pairs[0])
-
-
-def _block_bytes(dim: int, m: int, n_phase: int) -> float:
-    """Memory the blocked m-copy solve allocates, as measured with tracemalloc:
-    about 256 bytes per basis state (int64 labels, their sort and the per-copy
-    indices) and 56 per block element (both states' blocks, the overlaps
-    |V0^dag V1|^2 and the Chernoff terms). Blocks are accumulated one
-    amplitude node at a time, so the node count does not enter."""
-    return 256.0 * dim ** (2 * m) + 56.0 * _block_pairs(dim, m, n_phase)
-
-
 def _check_symmetry(data: np.ndarray, label: np.ndarray) -> None:
     """Raise unless data couples only basis states with equal labels."""
     if np.any(data[label[:, None] != label[None, :]]):
@@ -767,26 +742,34 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list
     else:
         amps, amp_weights, n_phase = _amplitude_rule(params.kappa_bar, nodes)
         kappas = amps * amps
-    worst = _block_bytes(dim, m_list[-1], n_phase)
+    # Memory the blocked solve allocates, as measured with tracemalloc: about
+    # 256 bytes per basis state (int64 labels, their sort and the per-copy
+    # indices) and 56 per block element (both states' blocks, the overlaps
+    # |V0^dag V1|^2 and the Chernoff terms). Blocks are accumulated one
+    # amplitude node at a time, so the node count does not enter. The basis
+    # term alone is checked before the largest M's blocks are listed.
+    m_max, d2 = m_list[-1], int(dim) ** 2  # a Python int: numpy's int64 power wraps
+    worst = 256.0 * d2 ** m_max
+    if worst <= 2 << 30:
+        top_groups = _block_groups(_copy_labels(dim, m_max, n_phase))
+        worst += 56.0 * sum(idx.shape[0] * idx.shape[1] ** 2 for idx in top_groups)
     if worst > 2 << 30:
         raise ResourceGuard(
-            f"M={m_list[-1]} copies of a two-mode dim-{dim} state need {worst/2**30:.1f} GiB"
+            f"M={m_max} copies of a two-mode dim-{dim} state need {worst/2**30:.1f} GiB"
         )
 
     # kappa = 0 is target absence
     rho0, *conditionals = [hypothesis_state(params, kappa, 0.0, dim, out_dim=dim,
                                             trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
                            for kappa in (0.0, *kappas)]
-    _check_symmetry(rho0.data, np.arange(dim * dim))
+    _check_symmetry(rho0.data, np.arange(d2))
     per_copy = _copy_labels(dim, 1, 1)
     for cond in conditionals:
         _check_symmetry(cond.data, per_copy)
-    d2 = dim * dim
 
     results = []
     for m in m_list:
-        labels = _copy_labels(dim, m, n_phase)
-        groups = _block_groups(labels)
+        groups = top_groups if m == m_max else _block_groups(_copy_labels(dim, m, n_phase))
         b0s, b1s = [], []
         for idx in groups:
             # each copy's (row, col) entry for every element of the blocks
@@ -805,7 +788,7 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list
         trace = sum(np.trace(b1, axis1=1, axis2=2).real.sum() for b1 in b1s)
         for b1 in b1s:
             b1 /= trace
-        pr_e, _, exponent = _discriminate(b0s, b1s, params.pi0, labels.size)
+        pr_e, _, exponent = _discriminate(b0s, b1s, params.pi0, d2 ** m)
         results.append(TrendPoint(copies=m, helstrom_exponent=-math.log(pr_e) / m,
                                   chernoff_exponent=exponent / m,
                                   blocks=sum(len(idx) for idx in groups),

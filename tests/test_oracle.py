@@ -37,9 +37,7 @@ from speckleqi import (
 from speckleqi import oracle
 from speckleqi._golden import golden_section_min
 from speckleqi.oracle import (
-    _block_bytes,
     _block_groups,
-    _block_pairs,
     _copy_labels,
     _destroy,
     _discriminate,
@@ -345,6 +343,14 @@ class TestCoherentThermalState:
         # alpha = inf failed with an OverflowError
         with pytest.raises(InvalidParameter, match="^alpha: must be finite"):
             coherent_thermal_state(alpha, 0.1, 30)
+
+    @pytest.mark.parametrize("alpha,nbar", [(1e200, 0.1), (1e200j, 0.1), (0.1, 1e200)])
+    def test_overflowing_headroom_has_no_suggestion(self, alpha, nbar):
+        # alpha = 1e200 failed with a bare OverflowError from |alpha|^2, and
+        # nbar = 1e200 from math.ceil(inf)
+        with pytest.raises(TruncationTooSmall, match="needs headroom at dim 30$") as exc:
+            coherent_thermal_state(alpha, nbar, 30)
+        assert exc.value.suggested_dim is None
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7, -1.1, 1.3j, -0.4j]
                              + [2.0 * cmath.exp(1j * t) for t in (0.3, 1.9, 3.5, 5.1)])
@@ -1021,11 +1027,34 @@ class TestExponentTrend:
         with pytest.raises(InvalidParameter, match="^dim: must be an integer"):
             fading_exponent_trend(params, [1], dim=dim, nodes=nodes)
 
-    def test_memory_guard(self):
-        # the blocked solve needs ~0.26 GiB at dim 8, M = 3, and ~62 GiB at M = 4
+    def _guard_before_labels(self, monkeypatch, dim):
+        def unlisted(*args):
+            raise AssertionError("labels built for a case the basis size rejects")
+
+        monkeypatch.setattr(oracle, "_copy_labels", unlisted)
         params = SystemParams(**self.SURROGATE)
-        with pytest.raises(ResourceGuard):
-            fading_exponent_trend(params, [1, 4], dim=8, nodes=(16, 33))
+        with pytest.raises(ResourceGuard, match=f"^M=4 copies of a two-mode dim-{dim} state"):
+            fading_exponent_trend(params, [1, 4], dim=dim, nodes=(16, 33))
+
+    def test_memory_guard(self, monkeypatch):
+        # 256 bytes per basis state alone make 4 GiB at dim 8, M = 4, so the
+        # guard fires before any block is listed
+        self._guard_before_labels(monkeypatch, 8)
+
+    def test_memory_guard_basis_size_does_not_wrap(self, monkeypatch):
+        # at numpy dim 65536 the basis size 65536^8 wraps to 0 in int64
+        self._guard_before_labels(monkeypatch, np.int64(65536))
+
+    def test_memory_guard_counts_the_blocks(self, monkeypatch):
+        # dim 6, M = 4: the basis takes 0.4 GiB, the blocks of the known
+        # return (no phase grid) take the rest of 24.1 GiB
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("per-copy state built before the guard")
+
+        monkeypatch.setattr(oracle, "hypothesis_state", unbuilt)
+        params = SystemParams(**self.SURROGATE)
+        with pytest.raises(ResourceGuard, match="need 24.1 GiB$"):
+            fading_exponent_trend(params, [4], dim=6, nodes=None)
 
     def test_memory_estimate_tracks_allocation(self):
         params = SystemParams(**self.SURROGATE)
@@ -1036,12 +1065,13 @@ class TestExponentTrend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 2 < _block_bytes(4, 3, 1) < 2 * peak
+        groups = _block_groups(_copy_labels(4, 3, 1))
+        estimate = 256.0 * 4 ** 6 + 56.0 * sum(g.shape[0] * g.shape[1] ** 2 for g in groups)
+        assert peak / 2 < estimate < 2 * peak
 
     @pytest.mark.parametrize("dim,m,n_phase", [(3, 3, 33), (4, 2, 8), (5, 2, 8), (3, 3, 1)])
-    def test_block_pairs_count_the_blocks(self, dim, m, n_phase):
+    def test_block_groups_partition_the_basis(self, dim, m, n_phase):
         groups = _block_groups(_copy_labels(dim, m, n_phase))
-        assert _block_pairs(dim, m, n_phase) == sum(g.shape[0] * g.shape[1] ** 2 for g in groups)
         indices = np.sort(np.concatenate([g.ravel() for g in groups]))
         np.testing.assert_array_equal(indices, np.arange(dim ** (2 * m)))
 
@@ -1207,6 +1237,13 @@ class TestDensityMatrixType:
         expected = 1 - (1 - dm.trace_deficit) ** 3
         assert cubed.trace_deficit == pytest.approx(expected, rel=1e-9)
         assert cubed.trace() == pytest.approx(dm.trace() ** 3, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [0, -1, 1.5, True])
+    def test_tensor_power_copy_count_must_be_an_integer(self, m):
+        # 0 and -1 failed with "data shape (6, 6) does not match dims ()",
+        # 1.5 with a bare TypeError; True ran as one copy
+        with pytest.raises(InvalidParameter, match="^m: must be an integer >= 1"):
+            tensor_power(thermal_state(0.1, 6), m)
 
     def test_builders_pass_invariants(self):
         thermal_state(0.4, 20).validate()
