@@ -7,8 +7,9 @@ Three receivers are covered:
   envelope statistic is exponential under both hypotheses, giving the ROC
   P_D = P_F^(1/(1+x)) with x = M*kappa_bar*N_S/N_B.
 - QI-OPA: entangled transmitter with an optical parametric amplifier
-  receiver. The uniformly distributed return phase wipes out its
-  phase-sensitive cross-correlation signature, so only its SNR is exposed.
+  receiver. The uniform return phase zeroes only the mean of its
+  cross-correlation signature (fading SNR 1.8e-10 at fig2a); the signature
+  survives in the count's spread. Only SNRs are exposed (ROADMAP item 6).
 - QI-SFG: entangled transmitter with a sum-frequency-generation receiver.
   Under fading it reduces target detection to discriminating two thermal
   photon-count distributions with means N0 (absent) and N1 (present), decided
@@ -145,7 +146,7 @@ class OpaConfig:
 
     def __post_init__(self):
         if not self.gain_minus_one > 0:
-            raise ValueError("gain_minus_one must be > 0")
+            raise InvalidParameter("gain_minus_one", "must be > 0")
 
 
 def _libm(fn, *arrays) -> np.ndarray:
@@ -254,7 +255,7 @@ def _require_test(n0: float, n1: float, pi0: float) -> None:
         if not 0.0 <= mean < math.inf:
             raise InvalidParameter(name, f"must be finite and >= 0, got {mean}")
     if not 0.0 < pi0 < 1.0:
-        raise ValueError("pi0 must lie in (0, 1)")
+        raise InvalidParameter("pi0", "must lie in (0, 1)")
     if n1 <= n0:
         raise DegenerateDiscrimination(f"N1 = {n1} must exceed N0 = {n0}")
 
@@ -444,7 +445,7 @@ def opa_snr_fading(params: SystemParams, opa: OpaConfig) -> float:
 def opa_snr_known(params: SystemParams, kappa: float) -> float:
     """OPA receiver SNR for a known return (kappa known, phase zero): M*kappa*N_S/N_B."""
     if not 0.0 <= kappa <= 1.0:
-        raise ValueError("kappa must lie in [0, 1]")
+        raise InvalidParameter("kappa", "must lie in [0, 1]")
     return params.M * kappa * params.N_S / params.N_B
 
 

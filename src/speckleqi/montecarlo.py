@@ -13,8 +13,10 @@ in place, so an estimate's working memory is at most 24 B per trial for CI and
 16 B per trial for SFG.
 
 M enters only through the products N0/M and |alpha|^2, so mode counts up to
-1e12 are fine; the exact negative-binomial count sampler switches to its
-Poisson limit above M = 1e7, where the total-variation gap is < 1e-6.
+1e12 are fine. The absent SFG count is NB(M, N0/M), Poisson above M = 1e7
+(total-variation gap < 1e-6); it agrees with the closed forms' single
+Bose-Einstein count only at threshold 0 (fig2b, M = 10^8.5: P_F 5.07e-4
+closed-form vs 2.68e-4 sampled; ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ def _check_tolerance(trace_deficit_tol: float) -> None:
 
 def _check_brightness(name: str, nbar: float) -> None:
     if not 0.0 <= nbar < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {nbar}")
+        raise InvalidParameter(name, f"must be finite and >= 0, got {nbar}")
 
 
 def _thermal_tail(name: str, nbar: float, dim: int, trace_deficit_tol: float) -> float:
@@ -270,10 +270,11 @@ def tensor_power(dm: DensityMatrix, m: int) -> DensityMatrix:
 # Thermal-loss return channel
 # =============================================================================
 #
-# a_R = sqrt(kappa) e^{i phi} a_S + sqrt(1-kappa) a_B with a_B thermal(n_b_eff)
-# is exactly a pure loss of transmissivity eta = kappa/G followed by a
-# quantum-limited amplifier of gain G = 1 + (1-kappa)*n_b_eff (Caruso,
-# Giovannetti & Holevo, New J. Phys. 8, 310 (2006)), then the phase. Both
+# The return carries the background n_b at every kappa: a pure loss of
+# transmissivity eta = kappa/G, a quantum-limited amplifier of gain G = 1 + n_b,
+# then the phase. Below kappa = 1 that is exactly the beam splitter
+# a_R = sqrt(kappa) e^{i phi} a_S + sqrt(1-kappa) a_B with a_B thermal(n_b/(1-kappa))
+# (Caruso, Giovannetti & Holevo, New J. Phys. 8, 310 (2006)). Both
 # steps have binomial Kraus operators that shift the photon number by j
 # (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)): pure loss takes |k + j>
 # to |k> with weight C(k + j, j) eta^k (1-eta)^j, the amplifier takes |k> to
@@ -287,16 +288,16 @@ _ENV_TAIL_TOL = 1e-12
 _MAX_OUT_DIM = 256
 
 
-def _default_out_dim(d_sig: int, kappa: float, excess: float) -> int:
+def _default_out_dim(d_sig: int, kappa: float, n_b: float) -> int:
     """d_sig - 1 signal photons plus the smaller 1e-12 tail quantile of two bounds on
     the photons added: the thermal environment of a beam splitter, of brightness
-    excess/(1 - kappa) (none at kappa = 1), or the NegBin(d_sig, 1/G) an amplifier
-    of gain G = 1 + excess adds to the at most d_sig - 1 the loss leaves."""
-    gain = 1.0 + excess
+    n_b/(1 - kappa) (none at kappa = 1), or the NegBin(d_sig, 1/G) an amplifier
+    of gain G = 1 + n_b adds to the at most d_sig - 1 the loss leaves."""
+    gain = 1.0 + n_b
     j = np.arange(max(_MAX_OUT_DIM - d_sig, 0) + 1)  # photons added, up to the cap
     lf = _log_factorials(d_sig + j.size)
     added = np.exp(lf[d_sig - 1 + j] - lf[j] - lf[d_sig - 1]) * (1.0 - 1.0 / gain) ** j
-    env = (d_sig + dim_for_tail(excess / (1.0 - kappa), _ENV_TAIL_TOL) - 1 if kappa < 1.0
+    env = (d_sig + dim_for_tail(n_b / (1.0 - kappa), _ENV_TAIL_TOL) - 1 if kappa < 1.0
            else math.inf)
     return min(env, d_sig + int(
         np.count_nonzero(1.0 - np.cumsum(added * gain ** -d_sig) > _ENV_TAIL_TOL)))
@@ -336,25 +337,44 @@ def _kraus_terms(d_lo: int, d_up: int, n_diag: int) -> tuple:
     return terms
 
 
-def _return_channel(state: DensityMatrix, kappa: float, phi: float, excess: float,
-                    out_dim, trace_deficit_tol: float) -> DensityMatrix:
-    """Loss kappa/G, amplifier G = 1 + excess and phase phi on the first mode,
-    cut to out_dim levels (None: _default_out_dim): one batched real matmul
-    over the diagonals delta >= 0, then delta < 0 as their conjugate transpose."""
+def _check_return(kappa: float, phi: float) -> None:
+    """Raise InvalidParameter unless kappa lies in [0, 1] and phi is finite."""
+    if not 0.0 <= kappa <= 1.0:
+        raise InvalidParameter("kappa", "must lie in [0, 1]")
+    if not math.isfinite(phi):
+        raise InvalidParameter("phi", "must be finite")
+
+
+def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b: float,
+                         out_dim: int = None, trace_deficit_tol: float = 1e-6) -> DensityMatrix:
+    """Thermal-loss return channel on the signal mode of a two-mode state.
+
+    The return carries background brightness n_b at every kappa: a loss
+    kappa/(1+n_b), then a gain 1+n_b, then the phase phi. The idler is
+    untouched, and kappa = 0 returns thermal(n_b) (x) the idler marginal.
+    kappa must lie in [0, 1], phi be finite and n_b be finite and >= 0
+    (else InvalidParameter). out_dim, an integer >= 1, truncates the
+    returned mode; by default it holds the output's photon number up to its
+    1e-12 tail (the smaller of two bounds on it). One batched real matmul
+    covers the diagonals delta >= 0, and delta < 0 is their conjugate
+    transpose, so the output is Hermitian by construction.
+    """
+    _check_return(kappa, phi)
+    _check_brightness("n_b", n_b)
     if state.n_modes != 2:
         raise ValueError("expected a two-mode (signal, idler) state")
     _check_tolerance(trace_deficit_tol)
-    (d_sig, d_idl), gain = state.dims, 1.0 + excess
-    d_out = _default_out_dim(d_sig, kappa, excess) if out_dim is None else out_dim
+    (d_sig, d_idl), gain = state.dims, 1.0 + n_b
+    d_out = _default_out_dim(d_sig, kappa, n_b) if out_dim is None else out_dim
     _require_integer("out_dim", d_out, 1)
     if d_out > _MAX_OUT_DIM:
         raise TruncationTooSmall(f"output mode dim {d_out} exceeds the cap {_MAX_OUT_DIM}; "
                                  "pass out_dim explicitly", suggested_dim=_MAX_OUT_DIM)
     n_diag, n = min(d_sig, d_out), np.arange(d_sig)
     c, k, j = _kraus_terms(d_sig, d_out, n_diag)
-    band = np.sqrt(c * (1.0 / gain) ** k * (excess / gain) ** j)
+    band = np.sqrt(c * (1.0 / gain) ** k * (n_b / gain) ** j)
     c, k, j = _kraus_terms(d_sig, d_sig, n_diag)
-    band = band @ np.sqrt(c * (kappa / gain) ** k * ((1.0 - kappa + excess) / gain) ** j
+    band = band @ np.sqrt(c * (kappa / gain) ** k * ((1.0 - kappa + n_b) / gain) ** j
                           ).swapaxes(1, 2)
     # (delta, n, i, i') = rho[n + delta, i, n, i'], clipped where the loss weighs zero
     diags = state.data.reshape(d_sig, d_idl, d_sig, d_idl)[
@@ -373,36 +393,8 @@ def _return_channel(state: DensityMatrix, kappa: float, phi: float, excess: floa
     if deficit > trace_deficit_tol:
         raise TruncationTooSmall(f"return channel output drops {deficit:.3g} > "
                                  f"{trace_deficit_tol:g} (out_dim {d_out})",
-                                 suggested_dim=_default_out_dim(d_sig, kappa, excess))
+                                 suggested_dim=_default_out_dim(d_sig, kappa, n_b))
     return result
-
-
-def _check_return(kappa: float, phi: float) -> None:
-    """Raise InvalidParameter unless kappa lies in [0, 1] and phi is finite."""
-    if not 0.0 <= kappa <= 1.0:
-        raise InvalidParameter("kappa", "must lie in [0, 1]")
-    if not math.isfinite(phi):
-        raise InvalidParameter("phi", "must be finite")
-
-
-def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b_eff: float,
-                         out_dim: int = None, trace_deficit_tol: float = 1e-6) -> DensityMatrix:
-    """Mix the signal mode of a two-mode state with a thermal environment.
-
-    The signal mode passes a transmissivity-kappa beam splitter with phase phi
-    against a thermal mode of brightness n_b_eff (hypothesis_state takes
-    N_B/(1-kappa), so that the background stays N_B); the environment is
-    traced out and the idler is untouched. out_dim, an integer >= 1,
-    truncates the returned mode; by default it holds the output's photon
-    number up to its 1e-12 tail (the smaller of two bounds on it). kappa = 0
-    returns thermal(n_b_eff) (x) idler-marginal; kappa = 1 decouples the
-    environment (G = 1; n_b_eff may be inf). The output is Hermitian by construction.
-    """
-    _check_return(kappa, phi)
-    if not (0.0 <= n_b_eff < math.inf or kappa == 1.0 and n_b_eff == math.inf):
-        raise ValueError("n_b_eff must be >= 0, and finite unless kappa = 1")
-    excess = (1.0 - kappa) * n_b_eff if kappa < 1.0 else 0.0
-    return _return_channel(state, kappa, phi, excess, out_dim, trace_deficit_tol)
 
 
 def hypothesis_state(params: SystemParams, kappa: float, phi: float, dim: int,
@@ -410,13 +402,12 @@ def hypothesis_state(params: SystemParams, kappa: float, phi: float, dim: int,
     """Conditional (return, idler) state of one mode pair given the fading draw.
 
     The background reaching the receiver carries brightness N_B regardless of
-    kappa: loss kappa/(1+N_B), then gain 1+N_B, which below kappa = 1 is the
-    beam splitter against thermal(N_B/(1-kappa)). So kappa = 0 is target
+    kappa (apply_return_channel with n_b = N_B), so kappa = 0 is target
     absence, thermal(N_B) (x) the idler marginal.
     """
     _check_return(kappa, phi)
     tmsv = tmsv_state(params.N_S, dim, trace_deficit_tol)
-    return _return_channel(tmsv, kappa, phi, params.N_B, out_dim, trace_deficit_tol)
+    return apply_return_channel(tmsv, kappa, phi, params.N_B, out_dim, trace_deficit_tol)
 
 
 # =============================================================================
@@ -449,7 +440,8 @@ def _amplitude_rule(kappa_bar: float, nodes) -> tuple[np.ndarray, np.ndarray, in
     """
     if not (isinstance(nodes, (tuple, list)) and len(nodes) == 2
             and all(isinstance(n, numbers.Integral) and n >= 8 for n in nodes)):
-        raise ValueError(f"nodes must be a pair (n_amp, P) of integers >= 8, got {nodes!r}")
+        raise InvalidParameter("nodes",
+                               f"must be a pair (n_amp, P) of integers >= 8, got {nodes!r}")
     amps, ws = _gauss_legendre(int(nodes[0]), 1.0)
     return amps, ws * np.array([fading_pdf(kappa_bar, a) for a in amps]), int(nodes[1])
 
@@ -500,7 +492,7 @@ def helstrom(rho0: DensityMatrix, rho1: DensityMatrix, pi0: float) -> float:
 
 def _check_prior(pi0: float) -> None:
     if not 0.0 <= pi0 <= 1.0:
-        raise ValueError(f"pi0 must lie in [0, 1], got {pi0}")
+        raise InvalidParameter("pi0", f"must lie in [0, 1], got {pi0}")
 
 
 def _helstrom_from_norm(trace_norm, pi0: float):
@@ -759,9 +751,11 @@ def fading_exponent_trend(params: SystemParams, m_list, dim: int, nodes) -> list
         )
 
     # kappa = 0 is target absence
-    rho0, *conditionals = [hypothesis_state(params, kappa, 0.0, dim, out_dim=dim,
-                                            trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
-                           for kappa in (0.0, *kappas)]
+    tmsv = tmsv_state(params.N_S, dim, _PER_COPY_DEFICIT_TOL)
+    rho0, *conditionals = [
+        apply_return_channel(tmsv, kappa, 0.0, params.N_B, out_dim=dim,
+                             trace_deficit_tol=_PER_COPY_DEFICIT_TOL).renormalized()
+        for kappa in (0.0, *kappas)]
     _check_symmetry(rho0.data, np.arange(d2))
     per_copy = _copy_labels(dim, 1, 1)
     for cond in conditionals:
@@ -800,10 +794,10 @@ def qcb_exponent_at_zero_return(params: SystemParams, dim: int) -> float:
     """Chernoff exponent between the channel's kappa = 0 output and
     thermal(N_B) (x) the TMSV idler marginal, built without the channel; both
     are target absence, so the exponent is ~0 unless the channel is wrong."""
-    _require_integer("dim", dim, 1)
-    channel = hypothesis_state(params, 0.0, 0.0, dim, out_dim=dim,
-                               trace_deficit_tol=_PER_COPY_DEFICIT_TOL)
-    idler = partial_trace(tmsv_state(params.N_S, dim, _PER_COPY_DEFICIT_TOL), 1)
+    tmsv = tmsv_state(params.N_S, dim, _PER_COPY_DEFICIT_TOL)
+    channel = apply_return_channel(tmsv, 0.0, 0.0, params.N_B, out_dim=dim,
+                                   trace_deficit_tol=_PER_COPY_DEFICIT_TOL)
+    idler = partial_trace(tmsv, 1)
     direct = np.kron(np.diag(_thermal_weights(params.N_B, dim)), idler.data)
     return qcb(DensityMatrix(direct, (dim, dim)).renormalized(),
                channel.renormalized()).qcb_exponent

@@ -168,8 +168,6 @@ def check_opa_ordering(seed: int) -> CheckResult:
     for _ in range(50):
         params = SystemParams(M=10 ** rng.uniform(2, 10), N_S=10 ** rng.uniform(-5, -0.5),
                               N_B=rng.uniform(0.5, 50), kappa_bar=rng.uniform(0.001, 1.0))
-        if derived_x(params) <= 0:
-            continue
         opa = analytic.opa_default_gain(params)
         ratio = (analytic.opa_snr_fading(params, opa)
                  / analytic.opa_snr_known(params, params.kappa_bar))

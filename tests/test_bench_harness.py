@@ -29,3 +29,15 @@ def test_every_workload_builds_its_inputs(tmp_path):
     workloads = load("workloads")
     for name, workload in workloads.WORKLOADS.items():
         assert workload(0, tmp_path).inputs, name
+
+
+def test_every_workload_passes_its_own_check_once(tmp_path):
+    """A smoke run, not the benchmark: each workload's operation runs once, at
+    seed 0, and its output must pass the workload's own check. A drifted
+    trend, a moved CSV md5 or a renamed validate check then fails this suite."""
+    workloads = load("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        bench = workload(0, workdir)
+        assert bench.check(bench.run()) == [], name

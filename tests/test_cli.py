@@ -621,10 +621,10 @@ class TestValidateCommand:
     def test_planted_background_error_fails_zero_return_weld(self, tmp_path, monkeypatch):
         # a channel whose background is 1% too bright must fail the weld; when
         # the check compared the channel with itself it read 0.0 under this fault
-        real = oracle._return_channel
-        monkeypatch.setattr(oracle, "_return_channel",
-                            lambda state, kappa, phi, excess, *rest:
-                            real(state, kappa, phi, 1.01 * excess, *rest))
+        real = oracle.apply_return_channel
+        monkeypatch.setattr(oracle, "apply_return_channel",
+                            lambda state, kappa, phi, n_b, *rest, **kwargs:
+                            real(state, kappa, phi, 1.01 * n_b, *rest, **kwargs))
         out = tmp_path / "report.json"
         assert run_cli("validate", "--only", "chernoff-at-zero-return", "--out", str(out)) == 1
         (result,) = json.loads(out.read_text())["checks"]

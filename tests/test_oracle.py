@@ -282,7 +282,7 @@ class TestThermalState:
     @pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.1])
     def test_brightness_must_be_finite_and_non_negative(self, nbar):
         # a NaN brightness would otherwise give an all-NaN state without complaint
-        with pytest.raises(ValueError, match="nbar must be finite and >= 0"):
+        with pytest.raises(ValueError, match="^nbar: must be finite and >= 0"):
             thermal_state(nbar, 10)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
@@ -335,7 +335,7 @@ class TestCoherentThermalState:
     def test_brightness_named_before_the_headroom(self, nbar):
         # -1 failed with "math domain error", NaN with "cannot convert float
         # NaN to integer"
-        with pytest.raises(ValueError, match="^nbar must be finite and >= 0"):
+        with pytest.raises(ValueError, match="^nbar: must be finite and >= 0"):
             coherent_thermal_state(0.5, nbar, 30)
 
     @pytest.mark.parametrize("alpha", [math.inf, complex(0.0, -math.inf), complex(math.nan, 0.0)])
@@ -389,7 +389,7 @@ class TestTmsvState:
 
     @pytest.mark.parametrize("n_s", [math.nan, math.inf, -0.1])
     def test_brightness_must_be_finite_and_non_negative(self, n_s):
-        with pytest.raises(ValueError, match="n_s must be finite and >= 0"):
+        with pytest.raises(ValueError, match="^n_s: must be finite and >= 0"):
             tmsv_state(n_s, 10)
 
     def test_truncation_guard(self):
@@ -398,6 +398,9 @@ class TestTmsvState:
 
 
 class TestReturnChannel:
+    # apply_return_channel takes the background n_b; the references take the
+    # beam splitter's environment brightness, n_b/(1 - kappa) below kappa = 1
+
     @pytest.mark.parametrize("kappa,phi,nbar", [
         (0.3, math.pi / 4, 0.5),
         (0.7, 1.1, 0.2),
@@ -406,7 +409,7 @@ class TestReturnChannel:
     ])
     def test_matches_matrix_exponential_reference(self, kappa, phi, nbar):
         tmsv = tmsv_state(0.1, 5, trace_deficit_tol=1e-4)
-        mine = apply_return_channel(tmsv, kappa, phi, nbar, out_dim=8,
+        mine = apply_return_channel(tmsv, kappa, phi, (1.0 - kappa) * nbar, out_dim=8,
                                     trace_deficit_tol=0.5)
         ref = reference_beam_splitter_channel(tmsv, kappa, phi, nbar, 8)
         assert np.abs(mine.data - ref).max() < 1e-11
@@ -414,7 +417,7 @@ class TestReturnChannel:
     def test_mixed_input_matches_matrix_exponential_reference(self, rng):
         # a full-rank Ginibre state: coherences a TMSV lacks (n_S != n_I)
         state = DensityMatrix(random_density_matrix(12, rng).data, (4, 3))
-        mine = apply_return_channel(state, 0.6, 0.8, 0.4, out_dim=8,
+        mine = apply_return_channel(state, 0.6, 0.8, (1.0 - 0.6) * 0.4, out_dim=8,
                                     trace_deficit_tol=0.5)
         ref = reference_beam_splitter_channel(state, 0.6, 0.8, 0.4, 8)
         assert np.abs(mine.data - ref).max() < 1e-11
@@ -429,26 +432,25 @@ class TestReturnChannel:
 
     def test_unit_transmissivity_is_phase_rotation(self):
         tmsv = tmsv_state(0.2, 8)
-        out = apply_return_channel(tmsv, 1.0, 0.9, math.inf, out_dim=8)
+        out = apply_return_channel(tmsv, 1.0, 0.9, 0.0, out_dim=8)
         np.testing.assert_allclose(out.data, rotate_return_phase(tmsv, 0.9).data,
                                    atol=1e-14)
 
-    @pytest.mark.parametrize("kappa,n_b_eff", [(0.3, math.nan), (0.3, math.inf), (0.3, -0.1),
-                                               (1.0, math.nan), (1.0, -5.0)])
-    def test_environment_brightness_must_be_non_negative(self, kappa, n_b_eff):
-        # at kappa = 1 a NaN or negative brightness was accepted without complaint
-        with pytest.raises(ValueError, match="^n_b_eff must be >= 0"):
-            apply_return_channel(tmsv_state(0.1, 6), kappa, 0.2, n_b_eff)
+    @pytest.mark.parametrize("n_b", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("kappa", [0.3, 1.0])
+    def test_background_must_be_finite_and_non_negative(self, kappa, n_b):
+        with pytest.raises(InvalidParameter, match="^n_b: must be finite and >= 0"):
+            apply_return_channel(tmsv_state(0.1, 6), kappa, 0.2, n_b)
 
     def test_output_truncation_guard(self):
         tmsv = tmsv_state(0.2, 8)
         with pytest.raises(TruncationTooSmall):
-            apply_return_channel(tmsv, 0.5, 0.0, 2.0, out_dim=3)
+            apply_return_channel(tmsv, 0.5, 0.0, 1.0, out_dim=3)
 
     def test_output_dim_must_be_positive(self):
         tmsv = tmsv_state(0.2, 8)
         with pytest.raises(ValueError, match="out_dim"):
-            apply_return_channel(tmsv, 0.5, 0.0, 0.2, out_dim=0)
+            apply_return_channel(tmsv, 0.5, 0.0, 0.1, out_dim=0)
 
     @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("kappa", [0.3, 1.0])
@@ -493,13 +495,13 @@ class TestReturnChannel:
     def test_environment_guard(self):
         tmsv = tmsv_state(0.2, 8, trace_deficit_tol=1e-4)
         with pytest.raises(TruncationTooSmall):
-            apply_return_channel(tmsv, 0.5, 0.0, 1e6, out_dim=8, trace_deficit_tol=0.9)
+            apply_return_channel(tmsv, 0.5, 0.0, 5e5, out_dim=8, trace_deficit_tol=0.9)
 
     @pytest.mark.parametrize("out_dim", [8.7, True, "9"])
     def test_output_dim_must_be_an_integer(self, out_dim):
         # 8.7 ran as 8, True as 1 and "9" as 9
         with pytest.raises(InvalidParameter, match="^out_dim: must be an integer >= 1"):
-            apply_return_channel(tmsv_state(0.1, 6), 0.3, 0.1, 0.5, out_dim=out_dim,
+            apply_return_channel(tmsv_state(0.1, 6), 0.3, 0.1, 0.35, out_dim=out_dim,
                                  trace_deficit_tol=1)
 
     def test_hypothesis_state_passes_output_dim_through(self):
@@ -512,27 +514,28 @@ class TestReturnChannel:
     def test_deficit_tolerance_must_be_finite_and_non_negative(self, tol):
         # with a NaN tolerance a hot environment's output missed 80% of its trace
         with pytest.raises(InvalidParameter, match="^trace_deficit_tol: must be finite"):
-            apply_return_channel(tmsv_state(0.1, 6), 0.3, 0.1, 50.0, out_dim=8,
+            apply_return_channel(tmsv_state(0.1, 6), 0.3, 0.1, 35.0, out_dim=8,
                                  trace_deficit_tol=tol)
 
     @pytest.mark.parametrize("state", ["tmsv", "ginibre"])
-    @pytest.mark.parametrize("kappa,phi,n_b_eff", [
-        (0.3, math.pi / 4, 0.5 / 0.7),  # validate's target-present state
-        (0.0, 0.0, 0.5),                # validate's target-absent state
+    @pytest.mark.parametrize("kappa,phi,n_b", [
+        (0.3, math.pi / 4, 0.5),  # validate's target-present state
+        (0.0, 0.0, 0.5),          # validate's target-absent state
     ])
-    def test_output_is_hermitian_bit_for_bit(self, rng, state, kappa, phi, n_b_eff):
+    def test_output_is_hermitian_bit_for_bit(self, rng, state, kappa, phi, n_b):
         if state == "tmsv":
             state = tmsv_state(0.1, 12)
         else:
             state = DensityMatrix(random_density_matrix(20, rng).data, (5, 4))
-        out = apply_return_channel(state, kappa, phi, n_b_eff, trace_deficit_tol=1e-4).data
+        out = apply_return_channel(state, kappa, phi, n_b, trace_deficit_tol=1e-4).data
         np.testing.assert_array_equal(out, out.conj().T)
 
     def test_output_narrower_than_input_matches_per_level_reference(self, rng):
         # out_dim < d_sig: the diagonals beyond the output are dropped, not wrapped
         for state in (tmsv_state(0.4, 6, trace_deficit_tol=0.1),
                       DensityMatrix(random_density_matrix(30, rng).data, (6, 5))):
-            mine = apply_return_channel(state, 0.6, 0.8, 0.4, out_dim=3, trace_deficit_tol=1)
+            mine = apply_return_channel(state, 0.6, 0.8, (1.0 - 0.6) * 0.4, out_dim=3,
+                                        trace_deficit_tol=1)
             ref = loop_return_channel(state, 0.6, 0.8, 0.4, out_dim=3)
             assert np.abs(mine.data - ref).max() <= 1e-14
 
@@ -557,20 +560,20 @@ class TestReturnChannel:
         xs, _ = np.polynomial.legendre.leggauss(16)
         for amp in 0.5 * (xs + 1.0):
             kappa = float(amp * amp)
-            n_b_eff = params.N_B / (1.0 - kappa)
-            mine = apply_return_channel(tmsv, kappa, 0.0, n_b_eff, out_dim=3,
+            mine = apply_return_channel(tmsv, kappa, 0.0, params.N_B, out_dim=3,
                                         trace_deficit_tol=0.05)
-            ref = loop_return_channel(tmsv, kappa, 0.0, n_b_eff, out_dim=3)
+            ref = loop_return_channel(tmsv, kappa, 0.0, params.N_B / (1.0 - kappa), out_dim=3)
             assert np.abs(mine.data - ref).max() <= 1e-14
 
-    @pytest.mark.parametrize("kappa,phi,n_b_eff", [
-        (0.3, math.pi / 4, 0.5 / 0.7),  # validate's target-present state
-        (0.0, 0.0, 0.5),                # validate's target-absent state
-        (1.0, 0.9, math.inf),
+    @pytest.mark.parametrize("kappa,phi,n_b", [
+        (0.3, math.pi / 4, 0.5),  # validate's target-present state
+        (0.0, 0.0, 0.5),          # validate's target-absent state
+        (1.0, 0.9, 0.0),
     ])
-    def test_default_output_matches_per_level_reference(self, kappa, phi, n_b_eff):
+    def test_default_output_matches_per_level_reference(self, kappa, phi, n_b):
         tmsv = tmsv_state(0.1, 12)
-        mine = apply_return_channel(tmsv, kappa, phi, n_b_eff)
+        mine = apply_return_channel(tmsv, kappa, phi, n_b)
+        n_b_eff = n_b / (1.0 - kappa) if kappa < 1.0 else 0.0
         assert mine.data.shape == loop_return_channel(tmsv, kappa, phi, n_b_eff).shape
         # the reference's own 1e-12 environment cut drops ~2e-13; the channel drops none
         ref = loop_return_channel(tmsv, kappa, phi, n_b_eff, out_dim=mine.dims[0],
@@ -580,7 +583,7 @@ class TestReturnChannel:
     def test_environment_across_amplitude_chunks(self):
         # a hot environment: the reference sums 2777 environment levels
         tmsv = tmsv_state(0.1, 3, trace_deficit_tol=0.05)
-        mine = apply_return_channel(tmsv, 0.997, 0.6, 100.0, out_dim=3,
+        mine = apply_return_channel(tmsv, 0.997, 0.6, (1.0 - 0.997) * 100.0, out_dim=3,
                                     trace_deficit_tol=0.05)
         ref = loop_return_channel(tmsv, 0.997, 0.6, 100.0, out_dim=3)
         assert np.abs(mine.data - ref).max() <= 1e-14
@@ -604,7 +607,8 @@ class TestCovarianceWeld:
 
     @staticmethod
     def check_near_unit_transmissivity(out_dim):
-        # n_b_eff = 5000: an environment mode would need 138,169 levels
+        # a beam splitter's environment, thermal(N_B/(1 - kappa)) = thermal(5000),
+        # would need 138,169 levels
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
         state = hypothesis_state(params, 0.9999, math.pi / 4, 12, out_dim=out_dim)
         assert state.trace_deficit < 1e-12
@@ -739,7 +743,7 @@ class TestFadingAverage:
     @pytest.mark.parametrize("nodes", ["junk", (16, 33, 5), (16.5, 33), 16.0, 16, np.int64(16)],
                              ids=["str", "triple", "float-pair", "float", "int", "numpy-int"])
     def test_node_counts_rejected_by_name(self, nodes):
-        with pytest.raises(ValueError, match="^nodes must be a pair"):
+        with pytest.raises(ValueError, match="^nodes: must be a pair"):
             fading_average(lambda a: thermal_state(0.1, 5), 0.05, nodes)
 
     def test_numpy_integer_node_count_accepted(self):
@@ -897,7 +901,7 @@ class TestQcb:
     def test_nan_prior_rejected_before_the_eigensolve(self, rng, solve):
         # a NaN prior must be named before LAPACK fails on a NaN matrix
         r0, r1 = random_density_matrix(3, rng), random_density_matrix(3, rng)
-        with pytest.raises(ValueError, match=r"pi0 must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^pi0: must lie in \[0, 1\]"):
             solve(r0, r1, math.nan)
 
     def test_thermal_pair_matches_dense_grid(self):
@@ -1011,7 +1015,7 @@ class TestExponentTrend:
                              ids=["str", "triple", "float-pair", "too-few", "int"])
     def test_node_counts_rejected_by_name(self, nodes):
         params = SystemParams(**self.SURROGATE)
-        with pytest.raises(ValueError, match="^nodes must be a pair"):
+        with pytest.raises(ValueError, match="^nodes: must be a pair"):
             fading_exponent_trend(params, [1], dim=3, nodes=nodes)
 
     def test_numpy_integer_node_count_accepted(self):
@@ -1051,7 +1055,7 @@ class TestExponentTrend:
         def unbuilt(*args, **kwargs):
             raise AssertionError("per-copy state built before the guard")
 
-        monkeypatch.setattr(oracle, "hypothesis_state", unbuilt)
+        monkeypatch.setattr(oracle, "apply_return_channel", unbuilt)
         params = SystemParams(**self.SURROGATE)
         with pytest.raises(ResourceGuard, match="need 24.1 GiB$"):
             fading_exponent_trend(params, [4], dim=6, nodes=None)
@@ -1166,16 +1170,16 @@ class TestExponentTrend:
 
     @pytest.mark.parametrize("present", [False, True])
     def test_weight_outside_the_blocks_is_rejected(self, monkeypatch, present):
-        real = oracle.hypothesis_state
+        real = oracle.apply_return_channel
 
-        def leaky(params, kappa, *args, **kwargs):
-            dm = real(params, kappa, *args, **kwargs)
+        def leaky(state, kappa, *args, **kwargs):
+            dm = real(state, kappa, *args, **kwargs)
             if (kappa > 0.0) == present:  # kappa = 0 is target absence
                 # couples (n_R, n_I) = (0, 0) with (0, 1): different n_R - n_I
                 dm.data[0, 1] = dm.data[1, 0] = 1e-9
             return dm
 
-        monkeypatch.setattr(oracle, "hypothesis_state", leaky)
+        monkeypatch.setattr(oracle, "apply_return_channel", leaky)
         params = SystemParams(**self.SURROGATE)
         with pytest.raises(ValueError, match="symmetry blocks"):
             fading_exponent_trend(params, [1, 2], dim=3, nodes=(16, 33))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import speckleqi
 from speckleqi import (
     ConfigError,
     InvalidParameter,
@@ -213,3 +214,30 @@ class TestConfigLoading:
         with pytest.raises(InvalidParameter) as exc:
             load_config(f)
         assert exc.value.field_name == "kappa_bar"
+
+
+def _rho(dim):
+    return speckleqi.DensityMatrix(np.eye(dim) / dim, (dim,))
+
+
+@pytest.mark.parametrize("field,call", [
+    ("nbar", lambda: speckleqi.thermal_state(math.nan, 10)),
+    ("nbar", lambda: speckleqi.coherent_thermal_state(0.5, -1.0, 30)),
+    ("n_s", lambda: speckleqi.tmsv_state(-0.1, 10)),
+    ("n_b", lambda: speckleqi.apply_return_channel(speckleqi.tmsv_state(0.1, 6), 0.3, 0.2,
+                                                   math.inf)),
+    ("pi0", lambda: speckleqi.helstrom(_rho(3), _rho(3), 1.5)),
+    ("pi0", lambda: speckleqi.qcb(_rho(3), _rho(3), math.nan)),
+    ("pi0", lambda: speckleqi.threshold_test_error(0.1, 1.0, 1.0)),
+    ("kappa", lambda: speckleqi.opa_snr_known(
+        SystemParams(M=10, N_S=0.1, N_B=1.0, kappa_bar=0.5), 1.5)),
+    ("nodes", lambda: speckleqi.fading_average(lambda a: speckleqi.thermal_state(0.1, 5),
+                                               0.05, (16, 7))),
+    ("gain_minus_one", lambda: speckleqi.OpaConfig(gain_minus_one=0.0)),
+], ids=["thermal", "coherent-thermal", "tmsv", "return-channel", "helstrom", "qcb",
+        "threshold-test", "opa-known", "fading-average", "opa-config"])
+def test_parameter_errors_name_their_field(field, call):
+    # these checks raised a bare ValueError whose text alone named the field
+    with pytest.raises(InvalidParameter) as exc:
+        call()
+    assert exc.value.field_name == field
