@@ -145,8 +145,8 @@ class OpaConfig:
     in_window: bool = None
 
     def __post_init__(self):
-        if not self.gain_minus_one > 0:
-            raise InvalidParameter("gain_minus_one", "must be > 0")
+        if not (self.gain_minus_one > 0 and math.isfinite(self.gain_minus_one)):
+            raise InvalidParameter("gain_minus_one", "must be finite and > 0")
 
 
 def _libm(fn, *arrays) -> np.ndarray:

@@ -8,9 +8,9 @@ come with 95% Wilson confidence intervals.
 Determinism: each (seed, receiver, hypothesis) triple owns a Philox stream
 (derived via numpy SeedSequence spawn keys) and trials are drawn as fixed-order
 vectorized arrays from it, so a given seed reproduces estimates bit for bit.
-Aggregation is by order-independent counting. The samplers update their arrays
-in place, so an estimate's working memory is at most 24 B per trial for CI and
-16 B per trial for SFG.
+The estimators give each phase of a stream's draws its own generator at the
+phase's start and count exceedances _BLOCK trials at a time: the draws do not
+depend on the block size, and working memory is a few blocks at any trial count.
 
 M enters only through the products N0/M and |alpha|^2, so mode counts up to
 1e12 are fine. The absent SFG count is NB(M, N0/M), Poisson above M = 1e7
@@ -33,6 +33,7 @@ from . import analytic
 from .params import InvalidParameter, SystemParams, _require_integer, derived_x
 
 _NEG_BINOMIAL_M_CAP = 1e7
+_BLOCK = 2 ** 15  # trials drawn and counted at a time
 
 
 class Receiver(Enum):
@@ -106,16 +107,20 @@ def sample_sfg_counts(params: SystemParams, present: bool, rng: np.random.Genera
     (1-epsilon)*M*kappa*N_S/N_B, kappa ~ Rayleigh(params.kappa_bar); like the
     closed forms, this idealized reduction neglects the noise floor under h=1.
     """
+    return _sfg_counts(params, present, (rng, rng), size)  # per phase: kappa, counts
+
+
+def _sfg_counts(params, present, rngs, size):
     if not present:
         n0, _ = analytic.sfg_mean_counts(params)
         if params.M > _NEG_BINOMIAL_M_CAP:
-            return rng.poisson(n0, size)
-        return rng.negative_binomial(params.M, 1.0 / (1.0 + n0 / params.M), size)
-    mean = _sample_kappa(params.kappa_bar, rng, size)
+            return rngs[0].poisson(n0, size)
+        return rngs[0].negative_binomial(params.M, 1.0 / (1.0 + n0 / params.M), size)
+    mean = _sample_kappa(params.kappa_bar, rngs[0], size)
     mean *= (1.0 - params.epsilon) * params.M
     mean *= params.N_S
     mean /= params.N_B
-    return rng.poisson(mean)
+    return rngs[1].poisson(mean)
 
 
 def sample_ci_envelopes(params: SystemParams, present: bool, rng: np.random.Generator,
@@ -128,31 +133,51 @@ def sample_ci_envelopes(params: SystemParams, present: bool, rng: np.random.Gene
     circular, so the phase is unobservable), whose marginal is exactly
     Exponential(1 + x), matching the closed-form ROC exponent.
     """
+    return _ci_envelopes(params, present, (rng,) * 4, size)  # kappa, phi, g1, g2
+
+
+def _ci_envelopes(params, present, rngs, size):
     if not present:
-        return rng.exponential(1.0, size)
-    a = _sample_kappa(params.kappa_bar, rng, size)
+        return rngs[0].exponential(1.0, size)
+    a = _sample_kappa(params.kappa_bar, rngs[0], size)
     a *= derived_x(params)
     a /= params.kappa_bar
     np.sqrt(a, out=a)
-    re = rng.random(size)
+    re = rngs[1].random(size)
     re *= 2.0 * np.pi
     im = np.sin(re)
     im *= a
     np.cos(re, out=re)
     re *= a
     del a  # freed before the normal draws
-    for part in (re, im):  # g1, then g2, each added as soon as it is drawn
+    for part, rng in zip((re, im), rngs[2:]):  # g1, then g2, each added as soon as it is drawn
         part += rng.normal(0.0, math.sqrt(0.5), size)
         np.square(part, out=part)
     return np.add(re, im, out=re)
 
 
-_SAMPLERS = {Receiver.SFG: sample_sfg_counts, Receiver.CI: sample_ci_envelopes}
+_SAMPLERS = {Receiver.SFG: _sfg_counts, Receiver.CI: _ci_envelopes}
 
 
 # =============================================================================
 # Estimators
 # =============================================================================
+
+def _phase_streams(seed, receiver, hypothesis, trials):
+    """One generator per draw phase of the stream, at the phase's start: kappa, then
+    counts (SFG) or phi, g1 and g2 (CI) under h=1. A uniform is one 64-bit output and
+    a Philox counter step yields four; g2 starts where g1's ziggurat draws end."""
+    phases = 1 if hypothesis == 0 else {Receiver.SFG: 2, Receiver.CI: 4}[receiver]
+    rngs = [_stream(seed, receiver, hypothesis) for _ in range(phases)]
+    for rng, k in zip(rngs, (0, trials, 2 * trials, 2 * trials)):
+        rng.bit_generator.advance(k // 4)
+        rng.bit_generator.random_raw(k % 4)
+    if phases == 4:
+        discard = np.empty(min(_BLOCK, trials))
+        for start in range(0, trials, _BLOCK):
+            rngs[3].standard_normal(out=discard[:min(_BLOCK, trials - start)])
+    return rngs
+
 
 def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold,
                              config: McConfig) -> tuple[McEstimate, McEstimate]:
@@ -165,13 +190,15 @@ def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold
     """
     if not isinstance(threshold, numbers.Real) or math.isnan(threshold):
         raise InvalidParameter("threshold", f"must be a real number, not NaN, got {threshold!r}")
+    if receiver is Receiver.SFG and math.isfinite(threshold) and threshold % 1:
+        raise InvalidParameter("threshold", f"must be an integer or infinite, got {threshold!r}")
     estimates = []
     for hypothesis in (0, 1):
-        rng = _stream(config.seed, receiver, hypothesis)
-        # one expression, so this hypothesis's draws are freed before the next's
-        declared = np.count_nonzero(
-            _SAMPLERS[receiver](params, hypothesis == 1, rng, config.trials) > threshold)
-        estimates.append(wilson_interval(int(declared), config.trials))
+        rngs = _phase_streams(config.seed, receiver, hypothesis, config.trials)
+        declared = sum(int(np.count_nonzero(_SAMPLERS[receiver](
+            params, hypothesis == 1, rngs, min(_BLOCK, config.trials - start)) > threshold))
+            for start in range(0, config.trials, _BLOCK))
+        estimates.append(wilson_interval(declared, config.trials))
     return estimates[0], estimates[1]
 
 

@@ -834,10 +834,10 @@ def wigner_covariance(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (means, cov) over (q_0, p_0, q_1, p_1) with q = (a + a^dag)/2.
     Same-mode moments come from the single-mode marginals; the cross block,
-    whose quadratures commute, is one contraction with the joint state.
+    whose quadratures commute, reads the joint state one photon off mode 0's diagonal.
     """
     d0, d1 = dm.dims
-    quads, means, cov = [], [], np.zeros((4, 4))
+    means, cov = [], np.zeros((4, 4))
     for mode, d in enumerate((d0, d1)):
         a = _destroy(d)
         q = np.stack([0.5 * (a + a.conj().T), (a - a.conj().T) / 2j])
@@ -845,10 +845,12 @@ def wigner_covariance(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
         means.extend(np.einsum("aij,ji->a", q, rho).real)
         sym = 0.5 * (q[:, None] @ q[None, :] + q[None, :] @ q[:, None])
         cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = np.einsum("abij,ji->ab", sym, rho).real
-        quads.append(q)
-    # q0[a, j, i] q1[b, l, k] rho[i, k, j, l], summed over mode 0's indices first
-    half = np.tensordot(quads[0], dm.data.reshape(d0, d1, d0, d1), axes=([1, 2], [2, 0]))
-    cross = np.tensordot(half, quads[1], axes=([1, 2], [2, 1])).real
+    # cross[a, b] = q0[a, j, i] q1[b, l, k] rho[i, k, j, l], via Tr_0(rho a) and Tr_0(rho a^dag)
+    rho, root = dm.data.reshape(d0, d1, d0, d1), np.sqrt(np.arange(1, d0))
+    tr_a, tr_ad = (np.diagonal(r, axis1=0, axis2=2) @ root
+                   for r in (rho[1:, :, :-1], rho[:-1, :, 1:]))
+    half = np.stack([(tr_a + tr_ad) / 2, (tr_a - tr_ad) / 2j])  # Tr_0(rho q0), Tr_0(rho p0)
+    cross = np.einsum("akl,blk->ab", half, q).real  # q is mode 1's, from the last pass
     cov[:2, 2:], cov[2:, :2] = cross, cross.T
     means = np.array(means)
     return means, cov - np.outer(means, means)

@@ -349,6 +349,12 @@ class TestOpa:
         with pytest.raises(ValueError):
             OpaConfig(gain_minus_one=0.0)
 
+    @pytest.mark.parametrize("gain_minus_one", [math.inf, -math.inf, math.nan])
+    def test_gain_must_be_finite(self, gain_minus_one):
+        # an infinite gain constructed, and opa_snr_fading returned inf
+        with pytest.raises(InvalidParameter, match="^gain_minus_one: "):
+            OpaConfig(gain_minus_one=gain_minus_one)
+
     @given(logm=st.floats(2, 10), logns=st.floats(-5, -0.5),
            n_b=st.floats(0.5, 50), kb=st.floats(0.001, 1.0))
     @settings(max_examples=100, deadline=None)

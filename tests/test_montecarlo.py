@@ -22,7 +22,7 @@ from speckleqi import (
     sfg_mean_counts,
     wilson_interval,
 )
-from speckleqi.montecarlo import _sample_kappa, _stream
+from speckleqi.montecarlo import _BLOCK, _phase_streams, _sample_kappa, _stream
 from speckleqi.params import FIG2A, FIG2B
 
 # analytic values frozen in test_analytic.py
@@ -79,20 +79,60 @@ class TestInPlaceSamplers:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("trials", [200_000, 2_000_000])
     @pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
-    @pytest.mark.parametrize("receiver, bytes_per_trial", [(Receiver.SFG, 16), (Receiver.CI, 24)],
-                             ids=["sfg", "ci"])
-    def test_operating_point_working_memory(self, receiver, bytes_per_trial, preset):
-        # the allocating samplers peaked at 32 (SFG) and 64 (CI) B per trial
+    @pytest.mark.parametrize("receiver", list(Receiver), ids=lambda r: r.value)
+    def test_operating_point_working_memory(self, receiver, preset, trials):
+        # the whole-array samplers peaked at 16 (SFG) and 24 (CI) B per trial,
+        # 30.5 and 45.8 MiB at 2e6 trials; the streamed estimator holds a few blocks
         params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
-        trials = 200_000
         tracemalloc.start()
         try:
             estimate_operating_point(receiver, params, 0, McConfig(trials=trials))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bytes_per_trial * trials + 64 * 1024
+        assert peak <= 4 * 2 ** 20
+
+
+def consumed(seed, receiver, hypothesis, uniforms, normals=0):
+    """The hypothesis's stream after drawing uniforms uniforms, then normals normals."""
+    rng = _stream(seed, receiver, hypothesis)
+    rng.random(uniforms)
+    rng.standard_normal(normals)
+    return rng
+
+
+class TestStreamedEstimator:
+    @pytest.mark.parametrize("trials", [*range(10), _BLOCK - 1, _BLOCK + 1, 2 * 10_007])
+    def test_phase_streams_start_where_the_phase_starts(self, trials):
+        sfg = _phase_streams(5, Receiver.SFG, 1, trials)
+        ci = _phase_streams(5, Receiver.CI, 1, trials)
+        want = [consumed(5, Receiver.SFG, 1, 0), consumed(5, Receiver.SFG, 1, trials),
+                consumed(5, Receiver.CI, 1, 0), consumed(5, Receiver.CI, 1, trials),
+                consumed(5, Receiver.CI, 1, 2 * trials),
+                consumed(5, Receiver.CI, 1, 2 * trials, trials)]
+        assert len(sfg) == 2 and len(ci) == 4
+        for got, ref in zip(sfg + ci, want):
+            assert np.array_equal(got.random(9), ref.random(9))
+        for receiver in Receiver:
+            (h0,) = _phase_streams(5, receiver, 0, trials)
+            assert np.array_equal(h0.random(9), consumed(5, receiver, 0, 0).random(9))
+
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
+    @pytest.mark.parametrize("receiver, reference", [
+        (Receiver.SFG, reference_sfg_counts), (Receiver.CI, reference_ci_envelopes)],
+        ids=["sfg", "ci"])
+    def test_blocked_counts_match_one_shot_arrays(self, receiver, reference, preset):
+        # three whole blocks and a partial one, against one array per hypothesis
+        params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
+        trials = 3 * _BLOCK + 5
+        threshold = (sfg_bayes(params).threshold if receiver is Receiver.SFG
+                     else -math.log(ci_bayes(params).threshold))
+        got = estimate_operating_point(receiver, params, threshold, McConfig(trials, seed=8))
+        for hypothesis, estimate in enumerate(got):
+            draws = reference(params, hypothesis == 1, _stream(8, receiver, hypothesis), trials)
+            assert estimate == wilson_interval(int(np.count_nonzero(draws > threshold)), trials)
 
 
 class TestConfigAndIntervals:
@@ -231,6 +271,25 @@ class TestOperatingPointEstimates:
         # '3' failed in math.isnan with a bare TypeError
         with pytest.raises(InvalidParameter, match="^threshold: "):
             estimate_operating_point(receiver, fig2a, threshold, McConfig(trials=100))
+
+    @pytest.mark.parametrize("threshold", [0.5, -0.5, 2.25, np.float64(1e-9)])
+    def test_fractional_sfg_threshold_rejected(self, fig2a, threshold):
+        # 0.5 was floored and acted as 0
+        with pytest.raises(InvalidParameter, match="^threshold: "):
+            estimate_operating_point(Receiver.SFG, fig2a, threshold, McConfig(trials=100))
+
+    @pytest.mark.parametrize("threshold", [-1, 0, 3, 3.0, np.int64(2), math.inf, -math.inf])
+    def test_integer_or_infinite_sfg_threshold_accepted(self, fig2a, threshold):
+        cfg = McConfig(trials=1000, seed=4)
+        p_f, p_d = estimate_operating_point(Receiver.SFG, fig2a, threshold, cfg)
+        counts = [sample_sfg_counts(fig2a, h == 1, _stream(4, Receiver.SFG, h), 1000)
+                  for h in (0, 1)]
+        assert (p_f.value, p_d.value) == tuple(np.count_nonzero(c > threshold) / 1000
+                                               for c in counts)
+
+    def test_fractional_ci_threshold_accepted(self, fig2a):
+        p_f, _ = estimate_operating_point(Receiver.CI, fig2a, 0.5, McConfig(trials=1000))
+        assert 0.5 < p_f.value < 0.7  # P_F = exp(-0.5)
 
     @pytest.mark.parametrize("receiver", list(Receiver))
     def test_infinite_threshold_never_declares(self, fig2a, receiver):

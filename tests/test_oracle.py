@@ -647,6 +647,19 @@ class TestCovarianceWeld:
             tracemalloc.stop()
         assert peak <= 11 * 2 ** 20
 
+    def test_covariance_does_not_copy_the_state(self):
+        # the cross block's tensordot copied the 4.06 MiB state: a 4.14 MiB peak
+        params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
+        state = hypothesis_state(params, 0.3, math.pi / 4, 12)
+        wigner_covariance(state)
+        tracemalloc.start()
+        try:
+            wigner_covariance(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+
     def test_marginal_moments_match_kronecker_reference(self, rng):
         params = SystemParams(M=1e6, N_S=0.1, N_B=0.5, kappa_bar=0.01)
         displaced = np.kron(coherent_thermal_state(0.7 + 0.3j, 0.2, 20).data,
