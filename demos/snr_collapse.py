@@ -20,12 +20,12 @@ from speckleqi.params import FIG2A, FIG2B
 def main():
     for preset in (FIG2A, FIG2B):
         params = SystemParams(**preset)
-        opa = opa_default_gain(params)
+        gain_minus_one, in_window = opa_default_gain(params)
         known = opa_snr_known(params, params.kappa_bar)
-        fading = opa_snr_fading(params, opa)
+        fading = opa_snr_fading(params, gain_minus_one)
         ci = ci_snr(params)
-        print(f"\nN_S = {params.N_S:g}, M = {params.M:.4g}  (gain G-1 = {opa.gain_minus_one:g}, "
-              f"in design window: {opa.in_window})")
+        print(f"\nN_S = {params.N_S:g}, M = {params.M:.4g}  (gain G-1 = {gain_minus_one:g}, "
+              f"in design window: {in_window})")
         print(f"  OPA SNR, known return : {known:.4e}")
         print(f"  OPA SNR, fading return: {fading:.4e}   "
               f"(collapse factor {known / fading:.2e})")

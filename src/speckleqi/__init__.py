@@ -19,7 +19,6 @@ from .analytic import (
     BayesResult,
     BayesSweep,
     DegenerateDiscrimination,
-    OpaConfig,
     RocCurve,
     bayes_sweep,
     ci_bayes,

@@ -131,24 +131,6 @@ class BayesSweep:
     ci_asymptotic: np.ndarray
 
 
-@dataclass(frozen=True)
-class OpaConfig:
-    """OPA receiver gain setting G = 1 + gain_minus_one.
-
-    in_window records whether the gain sits well inside its design window
-    max(N_S/N_B, N_S/(kappa_bar*N_B^2)) << G-1 << 1, with "<<" read as a
-    factor-of-10 separation (evaluated at kappa = kappa_bar). The flag is
-    informational and never gates computation.
-    """
-
-    gain_minus_one: float
-    in_window: bool = None
-
-    def __post_init__(self):
-        if not (self.gain_minus_one > 0 and math.isfinite(self.gain_minus_one)):
-            raise InvalidParameter("gain_minus_one", "must be finite and > 0")
-
-
 def _libm(fn, *arrays) -> np.ndarray:
     # fn (math.log, math.exp, ...) element by element on the arrays' floats
     return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
@@ -430,15 +412,17 @@ def ci_snr(params: SystemParams) -> float:
 # OPA receiver
 # =============================================================================
 
-def opa_snr_fading(params: SystemParams, opa: OpaConfig) -> float:
-    """OPA receiver SNR against a Rayleigh-fading return.
+def opa_snr_fading(params: SystemParams, gain_minus_one: float) -> float:
+    """OPA receiver SNR against a Rayleigh-fading return at gain G = 1 + gain_minus_one.
 
     The random phase destroys the cross-correlation mean signature and the
     fading randomizes the remaining intensity signature, leaving
-    M*(G-1)*(kappa_bar*N_S)^2/N_B / (1 + sqrt(1 + 2x))^2.
+    M*(G-1)*(kappa_bar*N_S)^2/N_B / (1 + sqrt(1 + 2x))^2. G - 1 must be finite and > 0.
     """
+    if not (gain_minus_one > 0 and math.isfinite(gain_minus_one)):
+        raise InvalidParameter("gain_minus_one", "must be finite and > 0")
     x = derived_x(params)
-    num = params.M * opa.gain_minus_one * (params.kappa_bar * params.N_S) ** 2 / params.N_B
+    num = params.M * gain_minus_one * (params.kappa_bar * params.N_S) ** 2 / params.N_B
     return num / (1.0 + math.sqrt(1.0 + 2.0 * x)) ** 2
 
 
@@ -449,10 +433,10 @@ def opa_snr_known(params: SystemParams, kappa: float) -> float:
     return params.M * kappa * params.N_S / params.N_B
 
 
-def opa_default_gain(params: SystemParams) -> OpaConfig:
-    """Design-point OPA gain G - 1 = sqrt(N_S)/N_B, with its window flag."""
+def opa_default_gain(params: SystemParams) -> tuple[float, bool]:
+    """Design-point OPA gain as (G - 1, in_window): G - 1 = sqrt(N_S)/N_B, and in_window
+    says it sits in its window max(N_S/N_B, N_S/(kappa_bar*N_B^2)) << G-1 << 1, "<<" read
+    as a factor-of-10 separation (at kappa = kappa_bar)."""
     g1 = math.sqrt(params.N_S) / params.N_B
-    lower = max(params.N_S / params.N_B,
-                params.N_S / (params.kappa_bar * params.N_B ** 2))
-    in_window = (g1 >= 10.0 * lower) and (g1 <= 0.1)
-    return OpaConfig(gain_minus_one=g1, in_window=in_window)
+    lower = max(params.N_S / params.N_B, params.N_S / (params.kappa_bar * params.N_B ** 2))
+    return g1, (g1 >= 10.0 * lower) and (g1 <= 0.1)

@@ -42,7 +42,7 @@ PRESETS["fig3b"] = PRESETS["fig2b"]
 
 
 # The one CSV float rule: 17 significant digits, so identical configurations
-# diff clean; it also prints inf, -inf and nan.
+# diff clean; it also prints inf and -inf. _fmt writes a NaN as an empty field.
 _FLOAT = "%.16e"
 
 
@@ -51,7 +51,7 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if value is None:
+    if value is None or value != value:
         return ""
     if isinstance(value, str):
         return value
@@ -245,15 +245,19 @@ def cmd_bayes_sweep(args) -> int:
     return 0
 
 
+def _ratio(num: float, den: float) -> float:
+    # num/den of two SNRs >= 0: inf over a zero den, NaN when both are zero
+    return num / den if den > 0 else math.inf if num > 0 else math.nan
+
+
 def cmd_snr(args) -> int:
     params, _ = _resolve(args)
-    opa = analytic.opa_default_gain(params)
-    fading = analytic.opa_snr_fading(params, opa)
+    gain_minus_one, in_window = analytic.opa_default_gain(params)
+    fading = analytic.opa_snr_fading(params, gain_minus_one)
     known = analytic.opa_snr_known(params, params.kappa_bar)
     ci = analytic.ci_snr(params)
-    rows = [(opa.gain_minus_one, opa.in_window, fading, known, ci,
-             known / fading if fading > 0 else math.inf,
-             fading / ci if ci > 0 else math.nan)]
+    rows = [(gain_minus_one, in_window, fading, known, ci,
+             _ratio(known, fading), _ratio(fading, ci))]
     header = ["opa_gain_minus_one", "opa_in_window", "opa_snr_fading",
               "opa_snr_known", "ci_snr", "ratio_known_to_fading",
               "ratio_fading_to_ci"]
@@ -279,7 +283,7 @@ def _load_state(path, name: str) -> oracle.DensityMatrix:
     if not p.exists():
         raise ConfigError(f"state file not found: {path}")
     if p.suffix not in (".npy", ".json"):
-        raise ConfigError(f"unsupported state file type: {p.suffix} (use .npy or .json)")
+        raise ConfigError(f"{path}: unsupported state file type {p.suffix!r} (use .npy or .json)")
     try:
         if p.suffix == ".npy":
             data = np.asarray(np.load(p), dtype=complex)
@@ -306,6 +310,8 @@ def _load_state(path, name: str) -> oracle.DensityMatrix:
 def cmd_oracle(args) -> int:
     rho0 = _load_state(args.rho0, "rho0")
     rho1 = _load_state(args.rho1, "rho1")
+    if rho1.data.shape != rho0.data.shape:
+        raise InvalidParameter("rho1", f"shape {rho1.data.shape} is not rho0's {rho0.data.shape}")
     report = oracle.qcb(rho0, rho1, pi0=args.pi0)
     payload = {
         "pi0": args.pi0,

@@ -188,7 +188,11 @@ def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold
     Rayleigh(params.kappa_bar) fading realization, the law the closed forms
     assume.
     """
-    if not isinstance(threshold, numbers.Real) or math.isnan(threshold):
+    try:
+        bad = not isinstance(threshold, numbers.Real) or math.isnan(threshold)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidParameter("threshold", "must lie in the float range") from None
+    if bad:
         raise InvalidParameter("threshold", f"must be a real number, not NaN, got {threshold!r}")
     if receiver is Receiver.SFG and math.isfinite(threshold) and threshold % 1:
         raise InvalidParameter("threshold", f"must be an integer or infinite, got {threshold!r}")

@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -95,17 +96,10 @@ def fading_pdf(kappa_bar: float, amplitude: float) -> float:
 # Configuration files
 # =============================================================================
 #
-# Accepted formats (auto-detected):
-#   JSON   -- nested: {"M": 1e8, ..., "fading": {"kind": "rayleigh"}}
-#             or flat with dotted keys: {"fading.kind": "rayleigh"}
-#   text   -- one "key = value" per line, '#' starts a comment, dotted keys
-#             address the fading block.
-# A key given twice (including a nested key and its dotted form) is an error.
-#
-# Keys: M, N_S, N_B, kappa_bar, epsilon, pi0, and fading.kind, which may only
-# be rayleigh (the default), the law the closed forms and samplers assume.
-
-_PARAM_KEYS = {"M", "N_S", "N_B", "kappa_bar", "epsilon", "pi0"}
+# Accepted formats (auto-detected): one flat JSON object, or one "key = value"
+# per line of text, where '#' starts a comment. The keys are the SystemParams
+# fields, and a field without a default is required. Any other key, a nested
+# object's included, is an error, and so is a key given twice.
 
 
 class ConfigError(ValueError):
@@ -121,15 +115,6 @@ def _unique_keys(pairs) -> dict:
             raise ConfigError(f"key {key}: given more than once")
         out[key] = value
     return out
-
-
-def _flat_pairs(obj: dict, prefix: str = ""):
-    for k, v in obj.items():
-        key = f"{prefix}{k}"
-        if isinstance(v, dict):
-            yield from _flat_pairs(v, prefix=f"{key}.")
-        else:
-            yield key, v
 
 
 def _text_pairs(text: str):
@@ -150,18 +135,14 @@ def load_config(path) -> SystemParams:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        flat = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         flat = _unique_keys(_text_pairs(text))
     else:
-        if not isinstance(obj, dict):
-            raise ConfigError(f"a JSON config is one object, not {type(obj).__name__}")
-        flat = _unique_keys(_flat_pairs(obj))
-
-    kind = str(flat.get("fading.kind", "rayleigh")).lower()
-    if kind != "rayleigh":
-        raise InvalidParameter("fading.kind", f"only 'rayleigh' is modelled, not {kind!r}")
-    unknown = set(flat) - _PARAM_KEYS - {"fading.kind"}
+        if not isinstance(flat, dict):
+            raise ConfigError(f"a JSON config is one object, not {type(flat).__name__}")
+    fields = dataclasses.fields(SystemParams)
+    unknown = set(flat) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
 
@@ -171,8 +152,8 @@ def load_config(path) -> SystemParams:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"key {key}: not a number: {flat[key]!r}") from exc
 
-    kwargs = {key: number(key) for key in _PARAM_KEYS if key in flat}
-    missing = {"M", "N_S", "N_B", "kappa_bar"} - set(kwargs)
+    kwargs = {f.name: number(f.name) for f in fields if f.name in flat}
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in kwargs]
     if missing:
-        raise ConfigError(f"missing required keys: {sorted(missing)}")
+        raise ConfigError(f"missing required keys: {missing}")
     return SystemParams(**kwargs)

@@ -168,8 +168,8 @@ def check_opa_ordering(seed: int) -> CheckResult:
     for _ in range(50):
         params = SystemParams(M=10 ** rng.uniform(2, 10), N_S=10 ** rng.uniform(-5, -0.5),
                               N_B=rng.uniform(0.5, 50), kappa_bar=rng.uniform(0.001, 1.0))
-        opa = analytic.opa_default_gain(params)
-        ratio = (analytic.opa_snr_fading(params, opa)
+        gain_minus_one, _ = analytic.opa_default_gain(params)
+        ratio = (analytic.opa_snr_fading(params, gain_minus_one)
                  / analytic.opa_snr_known(params, params.kappa_bar))
         worst = max(worst, ratio)
     return _result("opa-snr-ordering", worst, 1.0 - 1e-12,

@@ -92,8 +92,8 @@ def test_criterion_2_log_factor_gap():
 def test_criterion_3_opa_collapse():
     with criterion(3, "OPA SNR collapses under fading at the first preset", 1.0):
         params = SystemParams(**FIG2A)
-        opa = opa_default_gain(params)
-        fading = opa_snr_fading(params, opa)
+        gain_minus_one, _ = opa_default_gain(params)
+        fading = opa_snr_fading(params, gain_minus_one)
         assert fading / ci_snr(params) < 1e-8
         assert opa_snr_known(params, params.kappa_bar) / fading > 1e10
 

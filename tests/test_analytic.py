@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from speckleqi import (
     AsymptoticsInvalid,
     DegenerateDiscrimination,
     InvalidParameter,
-    OpaConfig,
+    RocCurve,
     SystemParams,
     bayes_sweep,
     ci_bayes,
@@ -178,6 +179,26 @@ class TestSfgRoc:
         assert curve.detection_probability(mid) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("points,thresholds,message", [
+    ([[0, 0], [0.5, 1.2], [1, 1]], None, "lie in"),
+    ([[0, 0], [-0.1, 0.2], [1, 1]], None, "lie in"),
+    ([[0, 0], [0.5, 0.5], [0.5, 0.6], [1, 1]], None, "P_F must be strictly increasing"),
+    ([[0, 0], [0.3, 0.6], [0.6, 0.4], [1, 1]], None, "P_D must be nondecreasing"),
+    ([[0.1, 0.2], [1, 1]], None, "must contain or limit to"),
+    ([[0, 0], [0.5, 0.9], [0.9, 0.95]], None, "must contain or limit to"),
+    ([[0, 0], [0.5, 0.2], [1, 1]], [np.inf, 1, -1], "must be concave"),
+], ids=["p-detect-above-one", "p-false-alarm-negative", "p-false-alarm-repeats",
+        "p-detect-falls", "misses-origin", "misses-corner", "convex-vertices"])
+def test_roc_validate_failure_branches(points, thresholds, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RocCurve(points, thresholds).validate()
+
+
+def test_roc_validate_smooth_curve_skips_concavity():
+    # the concavity rule binds only the vertices of deterministic tests
+    RocCurve([[0, 0], [0.5, 0.2], [1, 1]]).validate()
+
+
 class TestSfgBayes:
     def test_frozen_fig2a(self, fig2a):
         r = sfg_bayes(fig2a)
@@ -282,6 +303,12 @@ class TestCiBayes:
         assert abs(closed - numeric) < 1e-12
 
 
+def test_golden_section_on_an_interval_within_tol_takes_its_midpoint():
+    calls = []
+    x, fx = golden_section_min(lambda t: calls.append(t) or t * t, 0.3, 0.2, tol=0.5)
+    assert (x, fx, calls) == (0.25, 0.0625, [0.25])
+
+
 class TestCiAsymptotic:
     def test_frozen_values(self, fig2a):
         assert ci_bayes_asymptotic(fig2a) == pytest.approx(CI_ASYM_FIG2, rel=1e-12)
@@ -319,21 +346,19 @@ class TestCiSnr:
 
 class TestOpa:
     def test_default_gain_fig2a(self, fig2a):
-        opa = opa_default_gain(fig2a)
-        assert opa.gain_minus_one == pytest.approx(5e-4, rel=1e-12)
-        assert opa.in_window
+        gain_minus_one, in_window = opa_default_gain(fig2a)
+        assert gain_minus_one == pytest.approx(5e-4, rel=1e-12)
+        assert in_window is True
 
     def test_default_gain_fig2b(self, fig2b):
-        assert opa_default_gain(fig2b).gain_minus_one == pytest.approx(5e-3, rel=1e-12)
+        assert opa_default_gain(fig2b)[0] == pytest.approx(5e-3, rel=1e-12)
 
     def test_window_violation(self):
         p = SystemParams(M=10.0, N_S=1.0, N_B=1.0, kappa_bar=0.5)
-        opa = opa_default_gain(p)
-        assert opa.gain_minus_one == 1.0
-        assert not opa.in_window
+        assert opa_default_gain(p) == (1.0, False)
 
     def test_frozen_fading_snr(self, fig2a):
-        got = opa_snr_fading(fig2a, opa_default_gain(fig2a))
+        got = opa_snr_fading(fig2a, opa_default_gain(fig2a)[0])
         assert got == pytest.approx(OPA_FADING_A, rel=1e-12)
 
     def test_known_snr(self, fig2a):
@@ -341,26 +366,27 @@ class TestOpa:
         assert opa_snr_known(fig2a, 0.0) == 0.0
 
     def test_fading_collapse_ratios(self, fig2a):
-        fading = opa_snr_fading(fig2a, opa_default_gain(fig2a))
+        fading = opa_snr_fading(fig2a, opa_default_gain(fig2a)[0])
         assert fading / ci_snr(fig2a) < 1e-8
         assert opa_snr_known(fig2a, fig2a.kappa_bar) / fading > 1e10
 
-    def test_gain_must_be_positive(self):
-        with pytest.raises(ValueError):
-            OpaConfig(gain_minus_one=0.0)
+    def test_gain_must_be_positive(self, fig2a):
+        for gain_minus_one in (0.0, -1.0):
+            with pytest.raises(InvalidParameter, match="^gain_minus_one: must be finite and > 0"):
+                opa_snr_fading(fig2a, gain_minus_one)
 
     @pytest.mark.parametrize("gain_minus_one", [math.inf, -math.inf, math.nan])
-    def test_gain_must_be_finite(self, gain_minus_one):
-        # an infinite gain constructed, and opa_snr_fading returned inf
-        with pytest.raises(InvalidParameter, match="^gain_minus_one: "):
-            OpaConfig(gain_minus_one=gain_minus_one)
+    def test_gain_must_be_finite(self, fig2a, gain_minus_one):
+        # an infinite gain returned an infinite SNR
+        with pytest.raises(InvalidParameter, match="^gain_minus_one: must be finite and > 0"):
+            opa_snr_fading(fig2a, gain_minus_one)
 
     @given(logm=st.floats(2, 10), logns=st.floats(-5, -0.5),
            n_b=st.floats(0.5, 50), kb=st.floats(0.001, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_fading_below_known(self, logm, logns, n_b, kb):
         p = SystemParams(M=10 ** logm, N_S=10 ** logns, N_B=n_b, kappa_bar=kb)
-        assert opa_snr_fading(p, opa_default_gain(p)) < opa_snr_known(p, kb)
+        assert opa_snr_fading(p, opa_default_gain(p)[0]) < opa_snr_known(p, kb)
 
 
 class TestDominance:

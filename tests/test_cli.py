@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speckleqi
-from speckleqi import analytic, oracle, sfg_mean_counts, thermal_state, validate
+from speckleqi import analytic, cli, oracle, sfg_mean_counts, thermal_state, validate
 from speckleqi.cli import _FLOAT, _SWEEP_BLOCK, PRESETS, _float_text, _sweep_csv, main
 from speckleqi.params import FIG2A, FIG2B, InvalidParameter, SystemParams, fading_pdf
 
@@ -429,6 +429,28 @@ class TestSnrCommand:
         _, rows = read_csv(out)
         assert float(rows[0]["opa_gain_minus_one"]) == pytest.approx(5e-3, rel=1e-12)
 
+    def test_zero_over_zero_ratios_are_empty_fields(self, tmp_path):
+        # every SNR underflows to 0, and the row ended "inf,nan"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("M = 1e-300\nN_S = 1e-300\nN_B = 1\nkappa_bar = 0.5\n")
+        out = tmp_path / "snr.csv"
+        assert run_cli("snr", "--config", str(cfg), "--out", str(out)) == 0
+        assert out.read_text().endswith(",,\n")
+        _, (row,) = read_csv(out)
+        assert float(row["opa_snr_fading"]) == float(row["opa_snr_known"]) == 0.0
+        assert float(row["ci_snr"]) == 0.0
+        assert row["ratio_known_to_fading"] == row["ratio_fading_to_ci"] == ""
+
+    def test_ratio_over_zero_is_inf_and_zero_over_zero_is_nan(self):
+        assert cli._ratio(2.0, 0.0) == math.inf
+        assert math.isnan(cli._ratio(0.0, 0.0))
+        assert cli._ratio(0.0, 4.0) == 0.0
+        assert cli._ratio(1.0, 4.0) == 0.25
+
+    def test_csv_writes_nan_as_an_empty_field(self):
+        (text,) = cli._csv(["a", "b", "c", "d"], [(math.nan, np.float64("nan"), math.inf, 1.0)])
+        assert text == b"a,b,c,d\n,,inf,1.0000000000000000e+00\n"
+
     def test_near_zero_intensity_collapses_everything(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 1e-150}')
@@ -505,32 +527,24 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["roc", "snr", "bayes-sweep"])
-    @pytest.mark.parametrize("fading", [
-        '"fading.kind": "deterministic", "fading.kappa": 0.01',
-        '"fading.kind": "rician"',
-        # these failed on the discarded kind's fields: exit 3 naming kappa,
-        # and exit 2 on a deterministic-only key
-        '"fading.kind": "deterministic", "fading.kappa": 1.5',
-        '"fading.kind": "rician", "fading.phi": 0.7',
-    ])
-    def test_fading_kind_without_closed_form(self, tmp_path, capsys, command, fading):
-        cfg = tmp_path / "c.json"
-        cfg.write_text('{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01, %s}' % fading)
-        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 3
-        assert "fading.kind" in capsys.readouterr().err
+    @pytest.mark.parametrize("name,extra,key", [
+        ("c.json", ', "fading": {"kind": "rayleigh"}', "fading"),
+        ("c.json", ', "fading.kind": "rayleigh"', "fading.kind"),
+        ("c.json", ', "fading.kind": "rician", "fading.phi": 0.7', "fading.kind"),
+        ("c.cfg", "\nfading.kind = deterministic", "fading.kind"),
+    ], ids=["json-nested", "json-dotted", "json-dotted-rician", "text-dotted"])
+    def test_fading_block_is_an_unknown_key(self, tmp_path, capsys, command, name, extra, key):
+        # Rayleigh fading is the only law modelled, so a fading block is
+        # rejected as a usage error naming the key, whatever its kind
+        cfg = tmp_path / name
+        if name == "c.json":
+            cfg.write_text('{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01%s}' % extra)
+        else:
+            cfg.write_text("M = 1e8\nN_S = 1e-4\nN_B = 20\nkappa_bar = 0.01%s\n" % extra)
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown keys: [") and f"'{key}'" in err
         assert not (tmp_path / "o.csv").exists()
-
-    @pytest.mark.parametrize("command", ["roc", "snr", "bayes-sweep"])
-    def test_explicit_rayleigh_matches_default(self, tmp_path, command):
-        base = '{"M": 1e8, "N_S": 1e-4, "N_B": 20, "kappa_bar": 0.01%s}'
-        outputs = []
-        for extra in ("", ', "fading": {"kind": "rayleigh"}'):
-            cfg = tmp_path / "c.json"
-            cfg.write_text(base % extra)
-            out = tmp_path / f"o{len(outputs)}.csv"
-            assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
 
 class TestValidateCommand:
@@ -617,6 +631,15 @@ class TestValidateCommand:
         assert not result["passed"]
         assert result["tolerance"] == 1e-10
 
+    def test_planted_bad_curve_fails_roc_invariants(self, tmp_path, monkeypatch):
+        # an SFG curve whose P_D falls must count once per parameter point
+        monkeypatch.setattr(analytic, "sfg_roc", lambda params: analytic.RocCurve(
+            [[0.0, 0.0], [0.3, 0.6], [0.6, 0.4], [1.0, 1.0]]))
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--only", "roc-invariants", "--out", str(out)) == 1
+        (result,) = json.loads(out.read_text())["checks"]
+        assert not result["passed"]
+        assert result["measured"] == 3
 
     def test_planted_background_error_fails_zero_return_weld(self, tmp_path, monkeypatch):
         # a channel whose background is 1% too bright must fail the weld; when
@@ -673,8 +696,10 @@ class TestOracleCommand:
         assert run_cli("oracle", "--rho0", str(bad), "--rho1", str(good)) == 3
 
     @pytest.mark.parametrize("matrix", ["[[NaN, 0.0], [0.0, 1.0]]", "[[0, 0], [0, 0]]",
-                                        "[[1, 0], [0, -1]]"],
-                             ids=["nan", "zero", "traceless"])
+                                        "[[1, 0], [0, -1]]", "[[1, 0], [0, -0.5]]",
+                                        "[[0.5, 0.5]]", "[0.5, 0.5]"],
+                             ids=["nan", "zero", "traceless", "indefinite", "non-square",
+                                  "vector"])
     def test_matrix_that_is_not_a_state_names_it(self, tmp_path, capsys, matrix):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"re": [[0.5, 0.0], [0.0, 0.5]]}))
@@ -690,8 +715,10 @@ class TestOracleCommand:
                                            ("bad.json", '[[1.0]]'),
                                            ("bad.json", '{"re": [[1.0]]'),
                                            ("bad.json", '{"re": {"a": 1.0}}'),
-                                           ("bad.npy", "not an array")],
-                             ids=["no-re", "list", "malformed", "re-not-numeric", "npy"])
+                                           ("bad.npy", "not an array"),
+                                           ("bad.txt", '{"re": [[1.0]]}')],
+                             ids=["no-re", "list", "malformed", "re-not-numeric", "npy",
+                                  "suffix"])
     def test_unreadable_state_file_is_input_error(self, tmp_path, capsys, name, text):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"re": [[1.0]]}))
@@ -699,6 +726,18 @@ class TestOracleCommand:
         bad.write_text(text)
         assert run_cli("oracle", "--rho0", str(bad), "--rho1", str(good)) == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_states_of_different_dimension_name_rho1(self, tmp_path, capsys):
+        # the mismatch surfaced from qcb as a ValueError naming no field
+        r0, r1 = tmp_path / "r0.json", tmp_path / "r1.json"
+        r0.write_text(json.dumps({"re": np.eye(2).tolist()}))
+        r1.write_text(json.dumps({"re": np.eye(3).tolist()}))
+        out = tmp_path / "report.json"
+        assert run_cli("oracle", "--rho0", str(r0), "--rho1", str(r1), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameter rho1: ")
+        assert "(3, 3)" in err and "(2, 2)" in err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         good = tmp_path / "good.json"

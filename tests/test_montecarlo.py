@@ -272,6 +272,13 @@ class TestOperatingPointEstimates:
         with pytest.raises(InvalidParameter, match="^threshold: "):
             estimate_operating_point(receiver, fig2a, threshold, McConfig(trials=100))
 
+    @pytest.mark.parametrize("receiver", list(Receiver))
+    @pytest.mark.parametrize("threshold", [10 ** 400, -10 ** 400])
+    def test_threshold_beyond_float_range_rejected(self, fig2a, receiver, threshold):
+        # math.isnan raised a bare OverflowError
+        with pytest.raises(InvalidParameter, match="^threshold: must lie in the float range"):
+            estimate_operating_point(receiver, fig2a, threshold, McConfig(trials=100))
+
     @pytest.mark.parametrize("threshold", [0.5, -0.5, 2.25, np.float64(1e-9)])
     def test_fractional_sfg_threshold_rejected(self, fig2a, threshold):
         # 0.5 was floored and acted as 0

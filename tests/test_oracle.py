@@ -447,6 +447,15 @@ class TestReturnChannel:
         with pytest.raises(TruncationTooSmall):
             apply_return_channel(tmsv, 0.5, 0.0, 1.0, out_dim=3)
 
+    def test_output_dim_above_cap(self):
+        with pytest.raises(TruncationTooSmall, match="exceeds the cap 256") as exc:
+            apply_return_channel(tmsv_state(0.2, 8), 0.5, 0.0, 0.1, out_dim=257)
+        assert exc.value.suggested_dim == 256
+
+    def test_one_mode_input_rejected(self):
+        with pytest.raises(ValueError, match="two-mode"):
+            apply_return_channel(thermal_state(0.2, 8), 0.5, 0.0, 0.1)
+
     def test_output_dim_must_be_positive(self):
         tmsv = tmsv_state(0.2, 8)
         with pytest.raises(ValueError, match="out_dim"):
@@ -749,6 +758,10 @@ class TestFadingAverage:
         with pytest.raises(InvalidParameter, match="^kappa_bar: must lie in"):
             fading_average(lambda a: thermal_state(0.1, 5), kappa_bar, (16, 16))
 
+    def test_inconsistent_builder_dims_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            fading_average(lambda a: thermal_state(0.1, 8 if a < 0.5 else 9), 0.05, (16, 16))
+
     def test_minimum_nodes_enforced(self):
         with pytest.raises(ValueError):
             fading_average(lambda a: thermal_state(0.1, 5), 0.05, (4, 16))
@@ -841,6 +854,10 @@ class TestQcb:
     def test_identical_states(self, rng):
         dm = random_density_matrix(4, rng)
         assert qcb(dm, dm).qcb_exponent == pytest.approx(0.0, abs=1e-12)
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(ValueError, match="share a dimension"):
+            qcb(random_density_matrix(3, rng), random_density_matrix(4, rng))
 
     def test_pure_states_flat_overlap(self, rng, monkeypatch):
         v0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -1241,6 +1258,11 @@ class TestDensityMatrixType:
     def test_validate_catches_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]), (2,)).validate()
+
+    def test_validate_catches_trace_error(self):
+        DensityMatrix(np.diag([0.5, 0.5 - 9e-7]), (2,)).validate()
+        with pytest.raises(ValueError, match="^trace 0.99999 misses 1 by more than 1e-06$"):
+            DensityMatrix(np.diag([0.5, 0.49999]), (2,)).validate()
 
     def test_psd_clamp_tolerates_roundoff(self):
         dm = DensityMatrix(np.diag([1.0, -5e-11]), (2,))

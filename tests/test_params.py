@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,29 +111,25 @@ class TestFadingPdf:
 
 
 class TestConfigLoading:
-    def test_nested_json(self, tmp_path):
+    def test_flat_json(self, tmp_path):
         f = tmp_path / "c.json"
         f.write_text('{"M": 1e6, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
-                     ' "epsilon": 0.02, "pi0": 0.25,'
-                     ' "fading": {"kind": "rayleigh"}}')
+                     ' "epsilon": 0.02, "pi0": 0.25}')
         params = load_config(f)
         assert params == SystemParams(M=1e6, N_S=0.01, N_B=5.0, kappa_bar=0.02, epsilon=0.02,
                                       pi0=0.25)
         assert params.pi1 == 0.75
 
-    def test_flat_dotted_json(self, tmp_path):
-        f = tmp_path / "c.json"
-        f.write_text('{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
-                     ' "fading.kind": "Rayleigh"}')
-        assert load_config(f) == SystemParams(M=100.0, N_S=0.01, N_B=5.0, kappa_bar=0.02)
-
     def test_key_value_text(self, tmp_path):
         f = tmp_path / "c.cfg"
-        f.write_text("# comment\nM = 100\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\n")
-        params = load_config(f)
-        assert params == SystemParams(M=100.0, N_S=0.01, N_B=5.0, kappa_bar=0.02)
-        f.write_text("M = 100\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\nfading.kind = rayleigh\n")
-        assert load_config(f) == params
+        f.write_text("# comment\nM = 100\nN_S = 0.01  # inline\n\nN_B = 5\nkappa_bar = 0.02\n")
+        assert load_config(f) == SystemParams(M=100.0, N_S=0.01, N_B=5.0, kappa_bar=0.02)
+
+    def test_text_line_without_equals_names_line(self, tmp_path):
+        f = tmp_path / "c.cfg"
+        f.write_text("M = 100\nN_S = 0.01\n# comment\nN_B 5\nkappa_bar = 0.02\n")
+        with pytest.raises(ConfigError, match="^line 4: expected 'key = value'$"):
+            load_config(f)
 
     def test_missing_keys(self, tmp_path):
         f = tmp_path / "c.json"
@@ -140,47 +137,49 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="missing"):
             load_config(f)
 
+    def test_required_keys_are_the_fields_without_default(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text('{"N_S": 0.01, "epsilon": 0.02}')
+        with pytest.raises(ConfigError,
+                           match=re.escape("missing required keys: ['M', 'N_B', 'kappa_bar']")):
+            load_config(f)
+        f.write_text('{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02}')
+        params = load_config(f)
+        assert (params.epsilon, params.pi0) == (0.01, 0.5)
+
     def test_unknown_keys(self, tmp_path):
         f = tmp_path / "c.json"
         f.write_text('{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, "bogus": 1}')
         with pytest.raises(ConfigError, match="bogus"):
             load_config(f)
 
-    @pytest.mark.parametrize("kind,key", [
-        (None, "fading.kappa"),
-        ("rayleigh", "fading.kappa"),
-        ("rayleigh", "fading.phi"),
-    ])
-    def test_deterministic_keys_rejected_for_random_kinds(self, tmp_path, kind, key):
-        # fading.kappa and fading.phi are unknown keys
-        f = tmp_path / "c.json"
-        fading = {key: 0.3} if kind is None else {"fading.kind": kind, key: 0.3}
-        f.write_text(json.dumps({"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, **fading}))
-        with pytest.raises(ConfigError, match=f"unknown keys: \\['{key}'\\]"):
+    @pytest.mark.parametrize("extra,keys", [
+        ({"fading": {"kind": "rayleigh"}}, ["fading"]),
+        ({"fading.kind": "rayleigh"}, ["fading.kind"]),
+        ({"fading.kind": "Rician", "fading.phi": 0.7}, ["fading.kind", "fading.phi"]),
+        ({"fading": {"kind": "rayleigh"}, "fading.kind": "rician"}, ["fading", "fading.kind"]),
+        ({"fading.kappa": 0.3}, ["fading.kappa"]),
+        ({"system": {"epsilon": 0.02}}, ["system"]),
+        ({"bogus": 1}, ["bogus"]),
+    ], ids=["nested-fading", "dotted-kind", "dotted-kind-and-phi", "nested-and-dotted",
+            "dotted-kappa", "nested-field", "unknown"])
+    @pytest.mark.parametrize("name", ["c.json", "c.cfg"])
+    def test_keys_other_than_the_fields_rejected(self, tmp_path, extra, keys, name):
+        # the fading block and dotted keys are gone: Rayleigh fading is the
+        # only law modelled, so they are unknown keys like any other
+        base = {"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02}
+        f = tmp_path / name
+        if name == "c.json":
+            f.write_text(json.dumps({**base, **extra}))
+        else:
+            f.write_text("".join(f"{k} = {v}\n" for k, v in {**base, **extra}.items()))
+        with pytest.raises(ConfigError, match=re.escape(f"unknown keys: {keys}")):
             load_config(f)
-
-    @pytest.mark.parametrize("fading", [
-        {"fading.kind": "deterministic", "fading.kappa": 1.5},
-        {"fading.kind": "deterministic", "fading.kappa": "abc", "fading.phi": 1e400},
-        {"fading": {"kind": "rician", "phi": 0.7}},
-        {"fading.kind": "bogus", "bogus": 1},
-    ], ids=["deterministic-kappa", "deterministic-bad-values", "rician-phi", "unknown-kind"])
-    def test_kind_other_than_rayleigh_rejected_first(self, tmp_path, fading):
-        # a kind the loader does not model fails on the kind, whatever else
-        # the file holds (it used to fail on the discarded kind's fields)
-        f = tmp_path / "c.json"
-        f.write_text(json.dumps({"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, **fading}))
-        with pytest.raises(InvalidParameter) as exc:
-            load_config(f)
-        assert exc.value.field_name == "fading.kind"
 
     @pytest.mark.parametrize("name,text,key", [
         ("c.cfg", "M = 1e8\nN_S = 0.01\nN_B = 5\nkappa_bar = 0.02\nM = 1e9\n", "M"),
         ("c.json", '{"M": 1e8, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02, "M": 1e9}', "M"),
-        ("c.json", '{"M": 100, "N_S": 0.01, "N_B": 5, "kappa_bar": 0.02,'
-                   ' "fading": {"kind": "rayleigh"}, "fading.kind": "rician"}',
-         "fading.kind"),
-    ], ids=["text-line", "json-object", "nested-and-dotted"])
+    ], ids=["text-line", "json-object"])
     def test_repeated_key_names_key(self, tmp_path, name, text, key):
         f = tmp_path / name
         f.write_text(text)
@@ -199,7 +198,7 @@ class TestConfigLoading:
             load_config(tmp_path / "missing.json")
 
     @pytest.mark.parametrize("key", ["N_S", "epsilon"])
-    @pytest.mark.parametrize("value", ['"abc"', "[0.5]"])
+    @pytest.mark.parametrize("value", ['"abc"', "[0.5]", '{"value": 0.5}'])
     def test_non_numeric_value_names_key(self, tmp_path, key, value):
         f = tmp_path / "c.json"
         values = {"N_S": "0.01", "epsilon": "0.02", key: value}
@@ -233,9 +232,10 @@ def _rho(dim):
         SystemParams(M=10, N_S=0.1, N_B=1.0, kappa_bar=0.5), 1.5)),
     ("nodes", lambda: speckleqi.fading_average(lambda a: speckleqi.thermal_state(0.1, 5),
                                                0.05, (16, 7))),
-    ("gain_minus_one", lambda: speckleqi.OpaConfig(gain_minus_one=0.0)),
+    ("gain_minus_one", lambda: speckleqi.opa_snr_fading(
+        SystemParams(M=10, N_S=0.1, N_B=1.0, kappa_bar=0.5), 0.0)),
 ], ids=["thermal", "coherent-thermal", "tmsv", "return-channel", "helstrom", "qcb",
-        "threshold-test", "opa-known", "fading-average", "opa-config"])
+        "threshold-test", "opa-known", "fading-average", "opa-fading"])
 def test_parameter_errors_name_their_field(field, call):
     # these checks raised a bare ValueError whose text alone named the field
     with pytest.raises(InvalidParameter) as exc:
