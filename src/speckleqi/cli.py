@@ -232,8 +232,12 @@ def cmd_bayes_sweep(args) -> int:
             raise InvalidParameter(name, f"must be finite, got {exponent}")
     if points < 1:
         raise InvalidParameter("points", "must be >= 1")
-    with np.errstate(over="ignore"):  # an M that overflows is rejected below, by name
-        m = np.logspace(start, stop, points)
+    try:
+        with np.errstate(over="ignore"):  # an M that overflows is rejected below, by name
+            m = np.logspace(start, stop, points)
+    except ValueError as exc:  # numpy's array size limit
+        raise InvalidParameter("points", f"{points} exceed numpy's array size limit ({exc})"
+                               ) from None
     if np.any(m[1:] <= m[:-1]):
         raise InvalidParameter("log10-stop", "M must be strictly increasing: log10-stop must "
                                              "exceed log10-start, and no two M may overflow")
@@ -293,8 +297,8 @@ def _load_state(path, name: str) -> oracle.DensityMatrix:
                                                                          dtype=float)
     except (EOFError, LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a state matrix ({type(exc).__name__}: {exc})") from exc
-    if data.ndim != 2 or data.shape[0] != data.shape[1]:
-        raise InvalidParameter(name, f"expected a square matrix, got {data.shape}")
+    if data.ndim != 2 or data.shape[0] != data.shape[1] or not data.size:
+        raise InvalidParameter(name, f"expected a non-empty square matrix, got {data.shape}")
     if not np.isfinite(data).all():
         raise InvalidParameter(name, "matrix has non-finite entries")
     if np.abs(data - data.conj().T).max() > 1e-10:
@@ -390,9 +394,6 @@ def main(argv=None) -> int:
         return 2
     except InvalidParameter as exc:
         print(f"invalid parameter {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"invalid parameter: {exc}", file=sys.stderr)
         return 3
 
 

@@ -11,6 +11,13 @@ vectorized arrays from it, so a given seed reproduces estimates bit for bit.
 The estimators give each phase of a stream's draws its own generator at the
 phase's start and count exceedances _BLOCK trials at a time: the draws do not
 depend on the block size, and working memory is a few blocks at any trial count.
+Above one block, the h=0 count runs on a helper thread, and so does the h=1
+speckle stage (kappa; for CI also phi and a cos phi, a sin phi), one block
+ahead of the caller, which runs the conditional stage (the SFG counts; CI's
+g1, g2, squares and sum) and the threshold count. No generator is drawn on two
+threads and the counts are integer sums, so the bits do not depend on how the
+threads are scheduled. SFG's h=1 Poisson phase is one serial stream: it is
+the floor of an SFG estimate's time.
 
 M enters only through the products N0/M and |alpha|^2, so mode counts up to
 1e12 are fine. The absent SFG count is NB(M, N0/M), Poisson above M = 1e7
@@ -21,8 +28,11 @@ closed-form vs 2.68e-4 sampled; ROADMAP item 1).
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,7 +43,7 @@ from . import analytic
 from .params import InvalidParameter, SystemParams, _require_integer, derived_x
 
 _NEG_BINOMIAL_M_CAP = 1e7
-_BLOCK = 2 ** 15  # trials drawn and counted at a time
+_BLOCK = 2 ** 14  # trials drawn and counted at a time
 
 
 class Receiver(Enum):
@@ -75,12 +85,6 @@ def wilson_interval(successes: int, trials: int) -> McEstimate:
                       ci_high=max(p_hat, min(1.0, center + half)), trials=trials)
 
 
-def _stream(seed: int, receiver: Receiver, hypothesis: int) -> np.random.Generator:
-    tag = {Receiver.SFG: 1, Receiver.CI: 2}[receiver]
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, hypothesis))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 # =============================================================================
 # Fading draws
 # =============================================================================
@@ -94,7 +98,9 @@ def _sample_kappa(kappa_bar: float, rng: np.random.Generator, size: int) -> np.n
 
 
 # =============================================================================
-# Receiver output statistics
+# Receiver output statistics. Under h=1 each is two stages on their own draw
+# phases: the speckle stage (kappa, and phi for CI) and the conditional stage
+# (the statistic given the speckle).
 # =============================================================================
 
 def sample_sfg_counts(params: SystemParams, present: bool, rng: np.random.Generator,
@@ -116,11 +122,23 @@ def _sfg_counts(params, present, rngs, size):
         if params.M > _NEG_BINOMIAL_M_CAP:
             return rngs[0].poisson(n0, size)
         return rngs[0].negative_binomial(params.M, 1.0 / (1.0 + n0 / params.M), size)
-    mean = _sample_kappa(params.kappa_bar, rngs[0], size)
+    return _sfg_given(_sfg_speckle(params, rngs[:1], size), rngs[1:])
+
+
+def _sfg_speckle(params, rngs, size):
+    """The Poisson means (1-epsilon)*M*kappa*N_S/N_B; phase: kappa."""
+    (rng,) = rngs
+    mean = _sample_kappa(params.kappa_bar, rng, size)
     mean *= (1.0 - params.epsilon) * params.M
     mean *= params.N_S
     mean /= params.N_B
-    return rngs[1].poisson(mean)
+    return mean
+
+
+def _sfg_given(mean, rngs):
+    """The counts given their means; phase: counts."""
+    (rng,) = rngs
+    return rng.poisson(mean)
 
 
 def sample_ci_envelopes(params: SystemParams, present: bool, rng: np.random.Generator,
@@ -139,6 +157,11 @@ def sample_ci_envelopes(params: SystemParams, present: bool, rng: np.random.Gene
 def _ci_envelopes(params, present, rngs, size):
     if not present:
         return rngs[0].exponential(1.0, size)
+    return _ci_given(_ci_speckle(params, rngs[:2], size), rngs[2:])
+
+
+def _ci_speckle(params, rngs, size):
+    """The signal's quadratures a cos phi and a sin phi; phases: kappa, phi."""
     a = _sample_kappa(params.kappa_bar, rngs[0], size)
     a *= derived_x(params)
     a /= params.kappa_bar
@@ -149,14 +172,21 @@ def _ci_envelopes(params, present, rngs, size):
     im *= a
     np.cos(re, out=re)
     re *= a
-    del a  # freed before the normal draws
-    for part, rng in zip((re, im), rngs[2:]):  # g1, then g2, each added as soon as it is drawn
-        part += rng.normal(0.0, math.sqrt(0.5), size)
+    return re, im
+
+
+def _ci_given(parts, rngs):
+    """R = (g1 + a cos phi)^2 + (g2 + a sin phi)^2 in place of the parts; phases: g1, g2."""
+    for part, rng in zip(parts, rngs):  # g1, then g2, each added as soon as it is drawn
+        part += rng.normal(0.0, math.sqrt(0.5), part.size)
         np.square(part, out=part)
+    re, im = parts
     return np.add(re, im, out=re)
 
 
 _SAMPLERS = {Receiver.SFG: _sfg_counts, Receiver.CI: _ci_envelopes}
+# per receiver: the speckle stage, the conditional stage and the speckle stage's phase count
+_STAGES = {Receiver.SFG: (_sfg_speckle, _sfg_given, 1), Receiver.CI: (_ci_speckle, _ci_given, 2)}
 
 
 # =============================================================================
@@ -165,18 +195,107 @@ _SAMPLERS = {Receiver.SFG: _sfg_counts, Receiver.CI: _ci_envelopes}
 
 def _phase_streams(seed, receiver, hypothesis, trials):
     """One generator per draw phase of the stream, at the phase's start: kappa, then
-    counts (SFG) or phi, g1 and g2 (CI) under h=1. A uniform is one 64-bit output and
-    a Philox counter step yields four; g2 starts where g1's ziggurat draws end."""
+    counts (SFG) or phi, g1 and g2 (CI) under h=1. The stream's SeedSequence is built
+    once and keys every phase's Philox. A uniform is one 64-bit output and a counter
+    step yields four; g2 starts where g1's ziggurat draws end, which only drawing
+    them finds: _skip_normals(rngs[3], trials)."""
+    tag = {Receiver.SFG: 1, Receiver.CI: 2}[receiver]
+    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(tag, hypothesis))
     phases = 1 if hypothesis == 0 else {Receiver.SFG: 2, Receiver.CI: 4}[receiver]
-    rngs = [_stream(seed, receiver, hypothesis) for _ in range(phases)]
-    for rng, k in zip(rngs, (0, trials, 2 * trials, 2 * trials)):
-        rng.bit_generator.advance(k // 4)
-        rng.bit_generator.random_raw(k % 4)
-    if phases == 4:
-        discard = np.empty(min(_BLOCK, trials))
-        for start in range(0, trials, _BLOCK):
-            rngs[3].standard_normal(out=discard[:min(_BLOCK, trials - start)])
+    rngs = []
+    for start in (0, trials, 2 * trials, 2 * trials)[:phases]:
+        rngs.append(np.random.Generator(np.random.Philox(seeds, counter=start // 4)))
+        rngs[-1].bit_generator.random_raw(start % 4)
     return rngs
+
+
+def _stream(seed: int, receiver: Receiver, hypothesis: int) -> np.random.Generator:
+    return _phase_streams(seed, receiver, hypothesis, 0)[0]
+
+
+def _sizes(trials):
+    return (min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK))
+
+
+def _skip_normals(rng, count):
+    """Advance rng past count standard normals, _BLOCK at a time."""
+    discard = np.empty(min(_BLOCK, count))
+    for size in _sizes(count):
+        rng.standard_normal(out=discard[:size])
+
+
+class _Ahead:
+    """Iterates items on a helper thread, at most depth of them ahead of the caller.
+
+    Leaving the with block stops the helper at its next hand-off and joins it, so
+    no helper outlives the block and no hand-off waits on a party that is gone. An
+    exception raised while making an item is re-raised in the caller in its place.
+    """
+
+    def __init__(self, items, depth):
+        self._items, self._depth = items, depth
+        self._ready = collections.deque()  # (True, item), then (False, exception or None)
+        self._cond = threading.Condition()
+        self._stopped = False
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return iter(self)
+
+    def __exit__(self, *exc_info):
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+        self._thread.join()
+
+    def _run(self):
+        last = None
+        try:
+            for item in self._items:
+                with self._cond:
+                    self._cond.wait_for(lambda: len(self._ready) < self._depth or self._stopped)
+                    if self._stopped:
+                        return
+                    self._ready.append((True, item))
+                    self._cond.notify()
+        except BaseException as exc:  # re-raised in the caller
+            last = exc
+        with self._cond:
+            self._ready.append((False, last))
+            self._cond.notify()
+
+    def __iter__(self):
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._ready)
+                made, item = self._ready.popleft()
+                self._cond.notify()
+            if not made:
+                if item is not None:
+                    raise item
+                return
+            yield item
+
+
+def _declared_counts(receiver, params, threshold, seed, trials):
+    """Trials declared present under h=0 and under h=1. Above one block, the h=0
+    count and the h=1 speckle stage run on helper threads (module docstring)."""
+    def declared(statistic):
+        return int(np.count_nonzero(statistic > threshold))
+
+    absent_rngs = _phase_streams(seed, receiver, 0, trials)
+    rngs = _phase_streams(seed, receiver, 1, trials)
+    speckle, given, split = _STAGES[receiver]
+    absent = (declared(_SAMPLERS[receiver](params, False, absent_rngs, size))
+              for size in _sizes(trials))
+    fades = (speckle(params, rngs[:split], size) for size in _sizes(trials))
+    ahead = _Ahead if trials > _BLOCK else lambda items, depth: contextlib.nullcontext(items)
+    with ahead(absent, math.inf) as absent, ahead(fades, 1) as fades:
+        if receiver is Receiver.CI:
+            _skip_normals(rngs[3], trials)  # while the speckle stage fills its hand-off
+        present = sum(declared(given(fade, rngs[split:])) for fade in fades)
+        return sum(absent), present
 
 
 def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold,
@@ -196,14 +315,9 @@ def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold
         raise InvalidParameter("threshold", f"must be a real number, not NaN, got {threshold!r}")
     if receiver is Receiver.SFG and math.isfinite(threshold) and threshold % 1:
         raise InvalidParameter("threshold", f"must be an integer or infinite, got {threshold!r}")
-    estimates = []
-    for hypothesis in (0, 1):
-        rngs = _phase_streams(config.seed, receiver, hypothesis, config.trials)
-        declared = sum(int(np.count_nonzero(_SAMPLERS[receiver](
-            params, hypothesis == 1, rngs, min(_BLOCK, config.trials - start)) > threshold))
-            for start in range(0, config.trials, _BLOCK))
-        estimates.append(wilson_interval(declared, config.trials))
-    return estimates[0], estimates[1]
+    counts = _declared_counts(receiver, params, threshold, config.seed, config.trials)
+    p_f, p_d = (wilson_interval(declared, config.trials) for declared in counts)
+    return p_f, p_d
 
 
 def estimate_bayes_error(receiver: Receiver, params: SystemParams, config: McConfig) -> McEstimate:

@@ -162,6 +162,14 @@ class TestBayesSweepCommand:
         assert run_cli("bayes-sweep", "--preset", "fig3a", "--points", points) == 3
         assert "invalid parameter points:" in capsys.readouterr().err
 
+    def test_points_beyond_numpy_array_size_name_points(self, tmp_path, capsys):
+        # numpy's "Maximum allowed size exceeded" left main as a ValueError naming no field
+        out = tmp_path / "sweep.csv"
+        assert run_cli("bayes-sweep", "--preset", "fig3a", "--points", str(10 ** 20),
+                       "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith(f"invalid parameter points: {10 ** 20} ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", ["--log10-start", "--log10-stop"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_exponent_names_option(self, capsys, option, value):
@@ -697,9 +705,9 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("matrix", ["[[NaN, 0.0], [0.0, 1.0]]", "[[0, 0], [0, 0]]",
                                         "[[1, 0], [0, -1]]", "[[1, 0], [0, -0.5]]",
-                                        "[[0.5, 0.5]]", "[0.5, 0.5]"],
+                                        "[[0.5, 0.5]]", "[0.5, 0.5]", "[[]]"],
                              ids=["nan", "zero", "traceless", "indefinite", "non-square",
-                                  "vector"])
+                                  "vector", "one-by-zero"])
     def test_matrix_that_is_not_a_state_names_it(self, tmp_path, capsys, matrix):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"re": [[0.5, 0.0], [0.0, 0.5]]}))
@@ -710,6 +718,16 @@ class TestOracleCommand:
                        "--out", str(out)) == 3
         assert "rho1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_npy_state_names_it(self, tmp_path, capsys):
+        # a 0 x 0 matrix passed the shape check and failed the Hermitian check's
+        # max() with a ValueError naming no field
+        good, empty = tmp_path / "good.json", tmp_path / "empty.npy"
+        good.write_text(json.dumps({"re": [[1.0]]}))
+        np.save(empty, np.zeros((0, 0)))
+        assert run_cli("oracle", "--rho0", str(empty), "--rho1", str(good)) == 3
+        assert capsys.readouterr().err == ("invalid parameter rho0: expected a non-empty "
+                                           "square matrix, got (0, 0)\n")
 
     @pytest.mark.parametrize("name,text", [("bad.json", '{"im": [[0.0]]}'),
                                            ("bad.json", '[[1.0]]'),

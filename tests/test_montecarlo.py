@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,16 @@ from speckleqi import (
     sfg_mean_counts,
     wilson_interval,
 )
-from speckleqi.montecarlo import _BLOCK, _phase_streams, _sample_kappa, _stream
+from speckleqi import montecarlo
+from speckleqi.montecarlo import (
+    _BLOCK,
+    _ci_envelopes,
+    _phase_streams,
+    _sample_kappa,
+    _sfg_counts,
+    _skip_normals,
+    _stream,
+)
 from speckleqi.params import FIG2A, FIG2B
 
 # analytic values frozen in test_analytic.py
@@ -104,10 +115,12 @@ def consumed(seed, receiver, hypothesis, uniforms, normals=0):
 
 
 class TestStreamedEstimator:
-    @pytest.mark.parametrize("trials", [*range(10), _BLOCK - 1, _BLOCK + 1, 2 * 10_007])
+    @pytest.mark.parametrize("trials", [*range(10), _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK - 1,
+                                        2 * _BLOCK + 1, 2 * 10_007])
     def test_phase_streams_start_where_the_phase_starts(self, trials):
         sfg = _phase_streams(5, Receiver.SFG, 1, trials)
         ci = _phase_streams(5, Receiver.CI, 1, trials)
+        _skip_normals(ci[3], trials)  # g2 starts where g1's normals end
         want = [consumed(5, Receiver.SFG, 1, 0), consumed(5, Receiver.SFG, 1, trials),
                 consumed(5, Receiver.CI, 1, 0), consumed(5, Receiver.CI, 1, trials),
                 consumed(5, Receiver.CI, 1, 2 * trials),
@@ -133,6 +146,124 @@ class TestStreamedEstimator:
         for hypothesis, estimate in enumerate(got):
             draws = reference(params, hypothesis == 1, _stream(8, receiver, hypothesis), trials)
             assert estimate == wilson_interval(int(np.count_nonzero(draws > threshold)), trials)
+
+
+def bayes_threshold(receiver, params):
+    if receiver is Receiver.SFG:
+        return sfg_bayes(params).threshold
+    return -math.log(ci_bayes(params).threshold)
+
+
+def serial_estimates(receiver, params, threshold, seed, trials):
+    """(P_F, P_D) on one thread: each hypothesis's phase generators drawn in order,
+    10,007 trials at a time."""
+    sampler = {Receiver.SFG: _sfg_counts, Receiver.CI: _ci_envelopes}[receiver]
+    estimates = []
+    for hypothesis in (0, 1):
+        rngs = _phase_streams(seed, receiver, hypothesis, trials)
+        if receiver is Receiver.CI and hypothesis == 1:
+            _skip_normals(rngs[3], trials)
+        declared = sum(int(np.count_nonzero(
+            sampler(params, hypothesis == 1, rngs, min(10_007, trials - start)) > threshold))
+            for start in range(0, trials, 10_007))
+        estimates.append(wilson_interval(declared, trials))
+    return tuple(estimates)
+
+
+class Planted(Exception):
+    pass
+
+
+def fail_on_call(fn, n):
+    """fn, raising Planted on its n-th call."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise Planted(f"planted fault in {fn.__name__}")
+        return fn(*args)
+    return wrapper
+
+
+def within(timeout, fn):
+    """fn() run on a thread joined within timeout seconds: its result or exception."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:  # handed to the test
+            box["error"] = exc
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no result within {timeout} s"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+class TestHelperThreads:
+    @pytest.mark.parametrize("trials", [100, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5, 200_003])
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
+    @pytest.mark.parametrize("receiver", list(Receiver), ids=lambda r: r.value)
+    def test_estimates_match_a_single_thread_reference(self, receiver, preset, trials):
+        params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
+        threshold = bayes_threshold(receiver, params)
+        got = estimate_operating_point(receiver, params, threshold, McConfig(trials, seed=21))
+        assert got == serial_estimates(receiver, params, threshold, 21, trials)
+
+    @pytest.mark.parametrize("stage", ["speckle", "absent", "conditional"])
+    @pytest.mark.parametrize("receiver", list(Receiver), ids=lambda r: r.value)
+    def test_fault_on_any_stage_raises_in_the_caller(self, monkeypatch, receiver, stage):
+        speckle, given, split = montecarlo._STAGES[receiver]
+        if stage == "speckle":
+            monkeypatch.setitem(montecarlo._STAGES, receiver,
+                                (fail_on_call(speckle, 3), given, split))
+        elif stage == "conditional":
+            monkeypatch.setitem(montecarlo._STAGES, receiver,
+                                (speckle, fail_on_call(given, 2), split))
+        else:
+            monkeypatch.setitem(montecarlo._SAMPLERS, receiver,
+                                fail_on_call(montecarlo._SAMPLERS[receiver], 2))
+        params = SystemParams(**FIG2B)
+        before = threading.active_count()
+        with pytest.raises(Planted):
+            within(60, lambda: estimate_operating_point(receiver, params, 0,
+                                                        McConfig(8 * _BLOCK, seed=3)))
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_get_the_serial_estimates(self):
+        # three callers with two helpers each, on two cores and a short switch interval
+        cases = [(receiver, SystemParams(**preset)) for receiver in Receiver
+                 for preset in (FIG2A, FIG2B)]
+        trials = 3 * _BLOCK + 5
+        want = [serial_estimates(r, p, bayes_threshold(r, p), 5, trials) for r, p in cases]
+        got = [None] * 3
+        start = threading.Barrier(len(got), timeout=60)
+
+        def estimate_all(caller):
+            start.wait()
+            order = [(caller + i) % len(cases) for i in range(len(cases))]
+            estimates = {i: estimate_operating_point(cases[i][0], cases[i][1],
+                                                     bayes_threshold(*cases[i]),
+                                                     McConfig(trials, seed=5)) for i in order}
+            got[caller] = [estimates[i] for i in range(len(cases))]
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=estimate_all, args=(k,)) for k in range(len(got))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert threading.active_count() == before
+        assert got == [want] * len(got)
 
 
 class TestConfigAndIntervals:
