@@ -11,13 +11,14 @@ vectorized arrays from it, so a given seed reproduces estimates bit for bit.
 The estimators give each phase of a stream's draws its own generator at the
 phase's start and count exceedances _BLOCK trials at a time: the draws do not
 depend on the block size, and working memory is a few blocks at any trial count.
-Above one block, the h=0 count runs on a helper thread, and so does the h=1
-speckle stage (kappa; for CI also phi and a cos phi, a sin phi), one block
-ahead of the caller, which runs the conditional stage (the SFG counts; CI's
-g1, g2, squares and sum) and the threshold count. No generator is drawn on two
-threads and the counts are integer sums, so the bits do not depend on how the
-threads are scheduled. SFG's h=1 Poisson phase is one serial stream: it is
-the floor of an SFG estimate's time.
+Above one block, two single-worker executors run beside the caller: one counts
+the h=0 blocks, the other runs the h=1 speckle stage (kappa; for CI also phi,
+a cos phi and a sin phi) up to two blocks ahead of the caller's conditional
+stage (SFG's counts; CI's g1, g2, squares and sum) and threshold count. One
+block runs in the caller alone. A worker's fault is raised in the caller, which
+then drops the blocks not yet started and joins both workers. No generator is
+drawn on two threads and the counts are integer sums, so the bits do not depend
+on the schedule. SFG's serial h=1 Poisson phase is the floor of its time.
 
 M enters only through the products N0/M and |alpha|^2, so mode counts up to
 1e12 are fine. The absent SFG count is NB(M, N0/M), Poisson above M = 1e7
@@ -28,11 +29,8 @@ closed-form vs 2.68e-4 sampled; ROADMAP item 1).
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -113,16 +111,16 @@ def sample_sfg_counts(params: SystemParams, present: bool, rng: np.random.Genera
     (1-epsilon)*M*kappa*N_S/N_B, kappa ~ Rayleigh(params.kappa_bar); like the
     closed forms, this idealized reduction neglects the noise floor under h=1.
     """
-    return _sfg_counts(params, present, (rng, rng), size)  # per phase: kappa, counts
+    return _sample(Receiver.SFG, params, present, (rng, rng), size)  # per phase: kappa, counts
 
 
-def _sfg_counts(params, present, rngs, size):
-    if not present:
-        n0, _ = analytic.sfg_mean_counts(params)
-        if params.M > _NEG_BINOMIAL_M_CAP:
-            return rngs[0].poisson(n0, size)
-        return rngs[0].negative_binomial(params.M, 1.0 / (1.0 + n0 / params.M), size)
-    return _sfg_given(_sfg_speckle(params, rngs[:1], size), rngs[1:])
+def _sfg_absent(params):
+    """The h=0 count law as a sampler (rng, size): NB(M, N0/M), Poisson(N0) above M = 1e7."""
+    n0, _ = analytic.sfg_mean_counts(params)
+    if params.M > _NEG_BINOMIAL_M_CAP:
+        return lambda rng, size: rng.poisson(n0, size)
+    p = 1.0 / (1.0 + n0 / params.M)
+    return lambda rng, size: rng.negative_binomial(params.M, p, size)
 
 
 def _sfg_speckle(params, rngs, size):
@@ -151,13 +149,11 @@ def sample_ci_envelopes(params: SystemParams, present: bool, rng: np.random.Gene
     circular, so the phase is unobservable), whose marginal is exactly
     Exponential(1 + x), matching the closed-form ROC exponent.
     """
-    return _ci_envelopes(params, present, (rng,) * 4, size)  # kappa, phi, g1, g2
+    return _sample(Receiver.CI, params, present, (rng,) * 4, size)  # kappa, phi, g1, g2
 
 
-def _ci_envelopes(params, present, rngs, size):
-    if not present:
-        return rngs[0].exponential(1.0, size)
-    return _ci_given(_ci_speckle(params, rngs[:2], size), rngs[2:])
+def _ci_absent(params):
+    return lambda rng, size: rng.exponential(1.0, size)  # the h=0 envelope law, Exponential(1)
 
 
 def _ci_speckle(params, rngs, size):
@@ -184,9 +180,17 @@ def _ci_given(parts, rngs):
     return np.add(re, im, out=re)
 
 
-_SAMPLERS = {Receiver.SFG: _sfg_counts, Receiver.CI: _ci_envelopes}
-# per receiver: the speckle stage, the conditional stage and the speckle stage's phase count
-_STAGES = {Receiver.SFG: (_sfg_speckle, _sfg_given, 1), Receiver.CI: (_ci_speckle, _ci_given, 2)}
+# per receiver: the h=0 law, the speckle stage, the conditional stage, the speckle phases
+_STAGES = {Receiver.SFG: (_sfg_absent, _sfg_speckle, _sfg_given, 1),
+           Receiver.CI: (_ci_absent, _ci_speckle, _ci_given, 2)}
+
+
+def _sample(receiver, params, present, rngs, size):
+    """size draws of the receiver's statistic, one generator per draw phase in rngs."""
+    law, speckle, given, split = _STAGES[receiver]
+    if not present:
+        return law(params)(rngs[0], size)
+    return given(speckle(params, rngs[:split], size), rngs[split:])
 
 
 # =============================================================================
@@ -224,78 +228,42 @@ def _skip_normals(rng, count):
         rng.standard_normal(out=discard[:size])
 
 
-class _Ahead:
-    """Iterates items on a helper thread, at most depth of them ahead of the caller.
-
-    Leaving the with block stops the helper at its next hand-off and joins it, so
-    no helper outlives the block and no hand-off waits on a party that is gone. An
-    exception raised while making an item is re-raised in the caller in its place.
-    """
-
-    def __init__(self, items, depth):
-        self._items, self._depth = items, depth
-        self._ready = collections.deque()  # (True, item), then (False, exception or None)
-        self._cond = threading.Condition()
-        self._stopped = False
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self):
-        self._thread.start()
-        return iter(self)
-
-    def __exit__(self, *exc_info):
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-        self._thread.join()
-
-    def _run(self):
-        last = None
-        try:
-            for item in self._items:
-                with self._cond:
-                    self._cond.wait_for(lambda: len(self._ready) < self._depth or self._stopped)
-                    if self._stopped:
-                        return
-                    self._ready.append((True, item))
-                    self._cond.notify()
-        except BaseException as exc:  # re-raised in the caller
-            last = exc
-        with self._cond:
-            self._ready.append((False, last))
-            self._cond.notify()
-
-    def __iter__(self):
-        while True:
-            with self._cond:
-                self._cond.wait_for(lambda: self._ready)
-                made, item = self._ready.popleft()
-                self._cond.notify()
-            if not made:
-                if item is not None:
-                    raise item
-                return
-            yield item
-
-
 def _declared_counts(receiver, params, threshold, seed, trials):
     """Trials declared present under h=0 and under h=1. Above one block, the h=0
-    count and the h=1 speckle stage run on helper threads (module docstring)."""
-    def declared(statistic):
-        return int(np.count_nonzero(statistic > threshold))
+    count and the h=1 speckle stage run on single-worker pools (module docstring)."""
+    def declared(stage, *args):  # trials whose statistic stage(*args) exceeds threshold
+        return int(np.count_nonzero(stage(*args) > threshold))
 
-    absent_rngs = _phase_streams(seed, receiver, 0, trials)
+    law, speckle, given, split = _STAGES[receiver]
+    sample = law(params)  # once per estimate
+    (absent_rng,) = _phase_streams(seed, receiver, 0, trials)
     rngs = _phase_streams(seed, receiver, 1, trials)
-    speckle, given, split = _STAGES[receiver]
-    absent = (declared(_SAMPLERS[receiver](params, False, absent_rngs, size))
-              for size in _sizes(trials))
-    fades = (speckle(params, rngs[:split], size) for size in _sizes(trials))
-    ahead = _Ahead if trials > _BLOCK else lambda items, depth: contextlib.nullcontext(items)
-    with ahead(absent, math.inf) as absent, ahead(fades, 1) as fades:
+    sizes = list(_sizes(trials))
+    if len(sizes) == 1:
         if receiver is Receiver.CI:
-            _skip_normals(rngs[3], trials)  # while the speckle stage fills its hand-off
-        present = sum(declared(given(fade, rngs[split:])) for fade in fades)
-        return sum(absent), present
+            _skip_normals(rngs[3], trials)
+        return (declared(sample, absent_rng, trials),
+                declared(given, speckle(params, rngs[:split], trials), rngs[split:]))
+    # not at module level: concurrent.futures.thread loads logging, queue, heapq and traceback
+    from concurrent.futures import ThreadPoolExecutor
+
+    # one worker each, so each pool draws its generators in stream order
+    absent_pool, speckle_pool = ThreadPoolExecutor(1), ThreadPoolExecutor(1)
+    try:
+        absents = [absent_pool.submit(declared, sample, absent_rng, size) for size in sizes]
+        fades = [speckle_pool.submit(speckle, params, rngs[:split], size) for size in sizes[:2]]
+        if receiver is Receiver.CI:
+            _skip_normals(rngs[3], trials)  # while the speckle stage draws its first blocks
+        count = 0
+        for size in sizes[2:]:  # the speckle stage stays at most two blocks ahead
+            taken = fades.pop(0).result()
+            fades.append(speckle_pool.submit(speckle, params, rngs[:split], size))
+            count += declared(given, taken, rngs[split:])
+        count += sum(declared(given, ahead.result(), rngs[split:]) for ahead in fades)
+        return sum(block.result() for block in absents), count
+    finally:  # drop the blocks not yet started and join both threads
+        absent_pool.shutdown(cancel_futures=True)
+        speckle_pool.shutdown(cancel_futures=True)
 
 
 def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold,
@@ -307,12 +275,14 @@ def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold
     Rayleigh(params.kappa_bar) fading realization, the law the closed forms
     assume.
     """
-    try:
-        bad = not isinstance(threshold, numbers.Real) or math.isnan(threshold)
+    try:  # a bool is not a number here
+        bad = (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
+               or math.isnan(threshold))
     except OverflowError:  # an integer beyond the float range
         raise InvalidParameter("threshold", "must lie in the float range") from None
     if bad:
-        raise InvalidParameter("threshold", f"must be a real number, not NaN, got {threshold!r}")
+        raise InvalidParameter("threshold",
+                               f"must be a real number, not a bool or NaN, got {threshold!r}")
     if receiver is Receiver.SFG and math.isfinite(threshold) and threshold % 1:
         raise InvalidParameter("threshold", f"must be an integer or infinite, got {threshold!r}")
     counts = _declared_counts(receiver, params, threshold, config.seed, config.trials)

@@ -784,12 +784,26 @@ IMPORT_BUDGET = textwrap.dedent("""
 """)
 
 
+def run_python(code):
+    """code run in a fresh interpreter that imports this speckleqi: its stdout."""
+    src = str(Path(speckleqi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_import_budget():
     """The CLI imports numpy alone, and loads at import every numpy module that
     a first trend, validate or Monte Carlo operation uses."""
-    src = str(Path(speckleqi.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"scipy": [], "numpy_after_import": []}
+    assert json.loads(run_python(IMPORT_BUDGET)) == {"scipy": [], "numpy_after_import": []}
+
+
+def test_cli_start_up_loads_no_thread_pool():
+    """The Monte Carlo executors import concurrent.futures when an estimate first
+    needs them: with it come logging, queue, heapq and traceback, which no CLI
+    start-up should pay for."""
+    loaded = run_python("import sys, speckleqi.cli\n"
+                        "print(*sorted({'concurrent.futures', 'queue'} & set(sys.modules)))")
+    assert loaded.split() == []

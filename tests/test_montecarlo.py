@@ -27,10 +27,9 @@ from speckleqi import (
 from speckleqi import montecarlo
 from speckleqi.montecarlo import (
     _BLOCK,
-    _ci_envelopes,
     _phase_streams,
+    _sample,
     _sample_kappa,
-    _sfg_counts,
     _skip_normals,
     _stream,
 )
@@ -157,14 +156,14 @@ def bayes_threshold(receiver, params):
 def serial_estimates(receiver, params, threshold, seed, trials):
     """(P_F, P_D) on one thread: each hypothesis's phase generators drawn in order,
     10,007 trials at a time."""
-    sampler = {Receiver.SFG: _sfg_counts, Receiver.CI: _ci_envelopes}[receiver]
     estimates = []
     for hypothesis in (0, 1):
         rngs = _phase_streams(seed, receiver, hypothesis, trials)
         if receiver is Receiver.CI and hypothesis == 1:
             _skip_normals(rngs[3], trials)
         declared = sum(int(np.count_nonzero(
-            sampler(params, hypothesis == 1, rngs, min(10_007, trials - start)) > threshold))
+            _sample(receiver, params, hypothesis == 1, rngs, min(10_007, trials - start))
+            > threshold))
             for start in range(0, trials, 10_007))
         estimates.append(wilson_interval(declared, trials))
     return tuple(estimates)
@@ -205,7 +204,10 @@ def within(timeout, fn):
 
 
 class TestHelperThreads:
-    @pytest.mark.parametrize("trials", [100, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5, 200_003])
+    # _BLOCK is the last count run in the caller alone, 2 * _BLOCK the first with no speckle
+    # block left to submit after the first two
+    @pytest.mark.parametrize("trials", [100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK,
+                                        3 * _BLOCK + 5, 200_003])
     @pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
     @pytest.mark.parametrize("receiver", list(Receiver), ids=lambda r: r.value)
     def test_estimates_match_a_single_thread_reference(self, receiver, preset, trials):
@@ -217,22 +219,58 @@ class TestHelperThreads:
     @pytest.mark.parametrize("stage", ["speckle", "absent", "conditional"])
     @pytest.mark.parametrize("receiver", list(Receiver), ids=lambda r: r.value)
     def test_fault_on_any_stage_raises_in_the_caller(self, monkeypatch, receiver, stage):
-        speckle, given, split = montecarlo._STAGES[receiver]
+        law, speckle, given, split = montecarlo._STAGES[receiver]
         if stage == "speckle":
-            monkeypatch.setitem(montecarlo._STAGES, receiver,
-                                (fail_on_call(speckle, 3), given, split))
+            speckle = fail_on_call(speckle, 3)
         elif stage == "conditional":
-            monkeypatch.setitem(montecarlo._STAGES, receiver,
-                                (speckle, fail_on_call(given, 2), split))
+            given = fail_on_call(given, 2)
         else:
-            monkeypatch.setitem(montecarlo._SAMPLERS, receiver,
-                                fail_on_call(montecarlo._SAMPLERS[receiver], 2))
+            absent_law = law
+
+            def law(params):  # the estimate's h=0 sampler, failing on its second block
+                return fail_on_call(absent_law(params), 2)
+        monkeypatch.setitem(montecarlo._STAGES, receiver, (law, speckle, given, split))
         params = SystemParams(**FIG2B)
         before = threading.active_count()
         with pytest.raises(Planted):
             within(60, lambda: estimate_operating_point(receiver, params, 0,
                                                         McConfig(8 * _BLOCK, seed=3)))
         assert threading.active_count() == before
+
+    def test_a_fault_stops_the_absent_count_promptly(self, monkeypatch):
+        # the absent count stops within a few blocks of the fault (3 to 9 of 400 seen). CI
+        # cannot show this: its g2-start pass runs before its first conditional stage, long
+        # enough for the absent count to finish all 400 blocks
+        law, speckle, given, split = montecarlo._STAGES[Receiver.SFG]
+        blocks = []
+
+        def counted_law(params):
+            sample = law(params)
+
+            def counted(rng, size):
+                blocks.append(size)
+                return sample(rng, size)
+            return counted
+        monkeypatch.setitem(montecarlo._STAGES, Receiver.SFG,
+                            (counted_law, speckle, fail_on_call(given, 2), split))
+        before = threading.active_count()
+        with pytest.raises(Planted):
+            within(60, lambda: estimate_operating_point(Receiver.SFG, SystemParams(**FIG2B), 0,
+                                                        McConfig(400 * _BLOCK, seed=3)))
+        assert threading.active_count() == before
+        assert len(blocks) < 200
+
+    def test_sfg_absent_law_is_computed_once_per_estimate(self, monkeypatch):
+        # it was computed once per block: analytic.calls tracked the block size
+        calls = []
+
+        def counted(params):
+            calls.append(None)
+            return sfg_mean_counts(params)
+        monkeypatch.setattr(montecarlo.analytic, "sfg_mean_counts", counted)
+        estimate_operating_point(Receiver.SFG, SystemParams(**FIG2B), 0,
+                                 McConfig(4 * _BLOCK, seed=3))
+        assert len(calls) == 1
 
     def test_concurrent_callers_get_the_serial_estimates(self):
         # three callers with two helpers each, on two cores and a short switch interval
@@ -397,9 +435,9 @@ class TestOperatingPointEstimates:
             estimate_operating_point(receiver, fig2a, math.nan, McConfig(trials=100))
 
     @pytest.mark.parametrize("receiver", list(Receiver))
-    @pytest.mark.parametrize("threshold", ["3", None, 1 + 0j])
+    @pytest.mark.parametrize("threshold", ["3", None, 1 + 0j, True, False, np.True_])
     def test_non_real_threshold_rejected(self, fig2a, receiver, threshold):
-        # '3' failed in math.isnan with a bare TypeError
+        # '3' failed in math.isnan with a bare TypeError; True acted as 1 and False as 0
         with pytest.raises(InvalidParameter, match="^threshold: "):
             estimate_operating_point(receiver, fig2a, threshold, McConfig(trials=100))
 
