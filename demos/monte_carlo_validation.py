@@ -6,12 +6,11 @@ thresholds at the analytic minimum-error settings, and compares the empirical
 Wilson intervals against the closed-form values.
 """
 
-import math
-
 from speckleqi import (
     McConfig,
     Receiver,
     SystemParams,
+    bayes_threshold,
     ci_bayes,
     estimate_bayes_error,
     estimate_operating_point,
@@ -32,19 +31,15 @@ def main():
     for preset in (FIG2A, FIG2B):
         params = SystemParams(**preset)
         print(f"\nN_S = {params.N_S:g}, M = {params.M:.4g}, {config.trials} trials per hypothesis")
-        sfg = sfg_bayes(params)
-        p_f, p_d = estimate_operating_point(Receiver.SFG, params, sfg.threshold, config)
-        print(f"  SFG receiver at count threshold n_t = {sfg.threshold}:")
-        show("P_F", p_f, sfg.p_false_alarm)
-        show("P_D", p_d, sfg.p_detect)
-        show("Pr(e)", estimate_bayes_error(Receiver.SFG, params, config), sfg.p_error)
-        ci = ci_bayes(params)
-        threshold = -math.log(ci.threshold)
-        p_f, p_d = estimate_operating_point(Receiver.CI, params, threshold, config)
-        print(f"  CI receiver at envelope threshold {threshold:.4f}:")
-        show("P_F", p_f, ci.p_false_alarm)
-        show("P_D", p_d, ci.p_detect)
-        show("Pr(e)", estimate_bayes_error(Receiver.CI, params, config), ci.p_error)
+        for receiver, closed, statistic in ((Receiver.SFG, sfg_bayes, "count"),
+                                            (Receiver.CI, ci_bayes, "envelope")):
+            bayes = closed(params)
+            threshold = bayes_threshold(receiver, params)
+            p_f, p_d = estimate_operating_point(receiver, params, threshold, config)
+            print(f"  {receiver.name} receiver at {statistic} threshold {threshold:.6g}:")
+            show("P_F", p_f, bayes.p_false_alarm)
+            show("P_D", p_d, bayes.p_detect)
+            show("Pr(e)", estimate_bayes_error(receiver, params, config), bayes.p_error)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from speckleqi import SystemParams, ci_roc, sfg_roc
+from speckleqi import SystemParams, ci_detection_probability, ci_roc, sfg_roc
 from speckleqi.params import FIG2A, FIG2B
 
 POINTS = {
@@ -29,10 +29,9 @@ def main():
         print("SFG vertices (threshold, P_F, P_D):")
         for (p_f, p_d), t in zip(sfg.points, sfg.thresholds):
             print(f"  n_t={t:>4}: P_F={p_f:.6e}  P_D={p_d:.6f}")
-        grid = np.logspace(-6, -1, 6)
         print("envelope advantage at sample P_F values:")
-        for p_f in grid:
-            gain = sfg.detection_probability(p_f) - ci.detection_probability(p_f)
+        for p_f in np.logspace(-6, -1, 6).tolist():
+            gain = sfg.detection_probability(p_f) - ci_detection_probability(params, p_f)
             print(f"  P_F={p_f:.0e}: SFG - CI detection gap = {gain:+.4f}")
         tag = label.split()[0]
         for p_f, p_d in sfg.points:

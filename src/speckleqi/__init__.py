@@ -63,6 +63,7 @@ from .montecarlo import (
     McConfig,
     McEstimate,
     Receiver,
+    bayes_threshold,
     estimate_bayes_error,
     estimate_operating_point,
     sample_ci_envelopes,

@@ -22,7 +22,9 @@ The Bayes-error closed forms are written once, for an array of operating
 points (``bayes_sweep``); the scalar entry points are one-point uses of the
 same code. Their logarithms, exponentials and powers go through ``math``
 element by element, because numpy's vectorised versions may differ from libm
-in the last ulp, and a sweep must print the same bytes as its points.
+in the last ulp, and a sweep must print the same bytes as its points. ci_roc
+is the exception: its sampled P_D take numpy's power, within 1 ulp of
+ci_detection_probability (perfbench/reference.json pins their CSV bytes).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import InvalidParameter, SystemParams, derived_x
+from .params import InvalidParameter, SystemParams, _require_nonnegative, derived_x
 
 
 class DegenerateDiscrimination(ValueError):
@@ -76,9 +78,12 @@ class RocCurve:
 
         Linear interpolation is exact between test vertices (it realizes the
         randomized test between neighbors) and a sampling approximation for
-        a smooth curve.
+        a smooth curve. Every p_f must lie in [0, 1].
         """
-        return np.interp(np.asarray(p_f, dtype=float), self.p_false_alarm, self.p_detect)
+        p_f = np.asarray(p_f, dtype=float)
+        if not np.all((p_f >= 0.0) & (p_f <= 1.0)):  # NaN fails both
+            raise InvalidParameter("p_f", f"must lie in [0, 1], got {p_f}")
+        return np.interp(p_f, self.p_false_alarm, self.p_detect)
 
     def validate(self) -> None:
         atol = 1e-12
@@ -233,9 +238,8 @@ def _sfg_test(n0: float, n1: np.ndarray, pi0: float) -> tuple:
 
 
 def _require_test(n0: float, n1: float, pi0: float) -> None:
-    for name, mean in (("n0", n0), ("n1", n1)):
-        if not 0.0 <= mean < math.inf:
-            raise InvalidParameter(name, f"must be finite and >= 0, got {mean}")
+    _require_nonnegative("n0", n0)
+    _require_nonnegative("n1", n1)
     if not 0.0 < pi0 < 1.0:
         raise InvalidParameter("pi0", "must lie in (0, 1)")
     if n1 <= n0:

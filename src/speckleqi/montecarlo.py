@@ -3,7 +3,10 @@
 Validates the closed-form module empirically: every trial draws its own
 fading realization, pushes it through the receiver's reduced output statistic
 (photon count for SFG, envelope power for CI), and thresholds it. Estimates
-come with 95% Wilson confidence intervals.
+come with 95% Wilson confidence intervals. bayes_threshold is the statistic
+threshold of the closed-form minimum-error test: SFG's count threshold (None
+where the test is degenerate and the priors decide) and CI's envelope threshold
+-ln P_F* (inf where P_F* = 0: never declare).
 
 Determinism: each (seed, receiver, hypothesis) triple owns a Philox stream
 (derived via numpy SeedSequence spawn keys) and trials are drawn as fixed-order
@@ -73,6 +76,10 @@ class McEstimate:
 
 
 def wilson_interval(successes: int, trials: int) -> McEstimate:
+    _require_integer("trials", trials, 1)
+    _require_integer("successes", successes, 0)
+    if successes > trials:
+        raise InvalidParameter("successes", f"must be <= trials = {trials}, got {successes!r}")
     z = 1.959963984540054  # two-sided 95%
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
@@ -290,20 +297,25 @@ def estimate_operating_point(receiver: Receiver, params: SystemParams, threshold
     return p_f, p_d
 
 
+def bayes_threshold(receiver: Receiver, params: SystemParams):
+    """The statistic threshold at which estimate_operating_point carries out the
+    closed-form minimum-error test (module docstring)."""
+    if receiver is Receiver.SFG:
+        return analytic.sfg_bayes(params).threshold
+    p_f_star = analytic.ci_bayes(params).threshold
+    return math.inf if p_f_star == 0.0 else -math.log(p_f_star)
+
+
 def estimate_bayes_error(receiver: Receiver, params: SystemParams, config: McConfig) -> McEstimate:
-    """Empirical pi0*P_F + pi1*(1 - P_D) at the analytic minimum-error threshold.
+    """Empirical pi0*P_F + pi1*(1 - P_D) at bayes_threshold (None: min(pi0, pi1)).
 
     The interval is conservative: the prior-weighted sum of the component
     interval half-widths.
     """
-    if receiver is Receiver.SFG:
-        threshold = analytic.sfg_bayes(params).threshold
-        if threshold is None:
-            v = min(params.pi0, params.pi1)
-            return McEstimate(value=v, ci_low=v, ci_high=v, trials=config.trials)
-    else:
-        p_f_star = analytic.ci_bayes(params).threshold
-        threshold = math.inf if p_f_star == 0.0 else -math.log(p_f_star)
+    threshold = bayes_threshold(receiver, params)
+    if threshold is None:
+        v = min(params.pi0, params.pi1)
+        return McEstimate(value=v, ci_low=v, ci_high=v, trials=config.trials)
     p_f, p_d = estimate_operating_point(receiver, params, threshold, config)
     value = params.pi0 * p_f.value + params.pi1 * (1.0 - p_d.value)
     half = (params.pi0 * (p_f.ci_high - p_f.ci_low) / 2.0

@@ -34,7 +34,8 @@ import numpy.polynomial.legendre  # noqa: F401
 import numpy.random  # noqa: F401
 
 from ._golden import golden_section_min
-from .params import InvalidParameter, SystemParams, _require_integer, fading_pdf
+from .params import (InvalidParameter, SystemParams, _require_integer, _require_nonnegative,
+                     fading_pdf)
 
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
@@ -128,8 +129,12 @@ class DiscriminationReport:
 # =============================================================================
 
 def dim_for_tail(nbar: float, tail_tol: float) -> int:
-    """Smallest dim whose thermal tail weight (nbar/(nbar+1))^dim is <= tail_tol."""
-    if nbar <= 0.0:
+    """Smallest dim whose thermal tail weight (nbar/(nbar+1))^dim is <= tail_tol;
+    nbar must be finite and >= 0, tail_tol finite and > 0."""
+    _require_nonnegative("nbar", nbar)
+    if not 0.0 < tail_tol < math.inf:
+        raise InvalidParameter("tail_tol", f"must be finite and > 0, got {tail_tol}")
+    if nbar == 0.0:
         return 2
     q = nbar / (nbar + 1.0)
     return max(2, math.ceil(math.log(tail_tol) / math.log(q)))
@@ -153,21 +158,11 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return np.exp(log_w)
 
 
-def _check_tolerance(trace_deficit_tol: float) -> None:
-    if not 0.0 <= trace_deficit_tol < math.inf:
-        raise InvalidParameter("trace_deficit_tol", "must be finite and >= 0")
-
-
-def _check_brightness(name: str, nbar: float) -> None:
-    if not 0.0 <= nbar < math.inf:
-        raise InvalidParameter(name, f"must be finite and >= 0, got {nbar}")
-
-
 def _thermal_tail(name: str, nbar: float, dim: int, trace_deficit_tol: float) -> float:
     """Weight (nbar/(nbar+1))^dim that dim levels of a thermal distribution drop,
     for a brightness (called name) that must be finite and >= 0."""
-    _check_brightness(name, nbar)
-    _check_tolerance(trace_deficit_tol)
+    _require_nonnegative(name, nbar)
+    _require_nonnegative("trace_deficit_tol", trace_deficit_tol)
     deficit = 0.0 if nbar == 0.0 else math.exp(dim * (math.log(nbar) - math.log(nbar + 1.0)))
     if deficit > trace_deficit_tol:
         raise TruncationTooSmall(
@@ -217,7 +212,7 @@ def coherent_thermal_state(alpha: complex, nbar: float, dim: int) -> DensityMatr
     """
     if not np.isfinite(alpha):
         raise InvalidParameter("alpha", "must be finite")
-    _check_brightness("nbar", nbar)
+    _require_nonnegative("nbar", nbar)
     amp2 = abs(alpha) * abs(alpha)  # inf, not OverflowError, past 1e154
     mean = amp2 + nbar
     var = amp2 * (2.0 * nbar + 1.0) + nbar * (nbar + 1.0)
@@ -360,10 +355,10 @@ def apply_return_channel(state: DensityMatrix, kappa: float, phi: float, n_b: fl
     transpose, so the output is Hermitian by construction.
     """
     _check_return(kappa, phi)
-    _check_brightness("n_b", n_b)
+    _require_nonnegative("n_b", n_b)
     if state.n_modes != 2:
         raise ValueError("expected a two-mode (signal, idler) state")
-    _check_tolerance(trace_deficit_tol)
+    _require_nonnegative("trace_deficit_tol", trace_deficit_tol)
     (d_sig, d_idl), gain = state.dims, 1.0 + n_b
     d_out = _default_out_dim(d_sig, kappa, n_b) if out_dim is None else out_dim
     _require_integer("out_dim", d_out, 1)

@@ -38,6 +38,11 @@ def _require_integer(name: str, value, low: int) -> None:
         raise InvalidParameter(name, f"must be an integer >= {low}, got {value!r}")
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise InvalidParameter(name, f"must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Scalar knobs of one detection experiment."""
@@ -86,7 +91,11 @@ def derived_x(params: SystemParams, M=None):
 def fading_pdf(kappa_bar: float, amplitude: float) -> float:
     """Rayleigh pdf 2x exp(-x^2/kappa_bar)/kappa_bar of the return amplitude
     x = sqrt(kappa), so that the intensity kappa is exponential with mean
-    kappa_bar; 0 for x <= 0."""
+    kappa_bar; 0 for x <= 0. kappa_bar must be finite and > 0, x finite."""
+    if not 0.0 < kappa_bar < math.inf:
+        raise InvalidParameter("kappa_bar", f"must be finite and > 0, got {kappa_bar}")
+    if not math.isfinite(amplitude):
+        raise InvalidParameter("amplitude", f"must be finite, got {amplitude}")
     if amplitude <= 0.0:
         return 0.0
     return 2.0 * amplitude * math.exp(-amplitude * amplitude / kappa_bar) / kappa_bar

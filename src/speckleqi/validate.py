@@ -285,14 +285,12 @@ def check_mc_coverage(trials: int, seed: int) -> CheckResult:
     params = SystemParams(**FIG2A)
     config = montecarlo.McConfig(trials=max(10_000, trials), seed=seed)
     misses = 0
-    sfg = analytic.sfg_bayes(params)
-    p_f, p_d = montecarlo.estimate_operating_point(montecarlo.Receiver.SFG, params,
-                                                   sfg.threshold, config)
-    misses += (not p_f.covers(sfg.p_false_alarm)) + (not p_d.covers(sfg.p_detect))
-    ci = analytic.ci_bayes(params)
-    p_f, p_d = montecarlo.estimate_operating_point(montecarlo.Receiver.CI, params,
-                                                   -math.log(ci.threshold), config)
-    misses += (not p_f.covers(ci.p_false_alarm)) + (not p_d.covers(ci.p_detect))
+    for receiver, closed in ((montecarlo.Receiver.SFG, analytic.sfg_bayes),
+                             (montecarlo.Receiver.CI, analytic.ci_bayes)):
+        bayes = closed(params)
+        p_f, p_d = montecarlo.estimate_operating_point(
+            receiver, params, montecarlo.bayes_threshold(receiver, params), config)
+        misses += (not p_f.covers(bayes.p_false_alarm)) + (not p_d.covers(bayes.p_detect))
     return _result("mc-coverage", misses, 0.0,
                    "Wilson intervals cover the analytic operating points", config.trials)
 

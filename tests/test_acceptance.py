@@ -17,6 +17,7 @@ from speckleqi import (
     McConfig,
     Receiver,
     SystemParams,
+    bayes_threshold,
     check_helstrom_concavity,
     ci_bayes,
     ci_detection_probability,
@@ -147,16 +148,12 @@ def test_criterion_8_monte_carlo_coverage():
         config = McConfig(trials=100_000, seed=20260810)
         for preset in (FIG2A, FIG2B):
             params = SystemParams(**preset)
-            sfg = sfg_bayes(params)
-            p_f, p_d = estimate_operating_point(Receiver.SFG, params, sfg.threshold,
-                                                config)
-            assert p_f.covers(sfg.p_false_alarm) and p_d.covers(sfg.p_detect)
-            assert estimate_bayes_error(Receiver.SFG, params, config).covers(sfg.p_error)
-            ci = ci_bayes(params)
-            p_f, p_d = estimate_operating_point(Receiver.CI, params,
-                                                -math.log(ci.threshold), config)
-            assert p_f.covers(ci.p_false_alarm) and p_d.covers(ci.p_detect)
-            assert estimate_bayes_error(Receiver.CI, params, config).covers(ci.p_error)
+            for receiver, closed in ((Receiver.SFG, sfg_bayes), (Receiver.CI, ci_bayes)):
+                bayes = closed(params)
+                p_f, p_d = estimate_operating_point(
+                    receiver, params, bayes_threshold(receiver, params), config)
+                assert p_f.covers(bayes.p_false_alarm) and p_d.covers(bayes.p_detect)
+                assert estimate_bayes_error(receiver, params, config).covers(bayes.p_error)
             # target-present counts are Bose-Einstein(N1) at the 1% level
             rng = _stream(config.seed, Receiver.SFG, 1)
             counts = sample_sfg_counts(params, True, rng, config.trials)

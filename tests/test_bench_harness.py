@@ -3,11 +3,15 @@
 perfbench/spans.py wraps speckleqi functions by name for the traced run, and
 perfbench/workloads.py builds each workload from the package's entry points.
 Loading both here makes a deleted or renamed function fail this suite rather
-than the benchmark run. Neither file is changed by loading it.
+than the benchmark run, and the Monte Carlo workload's own copy of the
+threshold rule must agree with bayes_threshold. Neither file is changed by
+loading it.
 """
 
 import importlib.util
 from pathlib import Path
+
+from speckleqi import bayes_threshold
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,6 +33,13 @@ def test_every_workload_builds_its_inputs(tmp_path):
     workloads = load("workloads")
     for name, workload in workloads.WORKLOADS.items():
         assert workload(0, tmp_path).inputs, name
+
+
+def test_montecarlo_workload_thresholds_follow_the_library_rule(tmp_path):
+    cases = load("workloads").MonteCarlo(0, tmp_path).cases
+    assert len(cases) == 4
+    for case in cases:
+        assert case["threshold"] == bayes_threshold(case["receiver"], case["params"]), case
 
 
 def test_every_workload_passes_its_own_check_once(tmp_path):

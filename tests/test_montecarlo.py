@@ -14,6 +14,7 @@ from speckleqi import (
     McEstimate,
     Receiver,
     SystemParams,
+    bayes_threshold,
     ci_bayes,
     derived_x,
     estimate_bayes_error,
@@ -34,12 +35,6 @@ from speckleqi.montecarlo import (
     _stream,
 )
 from speckleqi.params import FIG2A, FIG2B
-
-# analytic values frozen in test_analytic.py
-SFG_VERTEX_A = (2.3020550252356094e-4, 0.9399517491329434)
-CI_POINT_FIG2 = (0.049760237466242016, 0.8365386739870957)
-SFG_PE_A = 0.030139228184790062
-CI_PE_FIG2 = 0.10661078173957317
 
 
 def reference_sample_kappa(kappa_bar, rng, size):
@@ -139,18 +134,11 @@ class TestStreamedEstimator:
         # three whole blocks and a partial one, against one array per hypothesis
         params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
         trials = 3 * _BLOCK + 5
-        threshold = (sfg_bayes(params).threshold if receiver is Receiver.SFG
-                     else -math.log(ci_bayes(params).threshold))
+        threshold = bayes_threshold(receiver, params)
         got = estimate_operating_point(receiver, params, threshold, McConfig(trials, seed=8))
         for hypothesis, estimate in enumerate(got):
             draws = reference(params, hypothesis == 1, _stream(8, receiver, hypothesis), trials)
             assert estimate == wilson_interval(int(np.count_nonzero(draws > threshold)), trials)
-
-
-def bayes_threshold(receiver, params):
-    if receiver is Receiver.SFG:
-        return sfg_bayes(params).threshold
-    return -math.log(ci_bayes(params).threshold)
 
 
 def serial_estimates(receiver, params, threshold, seed, trials):
@@ -319,13 +307,20 @@ class TestConfigAndIntervals:
     def test_numpy_integers_accepted(self):
         assert McConfig(trials=np.int64(1000), seed=np.uint32(3)) == McConfig(1000, 3)
 
-    @given(successes=st.integers(0, 500), trials=st.integers(100, 500))
+    @given(successes=st.integers(0, 500), trials=st.integers(1, 500))
     @settings(max_examples=100, deadline=None)
     def test_wilson_interval_properties(self, successes, trials):
-        if successes > trials:
-            successes = trials
-        est = wilson_interval(successes, trials)
-        assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
+        est = wilson_interval(min(successes, trials), trials)
+        assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0 and est.trials == trials
+
+    @pytest.mark.parametrize("successes, trials, field", [
+        (5, 0, "trials"), (3, 10.0, "trials"), (-1, 10, "successes"), (11, 10, "successes"),
+        (3.5, 10, "successes"), (True, 10, "successes")])
+    def test_wilson_rejects_bad_counts_by_name(self, successes, trials, field):
+        # (5, 0) raised a bare ZeroDivisionError, (-1, 10) and (11, 10) a math domain
+        # error, and (3.5, 10) returned an estimate of 0.35
+        with pytest.raises(InvalidParameter, match=f"^{field}: "):
+            wilson_interval(successes, trials)
 
     def test_wilson_known_value(self):
         # 50/100 at z = 1.96: the textbook interval (0.404, 0.596)
@@ -416,19 +411,6 @@ class TestCiEnvelope:
 
 
 class TestOperatingPointEstimates:
-    def test_sfg_covers_analytic_vertex(self, fig2a):
-        cfg = McConfig(trials=100_000, seed=20260810)
-        p_f, p_d = estimate_operating_point(Receiver.SFG, fig2a, 0, cfg)
-        assert p_f.covers(SFG_VERTEX_A[0])
-        assert p_d.covers(SFG_VERTEX_A[1])
-
-    def test_ci_covers_analytic_optimum(self, fig2a):
-        cfg = McConfig(trials=100_000, seed=20260810)
-        threshold = -math.log(ci_bayes(fig2a).threshold)
-        p_f, p_d = estimate_operating_point(Receiver.CI, fig2a, threshold, cfg)
-        assert p_f.covers(CI_POINT_FIG2[0])
-        assert p_d.covers(CI_POINT_FIG2[1])
-
     @pytest.mark.parametrize("receiver", list(Receiver))
     def test_nan_threshold_rejected(self, fig2a, receiver):
         with pytest.raises(InvalidParameter, match="^threshold: "):
@@ -468,23 +450,23 @@ class TestOperatingPointEstimates:
         p_f, p_d = estimate_operating_point(receiver, fig2a, math.inf, McConfig(trials=100))
         assert p_f.value == p_d.value == 0.0
 
-    def test_minimum_trials_interval_sanity(self, fig2a):
-        cfg = McConfig(trials=100, seed=7)
-        p_f, p_d = estimate_operating_point(Receiver.SFG, fig2a, 0, cfg)
-        for est in (p_f, p_d):
-            assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
-            assert est.trials == 100
+    @pytest.mark.parametrize("preset", [FIG2A, FIG2B], ids=["fig2a", "fig2b"])
+    def test_bayes_threshold_is_the_closed_form_test(self, preset):
+        # the rule by hand: SFG's count threshold as it is, CI's envelope threshold -ln P_F*
+        params = SystemParams(**preset)
+        assert bayes_threshold(Receiver.SFG, params) == sfg_bayes(params).threshold
+        assert bayes_threshold(Receiver.CI, params) == -math.log(ci_bayes(params).threshold)
 
-    def test_bayes_error_covers_analytic(self, fig2a):
-        cfg = McConfig(trials=100_000, seed=20260810)
-        assert estimate_bayes_error(Receiver.SFG, fig2a, cfg).covers(SFG_PE_A)
-        assert estimate_bayes_error(Receiver.CI, fig2a, cfg).covers(CI_PE_FIG2)
-
-    def test_bayes_error_degenerate_returns_prior(self):
-        p = SystemParams(M=1.0, N_S=1e-4, N_B=20.0, kappa_bar=0.01, epsilon=0.01,
-                         pi0=0.7)
-        est = estimate_bayes_error(Receiver.SFG, p, McConfig(trials=100, seed=1))
-        assert est.value == pytest.approx(0.3)
+    @pytest.mark.parametrize("pi0", [0.6, 1.0])
+    def test_bayes_threshold_where_the_priors_decide(self, pi0):
+        # x = 5e-6: P_F* is 0.0 and the SFG test is degenerate (N1 < N0); -math.log(P_F*)
+        # raised a math domain error here. Never declaring leaves the error pi1 on both
+        params = SystemParams(M=100.0, N_S=1e-4, N_B=20.0, kappa_bar=0.01, pi0=pi0)
+        assert ci_bayes(params).threshold == 0.0
+        assert bayes_threshold(Receiver.SFG, params) is None
+        assert bayes_threshold(Receiver.CI, params) == math.inf
+        for receiver in Receiver:
+            assert estimate_bayes_error(receiver, params, McConfig(100, seed=1)).value == params.pi1
 
     def test_reseeding_is_bit_identical(self, fig2a):
         cfg = McConfig(trials=5000, seed=99)
@@ -545,10 +527,6 @@ class TestPinnedEstimates:
         preset, receiver = key
         params = SystemParams(**{"fig2a": FIG2A, "fig2b": FIG2B}[preset])
         cfg = McConfig(trials=10_000, seed=20261018)
-        if receiver is Receiver.SFG:
-            threshold = sfg_bayes(params).threshold
-        else:
-            threshold = -math.log(ci_bayes(params).threshold)
-        got = (*estimate_operating_point(receiver, params, threshold, cfg),
+        got = (*estimate_operating_point(receiver, params, bayes_threshold(receiver, params), cfg),
                estimate_bayes_error(receiver, params, cfg))
         assert got == tuple(McEstimate(*e, trials=10_000) for e in PINNED_ESTIMATES[key])

@@ -257,6 +257,26 @@ def dense_fading_exponent_trend(params, m_list, dim, nodes, pi0=0.5,
     return results
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+@pytest.mark.parametrize("field, call", [
+    ("nbar", lambda v: thermal_state(v, 10)),
+    ("nbar", lambda v: coherent_thermal_state(0.5, v, 30)),  # before its headroom check
+    ("n_s", lambda v: tmsv_state(v, 10)),
+    ("n_b", lambda v: apply_return_channel(tmsv_state(0.1, 6), 0.3, 0.2, v)),
+    ("n_b", lambda v: apply_return_channel(tmsv_state(0.1, 6), 1.0, 0.2, v)),
+    ("trace_deficit_tol", lambda v: thermal_state(5.0, 4, trace_deficit_tol=v)),
+    ("trace_deficit_tol", lambda v: tmsv_state(5.0, 4, trace_deficit_tol=v)),
+    ("nbar", lambda v: dim_for_tail(v, 1e-12)),
+], ids=["thermal", "coherent-thermal", "tmsv", "channel", "channel-kappa-1", "thermal-tol",
+        "tmsv-tol", "dim-for-tail"])
+def test_finite_non_negative_inputs_rejected_by_name(field, call, value):
+    # one rule, each caller naming its field. A NaN brightness gave an all-NaN state, a NaN
+    # tolerance let thermal_state(5.0, 4) drop 48% of its trace, a negative value raised a
+    # math domain error, and dim_for_tail returned 2 for a negative nbar
+    with pytest.raises(InvalidParameter, match=f"^{field}: must be finite and >= 0"):
+        call(value)
+
+
 class TestThermalState:
     def test_vacuum(self):
         dm = thermal_state(0.0, 5)
@@ -278,20 +298,6 @@ class TestThermalState:
             thermal_state(15.65327441783348, 30)
         assert exc.value.suggested_dim == dim_for_tail(15.65327441783348, 1e-6)
         thermal_state(15.65327441783348, exc.value.suggested_dim)  # now fits
-
-    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.1])
-    def test_brightness_must_be_finite_and_non_negative(self, nbar):
-        # a NaN brightness would otherwise give an all-NaN state without complaint
-        with pytest.raises(ValueError, match="^nbar: must be finite and >= 0"):
-            thermal_state(nbar, 10)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize("build", [thermal_state, tmsv_state])
-    def test_deficit_tolerance_must_be_finite_and_non_negative(self, build, tol):
-        # a NaN tolerance let thermal_state(5.0, 4) drop 48% of its trace;
-        # -1 died with a bare "math domain error"
-        with pytest.raises(InvalidParameter, match="^trace_deficit_tol: must be finite"):
-            build(5.0, 4, trace_deficit_tol=tol)
 
     @pytest.mark.parametrize("build,dim", [(thermal_state, 10.5), (thermal_state, 1),
                                            (thermal_state, True), (tmsv_state, 10.5),
@@ -315,6 +321,12 @@ class TestThermalState:
         d = dim_for_tail(nbar, 1e-12)
         assert (nbar / (nbar + 1)) ** d <= 1e-12 < (nbar / (nbar + 1)) ** (d - 1)
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_tail_tolerance_must_be_finite_and_positive(self, tail_tol):
+        # 0 and -1e-12 raised a math domain error, NaN and inf a conversion error
+        with pytest.raises(InvalidParameter, match="^tail_tol: must be finite and > 0"):
+            dim_for_tail(5.0, tail_tol)
+
 
 class TestCoherentThermalState:
     def test_vacuum_edge(self):
@@ -330,13 +342,6 @@ class TestCoherentThermalState:
     def test_headroom_enforced(self):
         with pytest.raises(TruncationTooSmall):
             coherent_thermal_state(3.0, 1.0, 10)
-
-    @pytest.mark.parametrize("nbar", [-1.0, math.nan, math.inf])
-    def test_brightness_named_before_the_headroom(self, nbar):
-        # -1 failed with "math domain error", NaN with "cannot convert float
-        # NaN to integer"
-        with pytest.raises(ValueError, match="^nbar: must be finite and >= 0"):
-            coherent_thermal_state(0.5, nbar, 30)
 
     @pytest.mark.parametrize("alpha", [math.inf, complex(0.0, -math.inf), complex(math.nan, 0.0)])
     def test_amplitude_must_be_finite(self, alpha):
@@ -387,11 +392,6 @@ class TestTmsvState:
             np.testing.assert_allclose(partial_trace(dm, mode).data, reference,
                                        atol=1e-9)
 
-    @pytest.mark.parametrize("n_s", [math.nan, math.inf, -0.1])
-    def test_brightness_must_be_finite_and_non_negative(self, n_s):
-        with pytest.raises(ValueError, match="^n_s: must be finite and >= 0"):
-            tmsv_state(n_s, 10)
-
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
             tmsv_state(0.5, 4)
@@ -435,12 +435,6 @@ class TestReturnChannel:
         out = apply_return_channel(tmsv, 1.0, 0.9, 0.0, out_dim=8)
         np.testing.assert_allclose(out.data, rotate_return_phase(tmsv, 0.9).data,
                                    atol=1e-14)
-
-    @pytest.mark.parametrize("n_b", [math.nan, math.inf, -0.1])
-    @pytest.mark.parametrize("kappa", [0.3, 1.0])
-    def test_background_must_be_finite_and_non_negative(self, kappa, n_b):
-        with pytest.raises(InvalidParameter, match="^n_b: must be finite and >= 0"):
-            apply_return_channel(tmsv_state(0.1, 6), kappa, 0.2, n_b)
 
     def test_output_truncation_guard(self):
         tmsv = tmsv_state(0.2, 8)

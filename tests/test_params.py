@@ -104,6 +104,15 @@ class TestFadingPdf:
         mass, _ = quad(lambda t: fading_pdf(kappa_bar, t), 0.0, 1.0)
         assert abs(mass + math.expm1(-1.0 / kappa_bar)) < 1e-10
 
+    @pytest.mark.parametrize("kappa_bar, amplitude, field", [
+        (0.0, 0.1, "kappa_bar"), (-0.01, 0.1, "kappa_bar"), (math.nan, 0.1, "kappa_bar"),
+        (math.inf, 0.1, "kappa_bar"), (0.01, math.nan, "amplitude"),
+        (0.01, math.inf, "amplitude"), (0.01, -math.inf, "amplitude")])
+    def test_bad_input_rejected_by_name(self, kappa_bar, amplitude, field):
+        # kappa_bar = 0 raised a bare ZeroDivisionError; NaN returned NaN
+        with pytest.raises(InvalidParameter, match=f"^{field}: must be finite"):
+            fading_pdf(kappa_bar, amplitude)
+
     @pytest.mark.parametrize("kappa_bar", [0.01, 0.2, 0.9])
     def test_mean_intensity_is_kappa_bar(self, kappa_bar):
         mean, _ = quad(lambda t: t * t * fading_pdf(kappa_bar, t), 0.0, np.inf)
