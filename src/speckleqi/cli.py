@@ -202,8 +202,9 @@ def _sweep_csv(sweep: analytic.BayesSweep):
     yield ",".join(_SWEEP_HEADER).encode() + b"\n"
     for start in range(0, n_t.size, _SWEEP_BLOCK):
         rows = slice(start, start + _SWEEP_BLOCK)
+        floats[rows, 6][np.isnan(floats[rows, 6])] = 2.0  # blanked below; skips the % fallback
         text = _float_text(floats[rows])
-        text[np.isnan(floats[rows, 6]), 6] = 0
+        text[np.isnan(sweep.ci_asymptotic[rows]), 6] = 0
         comma = np.full((len(text), 1), ord(","), np.uint8)
         fields = [*text[:, :3].swapaxes(0, 1), threshold[rows], *text[:, 3:].swapaxes(0, 1),
                   jump[rows]]

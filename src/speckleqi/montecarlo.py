@@ -307,14 +307,15 @@ def bayes_threshold(receiver: Receiver, params: SystemParams):
 
 
 def estimate_bayes_error(receiver: Receiver, params: SystemParams, config: McConfig) -> McEstimate:
-    """Empirical pi0*P_F + pi1*(1 - P_D) at bayes_threshold (None: min(pi0, pi1)).
+    """Empirical pi0*P_F + pi1*(1 - P_D) at bayes_threshold; a fixed decision is exact,
+    with no draw: min(pi0, pi1) at SFG's None, pi1 at CI's inf (never declare).
 
     The interval is conservative: the prior-weighted sum of the component
     interval half-widths.
     """
     threshold = bayes_threshold(receiver, params)
-    if threshold is None:
-        v = min(params.pi0, params.pi1)
+    if threshold is None or threshold == math.inf:
+        v = min(params.pi0, params.pi1) if threshold is None else params.pi1
         return McEstimate(value=v, ci_low=v, ci_high=v, trials=config.trials)
     p_f, p_d = estimate_operating_point(receiver, params, threshold, config)
     value = params.pi0 * p_f.value + params.pi1 * (1.0 - p_d.value)

@@ -468,6 +468,18 @@ class TestOperatingPointEstimates:
         for receiver in Receiver:
             assert estimate_bayes_error(receiver, params, McConfig(100, seed=1)).value == params.pi1
 
+    def test_never_declare_estimates_agree_without_a_draw(self, monkeypatch):
+        # SFG's None gave the exact McEstimate(0.4, 0.4, 0.4) here, while CI's
+        # inf drew 100 trials and gave [0.3815, 0.4185] for the same decision
+        def undrawn(*args):
+            raise AssertionError("a fixed decision was simulated")
+
+        monkeypatch.setattr(montecarlo, "estimate_operating_point", undrawn)
+        params = SystemParams(M=100.0, N_S=1e-4, N_B=20.0, kappa_bar=0.01, pi0=0.6)
+        for receiver in Receiver:
+            assert (estimate_bayes_error(receiver, params, McConfig(100, seed=1))
+                    == McEstimate(0.4, 0.4, 0.4, 100))
+
     def test_reseeding_is_bit_identical(self, fig2a):
         cfg = McConfig(trials=5000, seed=99)
         a = estimate_bayes_error(Receiver.SFG, fig2a, cfg)

@@ -42,6 +42,7 @@ from speckleqi.oracle import (
     _destroy,
     _discriminate,
     _log_factorials,
+    _orbit_groups,
     _thermal_weights,
     displacement_operator,
     random_density_matrix,
@@ -218,17 +219,14 @@ def dense_chernoff(rho0, rho1, s_tol=1e-6):
     return s_opt, (math.inf if q_min <= 0.0 else max(0.0, -math.log(q_min)))
 
 
-def dense_fading_exponent_trend(params, m_list, dim, nodes, pi0=0.5,
-                                per_copy_deficit_tol=0.05):
-    """Reference trend from dense M-copy states: tensor powers of every
-    per-copy state, the phase average as a mask on total return photons mod P,
-    and full helstrom + dense_chernoff eigensolves. nodes=None is the known
-    return kappa = params.kappa_bar. Feasible up to a few hundred basis states
-    per side."""
+def reference_per_copy_states(params, dim, nodes, per_copy_deficit_tol=0.05):
+    """(rho0, conditional states, amplitude weights, P) of the trend, each
+    state from hypothesis_state and renormalized; nodes=None is the known
+    return kappa = params.kappa_bar with no phase grid (P = 1)."""
     rho0 = hypothesis_state(params, 0.0, 0.0, dim, out_dim=dim,
                             trace_deficit_tol=per_copy_deficit_tol).renormalized()
     if nodes is None:
-        kappas, amp_weights = [params.kappa_bar], np.array([1.0])
+        kappas, amp_weights, n_phase = [params.kappa_bar], np.array([1.0]), 1
     else:
         n_amp, n_phase = nodes
         xs, ws = np.polynomial.legendre.leggauss(n_amp)
@@ -238,6 +236,47 @@ def dense_fading_exponent_trend(params, m_list, dim, nodes, pi0=0.5,
     conditionals = [hypothesis_state(params, kappa, 0.0, dim, out_dim=dim,
                                      trace_deficit_tol=per_copy_deficit_tol).renormalized()
                     for kappa in kappas]
+    return rho0, conditionals, amp_weights, n_phase
+
+
+def per_block_exponent_trend(params, m_list, dim, nodes):
+    """Reference trend that assembles and solves every symmetry block, one
+    per-copy state at a time: (copies, Helstrom exponent, Chernoff exponent,
+    blocks, largest block) per copy count."""
+    rho0, conditionals, amp_weights, n_phase = reference_per_copy_states(params, dim, nodes)
+    d2 = dim * dim
+    results = []
+    for m in m_list:
+        groups = _block_groups(_copy_labels(dim, m, n_phase))
+        b0s, b1s = [], []
+        for idx in groups:
+            digits = [idx // d2 ** (m - 1 - i) % d2 for i in range(m)]
+            blocks = []
+            for state in (rho0, *conditionals):
+                blk = np.ones(idx.shape + idx.shape[1:], dtype=complex)
+                for dg in digits:
+                    blk = blk * state.data[dg[:, :, None], dg[:, None, :]]
+                blocks.append(blk)
+            b0s.append(blocks[0])
+            b1s.append(sum(w * blk for w, blk in zip(amp_weights, blocks[1:])))
+        trace = sum(np.trace(b1, axis1=1, axis2=2).real.sum() for b1 in b1s)
+        b1s = [b1 / trace for b1 in b1s]
+        pr_e, _, exponent = _discriminate(b0s, b1s, [np.ones(len(b)) for b in b0s],
+                                          params.pi0, d2 ** m)
+        results.append((m, -math.log(pr_e) / m, exponent / m, sum(len(idx) for idx in groups),
+                         groups[-1].shape[1]))
+    return results
+
+
+def dense_fading_exponent_trend(params, m_list, dim, nodes, pi0=0.5,
+                                per_copy_deficit_tol=0.05):
+    """Reference trend from dense M-copy states: tensor powers of every
+    per-copy state, the phase average as a mask on total return photons mod P,
+    and full helstrom + dense_chernoff eigensolves. nodes=None is the known
+    return kappa = params.kappa_bar. Feasible up to a few hundred basis states
+    per side."""
+    rho0, conditionals, amp_weights, n_phase = reference_per_copy_states(
+        params, dim, nodes, per_copy_deficit_tol)
     per_copy = np.repeat(np.arange(dim), dim)
     results = []
     for m in m_list:
@@ -591,6 +630,27 @@ class TestReturnChannel:
         ref = loop_return_channel(tmsv, 0.997, 0.6, 100.0, out_dim=3)
         assert np.abs(mine.data - ref).max() <= 1e-14
 
+    @pytest.mark.parametrize("dim,kappas,phi,n_b,out_dim,tol", [
+        # the trend's target absence and its 16 amplitude nodes
+        (3, [0.0, *(a * a for a in 0.5 * (np.polynomial.legendre.leggauss(16)[0] + 1.0))], 0.0,
+         0.3, 3, 0.05),
+        # validate's target-present and target-absent states, at the wider default output
+        (12, [0.3, 0.0], math.pi / 4, 0.5, None, 1e-6),
+        (12, [0.3, 0.0], 0.0, 0.5, None, 1e-6),
+    ])
+    def test_kernel_is_the_one_kappa_channel_bit_for_bit(self, dim, kappas, phi, n_b, out_dim,
+                                                         tol):
+        tmsv = tmsv_state(0.1, dim, trace_deficit_tol=tol)
+        if out_dim is None:
+            out_dim = max(oracle._default_out_dim(dim, kappa, n_b) for kappa in kappas)
+        out, traces = oracle._return_channel(tmsv, kappas, phi, n_b, out_dim, tol)
+        assert out.shape == (len(kappas), out_dim * dim, out_dim * dim)
+        for kappa, data, trace in zip(kappas, out, traces):
+            one = apply_return_channel(tmsv, kappa, phi, n_b, out_dim=out_dim,
+                                       trace_deficit_tol=tol)
+            assert data.tobytes() == one.data.tobytes()
+            assert 1.0 - trace == one.trace_deficit
+
 
 class TestCovarianceWeld:
     def test_moments_match_covariance_h1(self):
@@ -903,8 +963,10 @@ class TestQcb:
                 lo += len(b)
             dense.append(DensityMatrix(full, (8,)))
             stacks.append([np.stack([b for b in blocks if len(b) == n]) for n in (1, 2, 3)])
-        blocked = _discriminate(stacks[0], stacks[1], 0.3, 8)
-        single = _discriminate([dense[0].data[None]], [dense[1].data[None]], 0.3, 8)
+        ones = [np.ones(len(stack)) for stack in stacks[0]]
+        blocked = _discriminate(stacks[0], stacks[1], ones, 0.3, 8)
+        single = _discriminate([dense[0].data[None]], [dense[1].data[None]], [np.ones(1)], 0.3,
+                               8)
         report = qcb(dense[0], dense[1], 0.3)
         assert report.helstrom_error == single[0]
         assert report.qcb_exponent == single[2]
@@ -1065,36 +1127,38 @@ class TestExponentTrend:
             fading_exponent_trend(params, [1, 4], dim=dim, nodes=(16, 33))
 
     def test_memory_guard(self, monkeypatch):
-        # 256 bytes per basis state alone make 4 GiB at dim 8, M = 4, so the
+        # 64 bytes per basis state alone make 2.7 GiB at dim 9, M = 4, so the
         # guard fires before any block is listed
-        self._guard_before_labels(monkeypatch, 8)
+        self._guard_before_labels(monkeypatch, 9)
 
     def test_memory_guard_basis_size_does_not_wrap(self, monkeypatch):
         # at numpy dim 65536 the basis size 65536^8 wraps to 0 in int64
         self._guard_before_labels(monkeypatch, np.int64(65536))
 
     def test_memory_guard_counts_the_blocks(self, monkeypatch):
-        # dim 6, M = 4: the basis takes 0.4 GiB, the blocks of the known
-        # return (no phase grid) take the rest of 24.1 GiB
+        # dim 6, M = 4: listing the basis takes 0.1 GiB, the orbit
+        # representatives of the known return (no phase grid) 3.0 GiB
         def unbuilt(*args, **kwargs):
             raise AssertionError("per-copy state built before the guard")
 
-        monkeypatch.setattr(oracle, "apply_return_channel", unbuilt)
+        monkeypatch.setattr(oracle, "_return_channel", unbuilt)
         params = SystemParams(**self.SURROGATE)
-        with pytest.raises(ResourceGuard, match="need 24.1 GiB$"):
+        with pytest.raises(ResourceGuard, match="need 3.0 GiB$"):
             fading_exponent_trend(params, [4], dim=6, nodes=None)
 
-    def test_memory_estimate_tracks_allocation(self):
+    @pytest.mark.parametrize("nodes", [None, (16, 33)], ids=["known", "fading"])
+    def test_memory_estimate_tracks_allocation(self, nodes):
         params = SystemParams(**self.SURROGATE)
-        fading_exponent_trend(params, [1], dim=4, nodes=None)
+        fading_exponent_trend(params, [1], dim=4, nodes=nodes)
         tracemalloc.start()
         try:
-            fading_exponent_trend(params, [3], dim=4, nodes=None)
+            fading_exponent_trend(params, [3], dim=4, nodes=nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        groups = _block_groups(_copy_labels(4, 3, 1))
-        estimate = 256.0 * 4 ** 6 + 56.0 * sum(g.shape[0] * g.shape[1] ** 2 for g in groups)
+        n_phase, states = (1, 2) if nodes is None else (nodes[1], 1 + nodes[0])
+        sizes = [g.size * g.shape[1] for g in _orbit_groups(4, 3, n_phase)[0]]
+        estimate = max(64.0 * 4 ** 6, 72.0 * sum(sizes) + 32.0 * states * max(sizes))
         assert peak / 2 < estimate < 2 * peak
 
     @pytest.mark.parametrize("dim,m,n_phase", [(3, 3, 33), (4, 2, 8), (5, 2, 8), (3, 3, 1)])
@@ -1120,6 +1184,32 @@ class TestExponentTrend:
             assert point.helstrom_exponent == pytest.approx(h, abs=1e-12)
             assert point.chernoff_exponent == pytest.approx(c, abs=1e-12)
 
+    @pytest.mark.parametrize("dim,m_max", [(3, 5), (4, 4)])
+    @pytest.mark.parametrize("nodes", [(16, 33), None], ids=["fading", "known"])
+    def test_orbit_solve_matches_every_block_solved(self, dim, m_max, nodes):
+        params = SystemParams(**self.SURROGATE)
+        m_list = list(range(1, m_max + 1))
+        points = fading_exponent_trend(params, m_list, dim=dim, nodes=nodes)
+        for point, (m, h, c, blocks, largest) in zip(
+                points, per_block_exponent_trend(params, m_list, dim, nodes)):
+            assert (point.copies, point.blocks, point.largest_block) == (m, blocks, largest)
+            assert point.helstrom_exponent == pytest.approx(h, abs=1e-12)
+            assert point.chernoff_exponent == pytest.approx(c, abs=1e-12)
+
+    def test_one_block_is_solved_per_orbit(self, monkeypatch):
+        # dim 3, M = 3: 425 blocks in 119 copy-permutation orbits
+        real, seen = oracle._discriminate, []
+
+        def spy(b0s, b1s, mults, *args):
+            seen.append((sum(len(b0) for b0 in b0s), int(sum(mult.sum() for mult in mults))))
+            return real(b0s, b1s, mults, *args)
+
+        monkeypatch.setattr(oracle, "_discriminate", spy)
+        params = SystemParams(**self.SURROGATE)
+        point, = fading_exponent_trend(params, [3], dim=3, nodes=(16, 33))
+        assert seen == [(119, 425)]
+        assert point.blocks == 425
+
     @pytest.mark.parametrize("pi0", [0.2, 0.7])
     def test_priors_enter_the_helstrom_exponent(self, pi0):
         # the trend solved every pair at equal priors, whatever params.pi0 said
@@ -1134,6 +1224,13 @@ class TestExponentTrend:
             assert point.chernoff_exponent == pytest.approx(c, abs=1e-12)
             assert point.chernoff_exponent == half.chernoff_exponent
             assert abs(point.helstrom_exponent - half.helstrom_exponent) > 1e-3
+
+    def test_per_node_truncation_deficit_rejected(self):
+        # N_B = 1 at dim 4 drops 1/16 of target absence's thermal return
+        params = SystemParams(M=100.0, N_S=0.01, N_B=1.0, kappa_bar=0.05)
+        with pytest.raises(TruncationTooSmall, match=r"^return channel output drops 0\.0625 > "
+                                                     r"0\.05 \(out_dim 4\) \(suggested dim: 43\)$"):
+            fading_exponent_trend(params, [1], dim=4, nodes=(16, 33))
 
     @pytest.mark.parametrize("pi0", [0.0, 1.0])
     def test_certain_prior_rejected(self, pi0):
@@ -1192,18 +1289,18 @@ class TestExponentTrend:
         estimates = [p.helstrom_exponent for p in points]
         assert all(b < a for a, b in zip(estimates, estimates[1:]))
 
-    @pytest.mark.parametrize("present", [False, True])
-    def test_weight_outside_the_blocks_is_rejected(self, monkeypatch, present):
-        real = oracle.apply_return_channel
+    @pytest.mark.parametrize("node", [0, 1, 16], ids=["absent", "first-node", "last-node"])
+    def test_weight_outside_the_blocks_is_rejected(self, monkeypatch, node):
+        real = oracle._return_channel
 
-        def leaky(state, kappa, *args, **kwargs):
-            dm = real(state, kappa, *args, **kwargs)
-            if (kappa > 0.0) == present:  # kappa = 0 is target absence
-                # couples (n_R, n_I) = (0, 0) with (0, 1): different n_R - n_I
-                dm.data[0, 1] = dm.data[1, 0] = 1e-9
-            return dm
+        def leaky(state, kappas, *args, **kwargs):
+            out, traces = real(state, kappas, *args, **kwargs)
+            # one state only (kappa = 0 is target absence, first in the
+            # stack); couples (n_R, n_I) = (0, 0) with (0, 1): different n_R - n_I
+            out[node, 0, 1] = out[node, 1, 0] = 1e-9
+            return out, traces
 
-        monkeypatch.setattr(oracle, "apply_return_channel", leaky)
+        monkeypatch.setattr(oracle, "_return_channel", leaky)
         params = SystemParams(**self.SURROGATE)
         with pytest.raises(ValueError, match="symmetry blocks"):
             fading_exponent_trend(params, [1, 2], dim=3, nodes=(16, 33))
